@@ -207,42 +207,26 @@ def solve_penalized_grid(spec: ProblemSpec, level_n: int,
     for a in range(n_controls):
         values[-1][..., a] = terminal.reshape(shape)
 
-    clamp_mass = 0.0
-    n_calls = 0
-    interior = transition.interior_mask(grid)
-    n_interior = int(interior.sum())
-
+    ops = transition.StepOperators(spec, grid, dt,
+                                   hermite_nodes=hermite_nodes,
+                                   mc_inner=mc_inner, mc_seed=mc_seed)
     flat_u = np.empty((p_cnt, n_controls))
     for k in range(n_time_steps - 1, -1, -1):
         t_k = time_grid[k]
-        mc_nodes = None
-        if mc_inner is not None:
-            mc_nodes = transition.monte_carlo_nodes(spec, dt, k, mc_inner,
-                                                    mc_seed)
-        for a in range(n_controls):
+        next_flat = values[k + 1].reshape(p_cnt, n_controls)
+        for a, matrix in enumerate(ops.at(k, t_k)):
             a_val = float(spec.control.points[a])
-            cont, c = transition.expect_next(
-                spec, t_k, dt, a, grid, values[k + 1][..., a],
-                hermite_nodes=hermite_nodes, mc_nodes=mc_nodes,
-                clamp_mask=interior)
-            clamp_mass += c
-            n_calls += 1
-            flat_u[:, a] = cont + spec.coefficients.f(t_k, core, a_val) * dt
+            flat_u[:, a] = (matrix @ next_flat[:, a]
+                            + spec.coefficients.f(t_k, core, a_val) * dt)
         continuation[k] = flat_u.reshape(*shape, n_controls)
         gain = np.maximum(flat_u[:, None, :] - flat_u[:, :, None], 0.0)
         penalty = level_n * dt * (gain @ weights)
         values[k] = (flat_u + penalty).reshape(*shape, n_controls)
 
-    clamp_fraction = clamp_mass / max(n_calls * n_interior, 1)
-    if clamp_fraction >= 0.01:
-        warnings.warn(f"state grid missed {100 * clamp_fraction:.2f}% of "
-                      f"one-step transition mass ({clamp_mass:.0f} clamped "
-                      "lookups); widen the grid", RuntimeWarning)
     metadata = {
         "solver": "grid", "level_n": level_n, "dt": dt,
         "stability": stability, "monotone_safe": stability <= 1.0 + 1e-12,
-        "clamp_fraction": clamp_fraction,
-        "kernel": transition.kernel_checksum(),
+        **ops.metadata(),
         "fingerprint": spec.fingerprint(), "hermite_nodes": hermite_nodes,
         "mc_inner": mc_inner, "seed": seed,
     }
@@ -458,14 +442,11 @@ def constraint_gap(source, spec: ProblemSpec | None = None,
         raise ValueError("no paths")
     dt = float(source.time_grid[1] - source.time_grid[0])
     weights = spec.randomization.lambda0_weights
-    n_controls = spec.control.size
     s = np.zeros(m_used)
     for k in range(n_steps):
-        x_k = states[:, k, :]
-        cont = np.empty((m_used, n_controls))
-        for a in range(n_controls):
-            cont[:, a], _ = transition.multilinear(
-                source.grid.axes, source.continuation[k][..., a], x_k)
+        cont, _ = transition.multilinear(source.grid.axes,
+                                         source.continuation[k],
+                                         states[:, k, :])
         own = cont[np.arange(m_used), regimes[:, k]]
         s += dt * (np.maximum(cont - own[:, None], 0.0) @ weights)
     return ConstraintReport(

@@ -245,6 +245,20 @@ def write_residual_csv(res, spec, path: Path) -> None:
     _write_csv(path, ["t", *cols, "residual", "argmax"], rows)
 
 
+def _check_sizes(args, min_steps: int, min_paths: int) -> None:
+    """Reject step and path counts too small for the command's checks.
+
+    The HJB certificate's second-order time derivative needs three time
+    nodes, and every Monte Carlo standard error needs two paths.
+    """
+    if args.steps is not None and args.steps < min_steps:
+        raise ValueError(f"--steps must be at least {min_steps}, "
+                         f"got {args.steps}")
+    if args.paths < min_paths:
+        raise ValueError(f"--paths must be at least {min_paths}, "
+                         f"got {args.paths}")
+
+
 def _ensure_out_dir(out: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -300,7 +314,7 @@ class _Workbench:
         if "dp" not in self._cache:
             self._cache["dp"] = dp.solve_dp_grid(
                 self.spec, n_time_steps=self.steps,
-                n_state_nodes=self.nodes, seed=self.seed)
+                grid=self.state_grid(), seed=self.seed)
         return self._cache["dp"]
 
     def bundle(self):
@@ -419,6 +433,7 @@ _SUITE_FNS = {
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    _check_sizes(args, min_steps=1, min_paths=1)
     spec = problem.load_problem(args.config)
     bundle = sim.simulate_bundle(spec, args.paths, args.seed,
                                  n_steps=args.steps)
@@ -439,6 +454,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
+    _check_sizes(args, min_steps=2, min_paths=2)
     spec = problem.load_problem(args.config)
     out = _ensure_out_dir(args.out)
     outputs = ["value_report.json", "manifest.json"]
@@ -482,8 +498,10 @@ def cmd_solve(args) -> int:
 
         # classical value on the same time grid keeps the report
         # apples-to-apples
+        grid = ladder.last_field.grid if solver == "grid" else None
         fld = dp.solve_dp_grid(spec, n_time_steps=ladder.n_time_steps,
-                               n_state_nodes=args.nodes, seed=args.seed)
+                               grid=grid, n_state_nodes=args.nodes,
+                               seed=args.seed)
         write_dp_field_csv(fld, spec, out / "dp_field.csv",
                            out / "dp_field.json")
         outputs += ["dp_field.csv", "dp_field.json"]
@@ -527,6 +545,8 @@ def cmd_solve(args) -> int:
             value_limit=ladder.value_limit, tilt=tilt,
             verdicts=verdicts, details=details)
 
+    report.details["truncated_jump_mass"] = fld.metadata[
+        "truncated_jump_mass"]
     report.write(out / "value_report.json")
     manifest = RunManifest(
         command="solve", config=args.config, seed=args.seed,
@@ -549,6 +569,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    _check_sizes(args, min_steps=2, min_paths=2)
     spec = problem.load_problem(args.config)
     wb = _Workbench(spec, levels=args.levels, steps=args.steps,
                     nodes=args.nodes, paths=args.paths, seed=args.seed)

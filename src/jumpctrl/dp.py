@@ -4,17 +4,17 @@ The backward recursion maximizes over the control grid at every node,
 
     v(t_k, x) = max_a { E[v(t_{k+1}, X') | X = x, control a] + f(t_k,x,a) dt },
 
-and goes through the exact same one-step kernel as the penalized route
-(``transition.expect_next``), so discrepancies between the two values can
+and applies the exact same one-step operators as the penalized route
+(``transition.StepOperators``), so discrepancies between the two values can
 only come from the control handling, never from the transition machinery.
 Ties in the maximum resolve to the lowest control index, and the rollout
-policy uses the same rule.
+policy uses the same rule.  A tie is any control within ``TIE_TOL`` of
+the maximum, so summation-order rounding cannot flip the stored argmax.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,8 @@ import numpy as np
 from . import sim, transition
 from .problem import ProblemSpec
 from .transition import LatticeGrid
+
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,38 +85,25 @@ def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
     argmax = np.empty((n_time_steps, *shape), dtype=np.int64)
     values[-1] = spec.coefficients.g(nodes).reshape(shape)
 
-    clamp_mass = 0.0
-    n_calls = 0
-    interior = transition.interior_mask(grid)
-    n_interior = int(interior.sum())
-
+    ops = transition.StepOperators(spec, grid, dt,
+                                   hermite_nodes=hermite_nodes,
+                                   mc_inner=mc_inner, mc_seed=mc_seed)
     q = np.empty((p_cnt, n_controls))
     for k in range(n_time_steps - 1, -1, -1):
         t_k = time_grid[k]
-        mc_nodes = None
-        if mc_inner is not None:
-            mc_nodes = transition.monte_carlo_nodes(spec, dt, k, mc_inner,
-                                                    mc_seed)
-        for a in range(n_controls):
+        next_flat = values[k + 1].ravel()
+        for a, matrix in enumerate(ops.at(k, t_k)):
             a_val = float(spec.control.points[a])
-            cont, c = transition.expect_next(
-                spec, t_k, dt, a, grid, values[k + 1],
-                hermite_nodes=hermite_nodes, mc_nodes=mc_nodes,
-                clamp_mask=interior)
-            clamp_mass += c
-            n_calls += 1
-            q[:, a] = cont + spec.coefficients.f(t_k, core, a_val) * dt
-        values[k] = q.max(axis=1).reshape(shape)
-        argmax[k] = q.argmax(axis=1).reshape(shape)   # lowest index wins
+            q[:, a] = (matrix @ next_flat
+                       + spec.coefficients.f(t_k, core, a_val) * dt)
+        best = q.max(axis=1)
+        values[k] = best.reshape(shape)
+        # lowest index among the controls tied with the maximum
+        tied = q >= best[:, None] - TIE_TOL
+        argmax[k] = tied.argmax(axis=1).reshape(shape)
 
-    clamp_fraction = clamp_mass / max(n_calls * n_interior, 1)
-    if clamp_fraction >= 0.01:
-        warnings.warn(f"state grid missed {100 * clamp_fraction:.2f}% of "
-                      f"one-step transition mass ({clamp_mass:.0f} clamped "
-                      "lookups); widen the grid", RuntimeWarning)
     metadata = {
-        "solver": "dp", "dt": dt, "clamp_fraction": clamp_fraction,
-        "kernel": transition.kernel_checksum(),
+        "solver": "dp", "dt": dt, **ops.metadata(),
         "fingerprint": spec.fingerprint(), "hermite_nodes": hermite_nodes,
         "mc_inner": mc_inner, "seed": seed,
     }

@@ -163,6 +163,8 @@ def _d2(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """d/dt at left nodes 0..K-1 of a (K+1, ...) stack, second order."""
+    if values.shape[0] < 3:
+        raise ValueError("the HJB residual needs at least 2 time steps")
     out = np.empty_like(values[:-1])
     out[1:] = (values[2:] - values[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)

@@ -1,8 +1,14 @@
-"""Shared one-step transition kernel for the backward solvers.
+"""Shared one-step transition operator for the backward solvers.
 
 Both the penalized backward recursion and the dynamic-programming iteration
 advance values through this module: the same lattice geometry, the same
-quadrature nodes, the same interpolation.  ``kernel_checksum`` hashes the
+quadrature nodes, the same interpolation.  For one control,
+:func:`assemble_operator` builds the one-step expectation as a sparse
+P x P matrix over the lattice's C-order nodes (the Markov-chain
+approximation of Kushner & Dupuis): row p holds, for every reachable
+outcome from node p, the outcome weight times its multilinear corner
+weights.  :class:`StepOperators` assembles the operators of a solve once
+and hands them to the backward loop.  ``kernel_checksum`` hashes the
 bytecode of the functions involved; solver artifacts record it so
 cross-checks can assert that no second kernel crept in.
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +112,14 @@ def default_state_grid(spec: ProblemSpec, n_nodes: int | None = None,
 # Interpolation (clamped multilinear)
 # ---------------------------------------------------------------------------
 
-def multilinear(axes: tuple, values: np.ndarray, points: np.ndarray,
-                count_in: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Clamped multilinear interpolation; returns (values, n_clamped).
+def _stencil(axes: tuple, points: np.ndarray):
+    """Corner indices and weights of clamped multilinear interpolation.
 
-    Clamping to the lattice box keeps the operator monotone: the output is
-    a convex combination of stored values with nonnegative weights.  The
-    clamp count covers all points, or only those flagged by ``count_in``
-    (so callers can ignore the box's own boundary layer).
+    Returns ``(corners, outside)``: one ``(index tuple, weights)`` pair per
+    corner of the enclosing cell, and the mask of points outside the box.
+    Clamping to the lattice box keeps the weights nonnegative and summing
+    to one, so every interpolated value is a convex combination of stored
+    values.
     """
     points = np.atleast_2d(points)
     n, d = points.shape
@@ -128,41 +135,81 @@ def multilinear(axes: tuple, values: np.ndarray, points: np.ndarray,
         i = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, ax.size - 2)
         idx.append(i)
         frac.append((xc - ax[i]) / (ax[i + 1] - ax[i]))
-    if count_in is not None:
-        outside = outside & count_in
-    clamped = int(np.count_nonzero(outside))
-    out = np.zeros(n)
+    corners = []
     for corner in itertools.product((0, 1), repeat=d):
         w = np.ones(n)
         loc = []
         for j, c in enumerate(corner):
             w = w * (frac[j] if c else 1.0 - frac[j])
             loc.append(idx[j] + c)
-        out += w * values[tuple(loc)]
-    return out, clamped
+        corners.append((tuple(loc), w))
+    return corners, outside
+
+
+def multilinear(axes: tuple, values: np.ndarray, points: np.ndarray,
+                count_in: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Clamped multilinear interpolation; returns (values, n_clamped).
+
+    Clamping to the lattice box keeps the operator monotone: the output is
+    a convex combination of stored values with nonnegative weights.  The
+    clamp count covers all points, or only those flagged by ``count_in``
+    (so callers can ignore the box's own boundary layer).  Axes of
+    ``values`` beyond the lattice's (say, one per control) are carried
+    through: the output has shape ``(n_points, *values.shape[d:])`` and
+    every trailing slice shares one stencil.
+    """
+    corners, outside = _stencil(axes, points)
+    if count_in is not None:
+        outside = outside & count_in
+    trailing = values.shape[len(axes):]
+    out = np.zeros((outside.size, *trailing))
+    for loc, w in corners:
+        out += w.reshape(-1, *(1,) * len(trailing)) * values[loc]
+    return out, int(np.count_nonzero(outside))
 
 
 # ---------------------------------------------------------------------------
 # One-step outcome enumeration
 # ---------------------------------------------------------------------------
 
-def _poisson_truncated(rate_dt: float, k_max: int) -> np.ndarray:
-    """Poisson(rate_dt) pmf truncated at k_max and renormalized."""
-    ks = np.arange(k_max + 1)
-    logp = ks * math.log(rate_dt) - rate_dt - np.array(
-        [math.lgamma(k + 1) for k in ks]) if rate_dt > 0 else None
+def _poisson_pmf(rate_dt: float, k_max: int) -> np.ndarray:
+    """Poisson(rate_dt) probabilities of 0..k_max jumps, not renormalized."""
     if rate_dt <= 0:
         p = np.zeros(k_max + 1)
         p[0] = 1.0
         return p
-    p = np.exp(logp)
+    ks = np.arange(k_max + 1)
+    return np.exp(ks * math.log(rate_dt) - rate_dt - np.array(
+        [math.lgamma(k + 1) for k in ks]))
+
+
+def _poisson_truncated(rate_dt: float, k_max: int) -> np.ndarray:
+    """Poisson(rate_dt) pmf truncated at k_max and renormalized."""
+    p = _poisson_pmf(rate_dt, k_max)
     return p / p.sum()
+
+
+def _has_jumps(spec: ProblemSpec) -> bool:
+    return (spec.jump_measure.total_rate > 0.0
+            and spec.coefficients.gamma is not None)
+
+
+def truncated_jump_mass(spec: ProblemSpec, dt: float) -> float:
+    """Poisson mass of more than ``MAX_JUMPS_PER_STEP`` jumps in one step.
+
+    The one-step kernel drops this mass and renormalizes the rest, so a
+    solve over N steps misplaces about N times this much probability.
+    """
+    if not _has_jumps(spec):
+        return 0.0
+    pk = _poisson_pmf(spec.jump_measure.total_rate * dt, MAX_JUMPS_PER_STEP)
+    return max(0.0, 1.0 - math.fsum(pk))
 
 
 def _jump_outcomes(spec: ProblemSpec, dt: float):
     """[(probability, marks tuple)] outcomes of the step's jump factor."""
     jump = spec.jump_measure
-    if jump.total_rate <= 0.0 or spec.coefficients.gamma is None:
+    if not _has_jumps(spec):
         return [(1.0, ())]
     pk = _poisson_truncated(jump.total_rate * dt, MAX_JUMPS_PER_STEP)
     atoms = jump.atoms()
@@ -203,8 +250,7 @@ def one_step_points(spec: ProblemSpec, t: float, dt: float, a_index: int,
 
     drift = coeff.b(t, core, a_val) * dt
     jump = spec.jump_measure
-    has_jumps = jump.total_rate > 0.0 and coeff.gamma is not None
-    if has_jumps:
+    if _has_jumps(spec):
         z_nodes, z_weights = jump.gauss_nodes(32)
         comp = np.zeros((p_cnt, d))
         for zi, zw in zip(z_nodes, z_weights):
@@ -268,7 +314,7 @@ def monte_carlo_nodes(spec: ProblemSpec, dt: float, step_index: int,
     xi = ndtri(np.clip(u[:, :m], 1e-300, 1 - 1e-16))
     jump = spec.jump_measure
     mark_draws = []
-    if jump.total_rate > 0.0 and spec.coefficients.gamma is not None:
+    if _has_jumps(spec):
         pk = _poisson_truncated(jump.total_rate * dt, MAX_JUMPS_PER_STEP)
         counts = np.searchsorted(np.cumsum(pk), u[:, m], side="right")
         for i in range(n_draws):
@@ -279,6 +325,38 @@ def monte_carlo_nodes(spec: ProblemSpec, dt: float, step_index: int,
     else:
         mark_draws = [()] * n_draws
     return list(xi), mark_draws
+
+
+def assemble_operator(spec: ProblemSpec, t: float, dt: float, a_index: int,
+                      grid: LatticeGrid, hermite_nodes: int = 8,
+                      mc_nodes=None):
+    """One-step expectation of one control as a sparse matrix.
+
+    Returns ``(matrix, clamp_rows)``.  ``matrix`` is a P x P CSR matrix over
+    the lattice's C-order nodes, so ``matrix @ v.ravel()`` is
+    E[ v(X') | X = node, regime a ]: row p holds, for every outcome of
+    :func:`one_step_points` from node p, the outcome weight times its
+    multilinear corner weights.  ``clamp_rows[p]`` is the probability that
+    a transition from node p left the lattice box and was clamped back.
+    """
+    from scipy import sparse
+    nodes = grid.nodes()
+    p_cnt = nodes.shape[0]
+    cols, vals = [], []
+    clamp_rows = np.zeros(p_cnt)
+    for w, pts in one_step_points(spec, t, dt, a_index, nodes,
+                                  hermite_nodes=hermite_nodes,
+                                  mc_nodes=mc_nodes):
+        corners, outside = _stencil(grid.axes, pts)
+        clamp_rows += w * outside
+        for loc, cw in corners:
+            cols.append(np.ravel_multi_index(loc, grid.shape))
+            vals.append(w * cw)
+    rows = np.tile(np.arange(p_cnt), len(cols))
+    matrix = sparse.coo_array(
+        (np.concatenate(vals), (rows, np.concatenate(cols))),
+        shape=(p_cnt, p_cnt)).tocsr()
+    return matrix, clamp_rows
 
 
 def expect_next(spec: ProblemSpec, t: float, dt: float, a_index: int,
@@ -297,18 +375,12 @@ def expect_next(spec: ProblemSpec, t: float, dt: float, a_index: int,
     interior (transitions from the outermost layer leave the box by
     construction and say nothing about sizing).
     """
-    nodes = grid.nodes()
-    outcomes = one_step_points(spec, t, dt, a_index, nodes,
-                               hermite_nodes=hermite_nodes,
-                               mc_nodes=mc_nodes)
-    total = np.zeros(nodes.shape[0])
-    clamp_mass = 0.0
-    for w, pts in outcomes:
-        vals, c = multilinear(grid.axes, next_values, pts,
-                              count_in=clamp_mask)
-        total += w * vals
-        clamp_mass += w * c
-    return total, clamp_mass
+    matrix, clamp_rows = assemble_operator(spec, t, dt, a_index, grid,
+                                           hermite_nodes=hermite_nodes,
+                                           mc_nodes=mc_nodes)
+    if clamp_mask is not None:
+        clamp_rows = clamp_rows[clamp_mask]
+    return matrix @ np.ravel(next_values), float(clamp_rows.sum())
 
 
 def interior_mask(grid: LatticeGrid) -> np.ndarray:
@@ -324,7 +396,80 @@ def interior_mask(grid: LatticeGrid) -> np.ndarray:
 def kernel_checksum() -> str:
     """Bytecode hash of the kernel path shared by the backward solvers."""
     blobs = []
-    for fn in (multilinear, _poisson_truncated, _jump_outcomes,
-               _hermite_nodes, one_step_points, expect_next):
+    for fn in (_stencil, multilinear, _poisson_pmf, _poisson_truncated,
+               _jump_outcomes, _hermite_nodes, one_step_points,
+               assemble_operator, expect_next):
         blobs.append(fn.__code__.co_code)
     return hashlib.sha256(b"".join(blobs)).hexdigest()[:16]
+
+
+class StepOperators:
+    """The one-step operators a backward solve applies, and their accounting.
+
+    :meth:`at` returns the per-control matrices of one step.  Quadrature
+    operators are assembled once, at t = 0, because no registry family's
+    coefficients depend on t (the tests check this for every family).
+    With ``mc_inner`` each step has its own common random draws, so its
+    operators are assembled when the step asks for them.  Every step
+    served adds its clamped mass.
+    """
+
+    def __init__(self, spec: ProblemSpec, grid: LatticeGrid, dt: float,
+                 hermite_nodes: int = 8, mc_inner: int | None = None,
+                 mc_seed: int = 0):
+        self.spec = spec
+        self.grid = grid
+        self.dt = dt
+        self.hermite_nodes = hermite_nodes
+        self.mc_inner = mc_inner
+        self.mc_seed = mc_seed
+        self._interior = interior_mask(grid)
+        self._clamp_mass = 0.0
+        self._n_steps = 0
+        if mc_inner is None:
+            self._assemble(0.0, None)
+
+    def _assemble(self, t: float, mc_nodes) -> None:
+        ops = [assemble_operator(self.spec, t, self.dt, a, self.grid,
+                                 hermite_nodes=self.hermite_nodes,
+                                 mc_nodes=mc_nodes)
+               for a in range(self.spec.control.size)]
+        self._matrices = [m for m, _ in ops]
+        self._step_clamp = math.fsum(float(c[self._interior].sum())
+                                     for _, c in ops)
+
+    def at(self, k: int, t_k: float) -> list:
+        """Per-control CSR matrices of the step from t_k to t_k + dt."""
+        if self.mc_inner is not None:
+            self._assemble(t_k, monte_carlo_nodes(
+                self.spec, self.dt, k, self.mc_inner, self.mc_seed))
+        self._clamp_mass += self._step_clamp
+        self._n_steps += 1
+        return self._matrices
+
+    def metadata(self) -> dict:
+        """Clamp fraction, truncated jump mass and kernel of the steps served.
+
+        Warns when clamping touched 1% or more of the interior transition
+        mass, or when the Poisson mass dropped over all steps exceeds the
+        spec's ``tol_value``.
+        """
+        n_lookups = self._n_steps * self.spec.control.size
+        n_interior = int(self._interior.sum())
+        clamp_fraction = self._clamp_mass / max(n_lookups * n_interior, 1)
+        if clamp_fraction >= 0.01:
+            warnings.warn(f"state grid missed {100 * clamp_fraction:.2f}% "
+                          f"of one-step transition mass "
+                          f"({self._clamp_mass:.0f} clamped lookups); "
+                          "widen the grid", RuntimeWarning)
+        truncated = truncated_jump_mass(self.spec, self.dt)
+        dropped = self._n_steps * truncated
+        tol = self.spec.tolerances["tol_value"]
+        if dropped > tol:
+            warnings.warn(f"the one-step kernel drops {truncated:.3g} of the "
+                          f"Poisson mass per step beyond {MAX_JUMPS_PER_STEP}"
+                          f" jumps, {dropped:.3g} over {self._n_steps} steps "
+                          f"(tol_value {tol:g}); refine the time grid",
+                          RuntimeWarning)
+        return {"clamp_fraction": clamp_fraction,
+                "truncated_jump_mass": truncated, "kernel": kernel_checksum()}

@@ -144,6 +144,33 @@ def test_solve_unknown_method_exits_2(bang_cfg, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, minimum", [
+    (["solve", "--method", "dp", "--steps", "1"],
+     "--steps must be at least 2"),
+    (["solve", "--method", "dp", "--steps", "0"],
+     "--steps must be at least 2"),
+    (["verify", "--suite", "martingale", "--paths", "1"],
+     "--paths must be at least 2"),
+])
+def test_degenerate_sizes_exit_2_without_traceback(bang_cfg, tmp_path,
+                                                   capsys, argv, minimum):
+    command, *flags = argv
+    code = cli.main([command, bang_cfg, *flags, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert minimum in err
+    assert "Traceback" not in err
+
+
+def test_solve_reports_truncated_jump_mass(tmp_path):
+    cfg = _write_cfg(tmp_path / "jump.json", "jump-reward")
+    out = tmp_path / "run"
+    assert cli.main(["solve", cfg, "--method", "dp", "--steps", "16",
+                     "--nodes", "41", "--out", str(out)]) == 0
+    report = _read_json(out / "value_report.json")
+    assert 0.0 < report["details"]["truncated_jump_mass"] < 1e-6
+
+
 def test_dp_field_csv_roundtrips_exactly(bang_cfg, tmp_path):
     out = tmp_path / "run"
     cli.main(["solve", bang_cfg, "--method", "dp", "--steps", "16",

@@ -53,6 +53,15 @@ def test_dp_uncontrolled_argmax_breaks_ties_toward_low_index():
     assert np.all(fld.argmax == 0)
 
 
+def test_dp_argmax_ties_tolerate_rounding():
+    # two controls 1e-13 apart: their values differ by rounding only, and
+    # an exact-maximum rule would pick index 1 at nearly every node
+    spec = _spec("bang-drift", control_points=[0.0, 1e-13], a0_index=0)
+    grid = LatticeGrid(axes=(np.linspace(-2.0, 3.0, 101),))
+    fld = dp.solve_dp_grid(spec, n_time_steps=16, grid=grid)
+    assert np.all(fld.argmax == 0)
+
+
 def test_dp_bang_value_and_policy(bang_spec, bang_dp):
     assert abs(bang_dp.value_at_origin(bang_spec)
                - oracles.BANG_VALUE_T0) < 1e-2
@@ -156,6 +165,27 @@ def test_solvers_share_one_kernel(bang_dp, bang_ladder):
     want = transition.kernel_checksum()
     assert bang_dp.metadata["kernel"] == want
     assert bang_ladder.kernel == want
+
+
+def test_truncated_jump_mass_is_reported_and_warned():
+    spec = _spec("jump-reward", parameters={"rate": 100.0},
+                 control_points=[1.0], a0_index=0)
+    with pytest.warns(RuntimeWarning, match="Poisson mass"):
+        fld = dp.solve_dp_grid(spec, n_time_steps=64, n_state_nodes=101)
+    tail = fld.metadata["truncated_jump_mass"]
+    assert tail == transition.truncated_jump_mass(spec, 1 / 64)
+    assert 0.02 < tail < 0.025
+    with pytest.warns(RuntimeWarning, match="Poisson mass"):
+        pen = bsde.solve_penalized_grid(spec, 1, n_time_steps=64,
+                                        grid=fld.grid)
+    assert pen.metadata["truncated_jump_mass"] == tail
+
+
+def test_default_jump_rate_does_not_warn(recwarn):
+    spec = _spec("jump-reward")
+    fld = dp.solve_dp_grid(spec, n_time_steps=64)
+    assert 0.0 < fld.metadata["truncated_jump_mass"] < 1e-9
+    assert not [w for w in recwarn if "Poisson" in str(w.message)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from jumpctrl import transition
-from jumpctrl.problem import load_problem
+from jumpctrl.problem import FAMILIES, load_problem
 from jumpctrl.transition import LatticeGrid, default_state_grid
 
 
@@ -66,6 +66,22 @@ def test_multilinear_clamps_and_counts():
     got, clamped = transition.multilinear((ax,), vals, pts)
     assert clamped == 2
     np.testing.assert_allclose(got, [0.0, 0.5, 1.0], atol=1e-15)
+
+
+def test_multilinear_carries_trailing_axes():
+    # one call over a (*shape, A) array equals A calls, bit for bit
+    gx = np.linspace(0.0, 2.0, 5)
+    gz = np.linspace(-1.0, 1.0, 7)
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=(5, 7, 3))
+    pts = np.column_stack([rng.uniform(-0.5, 2.5, 50),
+                           rng.uniform(-1, 1, 50)])
+    got, clamped = transition.multilinear((gx, gz), vals, pts)
+    assert got.shape == (50, 3)
+    for a in range(3):
+        one, c = transition.multilinear((gx, gz), vals[..., a], pts)
+        np.testing.assert_array_equal(got[:, a], one)
+        assert c == clamped
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,3 +253,70 @@ def test_kernel_checksum_format_and_stability():
     assert c1 == c2
     assert len(c1) == 16
     int(c1, 16)
+
+
+# ---------------------------------------------------------------------------
+# Assembled operator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", ["bang-drift", "jump-reward",
+                                    "ou-switch", "lookback-integral"])
+def test_operator_rows_match_outcome_loop(family):
+    # reference: the per-outcome interpolation loop the operator replaces
+    spec = _spec(family)
+    grid = default_state_grid(spec, n_nodes=15, seed=0)
+    dt = 1 / 32
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=grid.shape)
+    interior = transition.interior_mask(grid)
+    for a in range(spec.control.size):
+        matrix, clamp_rows = transition.assemble_operator(spec, 0.0, dt, a,
+                                                          grid)
+        want = np.zeros(interior.size)
+        want_clamp = 0.0
+        for w, pts in transition.one_step_points(spec, 0.0, dt, a,
+                                                 grid.nodes()):
+            v, c = transition.multilinear(grid.axes, vals, pts,
+                                          count_in=interior)
+            want += w * v
+            want_clamp += w * c
+        np.testing.assert_allclose(matrix @ vals.ravel(), want,
+                                   rtol=0, atol=1e-13)
+        assert abs(clamp_rows[interior].sum() - want_clamp) < 1e-12
+        got, clamp = transition.expect_next(spec, 0.0, dt, a, grid, vals,
+                                            clamp_mask=interior)
+        np.testing.assert_array_equal(got, matrix @ vals.ravel())
+        assert clamp == pytest.approx(want_clamp, abs=1e-12)
+        # rows of a Markov operator: nonnegative and summing to one
+        assert matrix.data.min() >= 0.0
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_one_step_points_do_not_depend_on_time(family):
+    # the solvers assemble the quadrature operator once, at t = 0; a
+    # family whose coefficients depend on t must fail here first
+    spec = _spec(family)
+    grid = default_state_grid(spec, n_nodes=9, seed=0)
+    dt = spec.horizon / spec.default_steps()
+    for a in range(spec.control.size):
+        at0 = transition.one_step_points(spec, 0.0, dt, a, grid.nodes())
+        mid = transition.one_step_points(spec, spec.horizon / 2, dt, a,
+                                         grid.nodes())
+        assert len(at0) == len(mid)
+        for (w0, p0), (w1, p1) in zip(at0, mid):
+            assert w0 == w1
+            np.testing.assert_array_equal(p0, p1)
+
+
+def test_truncated_jump_mass_is_the_poisson_tail():
+    spec = _spec("jump-reward", parameters={"rate": 100.0})
+    dt = 1 / 64
+    lam = 100.0 * dt
+    tail = 1.0 - sum(math.exp(-lam) * lam ** k / math.factorial(k)
+                     for k in range(transition.MAX_JUMPS_PER_STEP + 1))
+    assert transition.truncated_jump_mass(spec, dt) == pytest.approx(
+        tail, rel=1e-12)
+    assert 0.02 < tail < 0.025
+    assert transition.truncated_jump_mass(_spec("jump-reward"), dt) < 1e-9
+    assert transition.truncated_jump_mass(_spec("bang-drift"), dt) == 0.0
