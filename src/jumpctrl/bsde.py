@@ -14,7 +14,10 @@ the dynamic-programming value.  Two independent routes are provided:
 * a lattice recursion through the shared one-step kernel
   (:func:`solve_penalized_grid`), and
 * a regression Monte Carlo recursion on simulated reference paths
-  (:func:`solve_penalized_lsmc`), which never touches that kernel.
+  (:func:`solve_penalized_lsmc_ladder`, every level in one backward pass
+  over one path bundle), which never touches that kernel.
+
+Both routes apply T_n through one helper, :func:`_advantage`.
 
 :func:`minimal_value` runs a ladder of levels and takes a limit;
 :func:`constraint_gap` quantifies how hard the penalty is working; and
@@ -134,21 +137,6 @@ class LadderReport:
     kernel: str
     last_field: object = field(repr=False, default=None)
 
-    def to_dict(self) -> dict:
-        return {
-            "solver": self.solver, "levels": list(self.levels),
-            "values": list(self.values), "ses": list(self.ses),
-            "regime_spreads": list(self.regime_spreads),
-            "growth_ratios": list(self.growth_ratios),
-            "growth_bound": self.growth_bound,
-            "monotone_ok": self.monotone_ok,
-            "monotone_max_violation": self.monotone_max_violation,
-            "value_limit": self.value_limit,
-            "extrapolation": self.extrapolation,
-            "n_time_steps": self.n_time_steps,
-            "fingerprint": self.fingerprint, "kernel": self.kernel,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Lattice route
@@ -156,6 +144,23 @@ class LadderReport:
 
 def _stability(level_n: int, dt: float, mass: float) -> float:
     return level_n * dt * mass
+
+
+def _advantage(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_b (u[b] - u[a])^+ * weights[b]`` for every control ``a``.
+
+    ``u`` is control-major, ``(A, ...)``, and so is the result; the penalty
+    operator of the module docstring is ``u + n * dt * _advantage(u, w)``,
+    shared by both routes.  Controls of zero weight add nothing.
+    """
+    adv = np.zeros_like(u)
+    gap = np.empty_like(u[0])
+    for a, b in itertools.permutations(range(u.shape[0]), 2):
+        if weights[b] != 0.0:
+            np.maximum(np.subtract(u[b], u[a], out=gap), 0.0, out=gap)
+            gap *= weights[b]
+            adv[a] += gap
+    return adv
 
 
 def default_time_steps(spec: ProblemSpec, max_level: int) -> int:
@@ -210,18 +215,17 @@ def solve_penalized_grid(spec: ProblemSpec, level_n: int,
     ops = transition.StepOperators(spec, grid, dt,
                                    hermite_nodes=hermite_nodes,
                                    mc_inner=mc_inner, mc_seed=mc_seed)
-    flat_u = np.empty((p_cnt, n_controls))
+    u = np.empty((n_controls, p_cnt))
     for k in range(n_time_steps - 1, -1, -1):
         t_k = time_grid[k]
         next_flat = values[k + 1].reshape(p_cnt, n_controls)
         for a, matrix in enumerate(ops.at(k, t_k)):
             a_val = float(spec.control.points[a])
-            flat_u[:, a] = (matrix @ next_flat[:, a]
-                            + spec.coefficients.f(t_k, core, a_val) * dt)
-        continuation[k] = flat_u.reshape(*shape, n_controls)
-        gain = np.maximum(flat_u[:, None, :] - flat_u[:, :, None], 0.0)
-        penalty = level_n * dt * (gain @ weights)
-        values[k] = (flat_u + penalty).reshape(*shape, n_controls)
+            u[a] = (matrix @ next_flat[:, a]
+                    + spec.coefficients.f(t_k, core, a_val) * dt)
+        continuation[k] = u.T.reshape(*shape, n_controls)
+        penalized = u + level_n * dt * _advantage(u, weights)
+        values[k] = penalized.T.reshape(*shape, n_controls)
 
     metadata = {
         "solver": "grid", "level_n": level_n, "dt": dt,
@@ -253,153 +257,173 @@ def _monomial_features(x: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _fit_regime(phi: np.ndarray, y: np.ndarray, ridge: float):
-    """Least squares with a logged ridge fallback on rank deficiency."""
-    beta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
-    if rank < phi.shape[1]:
+    """Least squares of each row of ``y`` on ``phi``, ridge on rank loss.
+
+    One SVD (numpy ``lstsq``'s rank cutoff) serves every row, each solved
+    on its own.  Returns (rows, features) coefficients and the ridge flag.
+    """
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
+    if np.count_nonzero(s > cutoff) < phi.shape[1]:
         gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
-        beta = np.linalg.solve(gram, phi.T @ y)
-        return beta, True
-    return beta, False
+        return np.array([np.linalg.solve(gram, phi.T @ y_l)
+                         for y_l in y]), True
+    return np.array([vt.T @ ((u.T @ y_l) / s) for y_l in y]), False
 
 
 def solve_penalized_lsmc(spec: ProblemSpec, level_n: int, bundle,
                          degree: int = 2,
                          ridge: float = 1e-8) -> BsdeQuintuple:
-    """Regression Monte Carlo recursion at one penalization level.
+    """One level of :func:`solve_penalized_lsmc_ladder` (see there)."""
+    return solve_penalized_lsmc_ladder(spec, (level_n,), bundle, degree,
+                                       ridge)[0]
+
+
+def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
+                                degree: int = 2, ridge: float = 1e-8
+                                ) -> tuple[BsdeQuintuple, ...]:
+    """Regression Monte Carlo recursion, every level in one backward pass.
 
     ``bundle`` holds reference-measure paths; reusing one bundle across
     levels keeps ladder comparisons on common random numbers.  Each
     backward step regresses the next-step value, read at the path's
     *current* regime, on polynomial state features per regime, then applies
-    the same explicit penalization as the lattice route.  Evaluating the
-    next value at the current regime (rather than the switched one) is what
-    makes both routes estimate the same frozen-regime recursion, so their
-    initial values are directly comparable.  The step-0 standard error
-    covers the Monte Carlo scatter of the step-0 regression targets.
+    the same penalty operator as the lattice route (:func:`_advantage`).
+    Evaluating the next value at the current regime (rather than the
+    switched one) is what makes both routes estimate the same frozen-regime
+    recursion, so their initial values are directly comparable.  The step-0
+    standard error covers the Monte Carlo scatter of the step-0 regression
+    targets.
+
+    Returns one :class:`BsdeQuintuple` per entry of ``levels``.  Only the
+    regression targets depend on the level, so the pass carries the levels
+    on a leading axis and does the rest once per step: the features, the
+    grouping of paths by regime, the factorization of each (step, regime)
+    fit with its rank and ridge decision, the running reward and the
+    increments.  Each level's arithmetic reads that level alone, so its
+    result does not depend on the other levels; ``ridge_events`` and
+    ``carried_cells`` depend on the features only and are shared.  Working
+    memory is a few (L, A, M) value stacks.
     """
-    if level_n < 1:
+    levels = [int(n) for n in levels]
+    if not levels or min(levels) < 1:
         raise ValueError("penalization level must be >= 1")
     keep = bundle.included()
-    states = bundle.states[keep]
-    regimes = bundle.regimes[keep]
-    brownian = bundle.brownian_increments[keep]
-    m_used = states.shape[0]
+    m_used = int(keep.sum())
     if m_used == 0:
         raise ValueError("no paths")
-    n_excluded = int(bundle.n_excluded)
-    n_time_steps = bundle.n_steps
-
-    time_grid = bundle.time_grid
+    # step-major copies of the kept paths: each step reads contiguous rows
+    states = np.compress(keep, bundle.states.transpose(1, 0, 2), axis=1)
+    regimes = np.compress(keep, bundle.regimes.T, axis=1)
+    brownian = np.compress(keep, bundle.brownian_increments.transpose(1, 0, 2),
+                           axis=1)
+    n_time_steps, time_grid = bundle.n_steps, bundle.time_grid
+    pi_counts = _pi_counts_per_step(bundle, keep, n_time_steps)
     dt = float(time_grid[1] - time_grid[0])
     weights = spec.randomization.lambda0_weights
     n_controls = spec.control.size
-    ctrl_pts = spec.control.points
-    n_brownian = spec.brownian_dim
-    rows_idx = np.arange(m_used)
+    n_levels = len(levels)
+    level_dt = np.array(levels) * dt
+    regime_dtype = np.min_scalar_type(n_controls - 1)  # small: radix sort
+    rate = spec.jump_measure.total_rate
 
-    pi_counts = _pi_counts_per_step(bundle, keep, n_time_steps)
+    # value stack at the next node: v[l, b, i] = v^{n_l}(t_{k+1}, X_{i,k+1}, b)
+    g_terminal = spec.coefficients.g(states[-1])
+    v_next = np.tile(g_terminal, (n_levels, n_controls, 1))
+    tilde = np.empty_like(v_next)
+    y_mean = np.full((n_levels, n_time_steps + 1), g_terminal.mean())
+    z_mean = np.zeros((n_levels, n_time_steps, spec.brownian_dim))
+    l_mean = np.zeros((n_levels, n_time_steps))
+    r_pos_mean = np.zeros((n_levels, n_time_steps))
+    s_int = np.zeros((n_levels, m_used))
+    ridge_events, carried, betas_prev = [], [], [None] * n_controls
 
-    # value matrix at the next node: V[i, b] = v^n(t_{k+1}, X_{i,k+1}, b)
-    g_terminal = spec.coefficients.g(states[:, -1, :])
-    v_next = np.repeat(g_terminal[:, None], n_controls, axis=1)
-    y_mean = np.empty(n_time_steps + 1)
-    y_mean[-1] = g_terminal.mean()
-    z_mean = np.zeros((n_time_steps, n_brownian))
-    l_mean = np.zeros(n_time_steps)
-    r_pos_mean = np.zeros(n_time_steps)
-    pen_means = np.zeros(n_time_steps)
-    s_int = np.zeros(m_used)
-    ridge_events = []
-    carried = []
-    betas_prev = [None] * n_controls
-    y0_se = 0.0
+    def at_regime(v, regime):
+        # v[l, regime[i], i] for every level l and path i, as (L, M)
+        return np.take(v.reshape(n_levels, -1),
+                       regime * m_used + np.arange(m_used), axis=1)
 
     for k in range(n_time_steps - 1, -1, -1):
-        t_k = float(time_grid[k])
-        x_k = states[:, k, :]
-        i_k = regimes[:, k]
+        t_k, x_k, i_k = float(time_grid[k]), states[k], regimes[k]
         phi = _monomial_features(x_k, degree)
-        target = v_next[rows_idx, i_k]
-        if k == 0:
-            y0_se = float(target.std(ddof=1) / math.sqrt(m_used))
+        target = at_regime(v_next, i_k)                  # (L, M)
 
-        tilde = np.empty((m_used, n_controls))
+        # rows grouped by regime, in path order within each regime, so
+        # every slice is the least-squares problem a boolean mask selects
+        order = np.argsort(i_k.astype(regime_dtype), kind="stable")
+        counts = np.bincount(i_k, minlength=n_controls)
+        bounds = np.cumsum(counts)
+        phi_sorted = np.take(phi, order, axis=0)
+        target_sorted = np.take(target, order, axis=1)
         betas = [None] * n_controls
-        have_data = np.zeros(n_controls)
         pooled = None
         for a in range(n_controls):
-            sel = i_k == a
-            if np.any(sel):
-                beta, used_ridge = _fit_regime(phi[sel], target[sel], ridge)
-                betas[a] = beta
-                have_data[a] = 1.0
+            lo, hi = (bounds[a - 1] if a else 0), bounds[a]
+            if hi > lo:
+                betas[a], used_ridge = _fit_regime(
+                    phi_sorted[lo:hi], target_sorted[:, lo:hi], ridge)
                 if used_ridge:
                     ridge_events.append((k, a))
             else:
                 # no rows in this regime: fill the value column from the
                 # previous step's fit (or a pooled fit), but keep the cell
                 # out of the advantage estimate - no data, no advantage
-                if betas_prev[a] is not None:
-                    betas[a] = betas_prev[a]
-                else:
-                    if pooled is None:
-                        pooled, _ = _fit_regime(phi, target, ridge)
-                    betas[a] = pooled
+                if betas_prev[a] is None and pooled is None:
+                    pooled, _ = _fit_regime(phi, target, ridge)
+                betas[a] = pooled if betas_prev[a] is None else betas_prev[a]
                 carried.append((k, a))
             f_a = spec.coefficients.f(t_k, x_k[:, :spec.dim],
-                                      float(ctrl_pts[a]))
-            tilde[:, a] = phi @ betas[a] + f_a * dt
+                                      float(spec.control.points[a]))
+            for l in range(n_levels):
+                tilde[l, a] = phi @ betas[a][l] + f_a * dt
 
-        w_eff = weights * have_data
-        own = tilde[rows_idx, i_k]
-        r_pos = np.maximum(tilde - own[:, None], 0.0) @ w_eff
-        gain = np.maximum(tilde[:, None, :] - tilde[:, :, None], 0.0)
-        v_next = tilde + level_n * dt * (gain @ w_eff)
-
-        pen_own = level_n * dt * r_pos
+        adv = _advantage(tilde.transpose(1, 0, 2),
+                         weights * (counts > 0)).transpose(1, 0, 2)
+        v_next = tilde + level_dt[:, None, None] * adv
+        r_pos = at_regime(adv, i_k)
         s_int += dt * r_pos
-        r_pos_mean[k] = r_pos.mean()
-        pen_means[k] = pen_own.mean()
-        y_mean[k] = v_next[rows_idx, i_k].mean()
-        dw = brownian[:, k, :]
-        z_mean[k] = (target[:, None] * dw).mean(axis=0) / dt
-        rate = spec.jump_measure.total_rate
+        r_pos_mean[:, k] = r_pos.mean(axis=1)
+        y_mean[:, k] = at_regime(v_next, i_k).mean(axis=1)
+        z_mean[:, k] = (target @ brownian[k]) / m_used / dt
         if rate > 0.0:
-            dn = pi_counts[:, k] - rate * dt
-            l_mean[k] = float((target * dn).mean() / (rate * dt))
+            dn = pi_counts[k] - rate * dt
+            l_mean[:, k] = (target @ dn) / m_used / (rate * dt)
         betas_prev = betas
 
-    k_mean = np.zeros(n_time_steps + 1)
-    k_mean[1:] = np.cumsum(pen_means)
-    y0 = float(v_next[rows_idx, regimes[:, 0]].mean())
-    metadata = {
-        "solver": "lsmc", "level_n": level_n, "dt": dt, "degree": degree,
-        "stability": _stability(level_n, dt, spec.randomization.total_mass),
-        "fingerprint": spec.fingerprint(), "seed": bundle.seed,
-        "n_time_steps": n_time_steps,
-    }
-    return BsdeQuintuple(
-        level_n=level_n, time_grid=time_grid, y0=y0, y0_se=y0_se,
-        n_paths=m_used, n_excluded=n_excluded, y_mean=y_mean,
-        z_mean=z_mean, l_mean=l_mean, k_mean=k_mean, r_pos_mean=r_pos_mean,
-        constraint_integral=s_int, k_terminal=level_n * s_int,
-        ridge_events=tuple(ridge_events), carried_cells=tuple(carried),
-        metadata=metadata)
+    # the loop ends at step 0, so ``target`` holds the step-0 targets
+    y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
+    k_mean = np.zeros((n_levels, n_time_steps + 1))
+    k_mean[:, 1:] = np.cumsum(level_dt[:, None] * r_pos_mean, axis=1)
+    y0 = at_regime(v_next, regimes[0]).mean(axis=1)
+    return tuple(BsdeQuintuple(
+        level_n=n, time_grid=time_grid, y0=float(y0[l]),
+        y0_se=float(y0_se[l]), n_paths=m_used,
+        n_excluded=int(bundle.n_excluded), y_mean=y_mean[l],
+        z_mean=z_mean[l], l_mean=l_mean[l], k_mean=k_mean[l],
+        r_pos_mean=r_pos_mean[l], constraint_integral=s_int[l],
+        k_terminal=n * s_int[l], ridge_events=tuple(ridge_events),
+        carried_cells=tuple(carried),
+        metadata={"solver": "lsmc", "level_n": n, "dt": dt,
+                  "degree": degree,
+                  "stability": _stability(n, dt,
+                                          spec.randomization.total_mass),
+                  "fingerprint": spec.fingerprint(), "seed": bundle.seed,
+                  "n_time_steps": n_time_steps})
+        for l, n in enumerate(levels))
 
 
 def _pi_counts_per_step(bundle, keep: np.ndarray,
                         n_steps: int) -> np.ndarray:
-    """(M_kept, Nt) jump counts of the driving measure per step."""
-    time_grid = bundle.time_grid
+    """(Nt, M_kept) jump counts of the driving measure per step."""
     pi = bundle.pi
     m_all = bundle.states.shape[0]
-    counts = np.zeros((m_all, n_steps))
+    counts = np.zeros((n_steps, m_all))
     if pi is not None and pi.times.size:
         path_ids = np.repeat(np.arange(m_all), np.diff(pi.indptr))
-        step = np.clip(np.searchsorted(time_grid, pi.times, side="right")
-                       - 1, 0, n_steps - 1)
-        np.add.at(counts, (path_ids, step), 1.0)
-    return counts[keep]
+        step = np.clip(np.searchsorted(bundle.time_grid, pi.times,
+                                       side="right") - 1, 0, n_steps - 1)
+        np.add.at(counts, (step, path_ids), 1.0)
+    return counts[:, keep]
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +552,7 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
     elif solver == "lsmc":
         bundle = sim.simulate_bundle(spec, n_paths, seed,
                                      n_steps=n_time_steps)
-        for n in levels:
-            quint = solve_penalized_lsmc(spec, n, bundle)
+        for quint in solve_penalized_lsmc_ladder(spec, levels, bundle):
             values.append(quint.y0)
             ses.append(quint.y0_se)
             spreads.append(float("nan"))

@@ -177,7 +177,10 @@ def load_dp_field(csv_path) -> dp.DpField:
     """Rebuild a value lattice from its CSV + sidecar pair.
 
     Raises ValueError with a reason on any corruption: missing sidecar,
-    malformed JSON, wrong row count, unparseable cells.
+    malformed JSON, wrong row count, unparseable cells, or a row whose
+    ``t`` and coordinate cells are not exactly the sidecar's time grid and
+    C-order nodes at that position (the writer's ``repr`` cells round-trip,
+    so exact equality is the test).
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(".json")
@@ -192,17 +195,32 @@ def load_dp_field(csv_path) -> dp.DpField:
         n_rows = time_grid.size * n_nodes
         values = np.empty(n_rows)
         argmax = np.empty(n_rows, dtype=np.int64)
+        coords = np.empty((n_rows, 1 + len(grid.axes)))
         with open(csv_path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
+            coord_cols = [c for c in reader.fieldnames
+                          if c not in ("value", "argmax")]
+            if len(coord_cols) != coords.shape[1]:
+                raise ValueError(f"expected {coords.shape[1]} time and "
+                                 f"coordinate columns, found "
+                                 f"{len(coord_cols)}")
             count = 0
             for row in reader:
                 if count >= n_rows:
                     break
+                coords[count] = [float(row[c]) for c in coord_cols]
                 values[count] = float(row["value"])
                 argmax[count] = int(row["argmax"])
                 count += 1
         if count != n_rows:
             raise ValueError(f"expected {n_rows} rows, found {count}")
+        expected = np.column_stack((np.repeat(time_grid, n_nodes),
+                                    np.tile(grid.nodes(),
+                                            (time_grid.size, 1))))
+        bad = np.flatnonzero(np.any(coords != expected, axis=1))
+        if bad.size:
+            raise ValueError(f"data row {bad[0] + 1} is not at the sidecar's "
+                             f"t and node {expected[bad[0]].tolist()}")
         values = values.reshape(time_grid.size, *grid.shape)
         argmax = argmax.reshape(time_grid.size, *grid.shape)[:-1]
         metadata = {"solver": "dp-from-csv",
@@ -524,6 +542,12 @@ def cmd_solve(args) -> int:
         else:
             eq = dp.value_equality_check(fld, ladder, spec)
             cert = hjb.residual_certificate(fld, spec)
+            # the fallbacks depend on the features only: same at every level
+            quint = ladder.last_field
+            details["lsmc"] = {
+                "ridge_events": len(quint.ridge_events),
+                "carried_cells": len(quint.carried_cells),
+                "n_paths": quint.n_paths, "n_excluded": quint.n_excluded}
         verdicts["value-equality"] = _verdict(eq["ok"])
         details["value-equality"] = eq
         verdicts["hjb-certificate"] = _verdict(cert["ok"])

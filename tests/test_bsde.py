@@ -169,6 +169,53 @@ def test_lsmc_rejects_all_excluded_paths(bang_spec, bang_bundle):
         bsde.solve_penalized_lsmc(bang_spec, 1, crippled)
 
 
+def _excluding_every_seventh(bundle):
+    import dataclasses
+    excluded = np.zeros(bundle.n_paths, dtype=bool)
+    excluded[::7] = True
+    return dataclasses.replace(bundle, excluded=excluded)
+
+
+_QUINTUPLE_ARRAYS = ("time_grid", "y_mean", "z_mean", "l_mean", "k_mean",
+                     "r_pos_mean", "constraint_integral", "k_terminal")
+
+
+@pytest.mark.parametrize("case", ["bang-drift", "jump-reward",
+                                  "uncontrolled-decay", "excluded-paths"])
+def test_lsmc_ladder_stacks_the_single_level_solves(case, bang_spec,
+                                                    bang_bundle):
+    if case == "excluded-paths":
+        spec, bundle = bang_spec, _excluding_every_seventh(bang_bundle)
+    elif case == "bang-drift":
+        spec, bundle = bang_spec, bang_bundle
+    else:
+        spec = _spec(case)
+        bundle = sim.simulate_bundle(spec, 5000, seed=4, n_steps=32)
+    levels = (1, 2, 4, 8, 16)
+    stack = bsde.solve_penalized_lsmc_ladder(spec, levels, bundle)
+    assert [q.level_n for q in stack] == list(levels)
+    for q in stack:
+        ref = bsde.solve_penalized_lsmc(spec, q.level_n, bundle)
+        assert abs(q.y0 - ref.y0) <= 1e-12
+        assert abs(q.y0_se - ref.y0_se) <= 1e-12
+        for name in _QUINTUPLE_ARRAYS:
+            np.testing.assert_allclose(getattr(q, name), getattr(ref, name),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+        assert q.ridge_events == ref.ridge_events
+        assert q.carried_cells == ref.carried_cells
+        assert (q.n_paths, q.n_excluded) == (ref.n_paths, ref.n_excluded)
+        assert q.metadata == ref.metadata
+    if case == "uncontrolled-decay":
+        assert len(stack[0].ridge_events) > 0
+    if case == "excluded-paths":
+        assert stack[0].n_excluded == bundle.n_excluded > 0
+
+
+def test_lsmc_ladder_rejects_a_level_below_one(bang_spec, bang_bundle):
+    with pytest.raises(ValueError, match=">= 1"):
+        bsde.solve_penalized_lsmc_ladder(bang_spec, (1, 0, 4), bang_bundle)
+
+
 # ---------------------------------------------------------------------------
 # Constraint diagnostics
 # ---------------------------------------------------------------------------
@@ -191,8 +238,9 @@ def test_constraint_gap_routes_agree(bang_spec, bang_bundle):
 
 
 def test_constraint_gap_decreases_along_ladder(bang_spec, bang_bundle):
-    reports = [bsde.constraint_gap(bsde.solve_penalized_lsmc(
-        bang_spec, n, bang_bundle)) for n in (1, 2, 4, 8, 16)]
+    ladder = bsde.solve_penalized_lsmc_ladder(bang_spec, (1, 2, 4, 8, 16),
+                                              bang_bundle)
+    reports = [bsde.constraint_gap(q) for q in ladder]
     phis = [r.phi for r in reports]
     assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
     assert reports[-1].k_ratio < reports[0].k_ratio / 2

@@ -127,6 +127,20 @@ def test_solve_penalized_grid_report_has_monotone_ladder(bang_cfg, tmp_path):
     assert [int(r["level"]) for r in ladder_rows] == [1, 2, 4, 8]
 
 
+def test_solve_penalized_lsmc_reports_its_regression_fallbacks(bang_cfg,
+                                                               tmp_path):
+    out = tmp_path / "run"
+    code = cli.main(["solve", bang_cfg, "--method", "penalized-lsmc",
+                     "--ladder", "1,4", "--steps", "32", "--paths", "4000",
+                     "--out", str(out)])
+    assert code == 0
+    lsmc = _read_json(out / "value_report.json")["details"]["lsmc"]
+    # every path starts at one point in the registry regime: that step-0
+    # cell is rank one (a ridge fit) and the two other cells are carried
+    assert lsmc == {"ridge_events": 1, "carried_cells": 2,
+                    "n_paths": 4000, "n_excluded": 0}
+
+
 def test_solve_rerun_reproduces_artifacts_byte_for_byte(bang_cfg, tmp_path):
     args = ["solve", bang_cfg, "--method", "penalized-grid",
             "--ladder", "1,4", "--steps", "32", "--paths", "1000"]
@@ -225,6 +239,29 @@ def test_verify_corrupted_field_is_skipped_with_reason(bang_cfg, tmp_path):
     report = _read_json(out / "verify_report.json")
     assert report["verdicts"]["hjb"] == "skipped"
     assert "field.csv" in report["details"]["hjb"]["reason"]
+
+
+def test_verify_permuted_field_rows_are_skipped_with_reason(bang_cfg,
+                                                            tmp_path):
+    solve_out = tmp_path / "solve"
+    cli.main(["solve", bang_cfg, "--method", "dp", "--steps", "16",
+              "--nodes", "41", "--out", str(solve_out)])
+    lines = (solve_out / "dp_field.csv").read_bytes().split(b"\r\n")
+    header, rows = lines[0], [r for r in lines[1:] if r]
+    rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    perm = tmp_path / "perm.csv"
+    perm.write_bytes(b"\r\n".join([header, *rows, b""]))
+    perm.with_suffix(".json").write_bytes(
+        (solve_out / "dp_field.json").read_bytes())
+    with pytest.raises(ValueError, match="data row 1 is not at"):
+        cli.load_dp_field(perm)
+    out = tmp_path / "run"
+    code = cli.main(["verify", bang_cfg, "--suite", "hjb",
+                     "--field", str(perm), "--out", str(out)])
+    assert code == 0
+    report = _read_json(out / "verify_report.json")
+    assert report["verdicts"]["hjb"] == "skipped"
+    assert "perm.csv" in report["details"]["hjb"]["reason"]
 
 
 def test_verify_certifies_a_solved_field_from_disk(bang_cfg, tmp_path):
