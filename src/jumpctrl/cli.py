@@ -36,8 +36,6 @@ import numpy as np
 from . import __version__, bsde, dp, girsanov, hjb, problem, sim, svgplot
 from . import transition
 
-_fmt = sim._fmt
-
 #: The five checks a ValueReport must always carry, even when skipped.
 VERDICT_KEYS = ("monotonicity", "constraint-decay", "dpp",
                 "value-equality", "hjb-certificate")
@@ -123,24 +121,22 @@ def _problem_id(spec) -> str:
 # CSV artifacts
 # ---------------------------------------------------------------------------
 
-def _state_columns(spec) -> list:
-    cols = [f"x{i}" for i in range(spec.dim)]
-    if spec.aug_dim:
-        cols.append("running")
-    return cols
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(header)
-        w.writerows(rows)
+def _write_lattice_csv(path, spec, time_grid, grid, names, columns,
+                       per_node: int = 1) -> None:
+    """Rows time-major over C-order nodes, ``per_node`` rows per node:
+    ``t``, the node's coordinates, then the named ``columns``."""
+    nodes = np.repeat(grid.nodes(), per_node, axis=0)
+    sim.write_csv_columns(
+        path, ["t", *sim._state_columns(spec), *names],
+        [np.repeat(time_grid, nodes.shape[0]),
+         *np.tile(nodes, (time_grid.size, 1)).T, *columns])
 
 
 def write_ladder_csv(report, path: Path) -> None:
-    rows = [(str(n), _fmt(v), _fmt(s))
-            for n, v, s in zip(report.levels, report.values, report.ses)]
-    _write_csv(path, ["level", "value", "se"], rows)
+    sim.write_csv_columns(path, ["level", "value", "se"],
+                          [np.asarray(report.levels, dtype=np.int64),
+                           np.asarray(report.values, dtype=float),
+                           np.asarray(report.ses, dtype=float)])
 
 
 def write_dp_field_csv(fld, spec, csv_path: Path,
@@ -150,18 +146,12 @@ def write_dp_field_csv(fld, spec, csv_path: Path,
     Rows run time-major, nodes in C order, so the pair round-trips through
     ``load_dp_field`` without any searching.
     """
-    cols = _state_columns(spec)
-    nodes = fld.grid.nodes()
-    n_nodes = nodes.shape[0]
-    rows = []
-    for k, t in enumerate(fld.time_grid):
-        vals = fld.values[k].ravel()
-        args = (fld.argmax[k].ravel() if k < fld.n_steps
-                else np.full(n_nodes, -1))
-        for j in range(n_nodes):
-            rows.append((_fmt(t), *(_fmt(c) for c in nodes[j]),
-                         _fmt(vals[j]), str(int(args[j]))))
-    _write_csv(csv_path, ["t", *cols, "value", "argmax"], rows)
+    n_nodes = int(np.prod(fld.grid.shape))
+    _write_lattice_csv(csv_path, spec, fld.time_grid, fld.grid,
+                       ["value", "argmax"],
+                       [fld.values.reshape(-1),
+                        np.concatenate([fld.argmax[:fld.n_steps].reshape(-1),
+                                        np.full(n_nodes, -1)])])
     meta = {
         "schema": FIELD_SCHEMA,
         "family": spec.coefficients.family,
@@ -236,31 +226,19 @@ def load_dp_field(csv_path) -> dp.DpField:
 
 
 def write_penalized_field_csv(fld, spec, path: Path) -> None:
-    cols = _state_columns(spec)
-    nodes = fld.grid.nodes()
     n_controls = spec.control.size
-    rows = []
-    for k, t in enumerate(fld.time_grid):
-        flat = fld.values[k].reshape(-1, n_controls)
-        for j in range(nodes.shape[0]):
-            for a in range(n_controls):
-                rows.append((_fmt(t), *(_fmt(c) for c in nodes[j]),
-                             str(a), _fmt(flat[j, a])))
-    _write_csv(path, ["t", *cols, "regime", "value"], rows)
+    _write_lattice_csv(path, spec, fld.time_grid, fld.grid,
+                       ["regime", "value"],
+                       [np.tile(np.arange(n_controls),
+                                fld.values.size // n_controls),
+                        fld.values.reshape(-1)], per_node=n_controls)
 
 
 def write_residual_csv(res, spec, path: Path) -> None:
     """Residual surface as heat-map rows; band nodes carry 'nan'."""
-    cols = _state_columns(spec)
-    nodes = res.grid.nodes()
-    rows = []
-    for k, t in enumerate(res.time_grid):
-        r = res.residual[k].ravel()
-        a = res.argmax[k].ravel()
-        for j in range(nodes.shape[0]):
-            rows.append((_fmt(t), *(_fmt(c) for c in nodes[j]),
-                         _fmt(r[j]), str(int(a[j]))))
-    _write_csv(path, ["t", *cols, "residual", "argmax"], rows)
+    _write_lattice_csv(path, spec, res.time_grid, res.grid,
+                       ["residual", "argmax"],
+                       [res.residual.reshape(-1), res.argmax.reshape(-1)])
 
 
 def _check_sizes(args, min_steps: int, min_paths: int) -> None:
@@ -582,8 +560,9 @@ def cmd_solve(args) -> int:
         verdicts=report.verdicts, outputs=sorted(outputs))
     manifest.write(out / "manifest.json")
 
-    v0 = "-" if report.v0_dp is None else _fmt(report.v0_dp)
-    lim = "-" if report.value_limit is None else _fmt(report.value_limit)
+    v0 = "-" if report.v0_dp is None else repr(float(report.v0_dp))
+    lim = ("-" if report.value_limit is None
+           else repr(float(report.value_limit)))
     print(f"{report.problem_id} [{args.method}] v0_dp={v0} "
           f"randomized_limit={lim}")
     for key in VERDICT_KEYS:
@@ -611,6 +590,8 @@ def cmd_verify(args) -> int:
         if verdicts[name] == "skipped" and "reason" in detail:
             note = f"  ({detail['reason']})"
         print(f"{name:<16} {verdicts[name]}{note}")
+    details["truncated_jump_mass"] = transition.truncated_jump_mass(
+        spec, spec.horizon / wb.steps)
 
     out = _ensure_out_dir(args.out)
     _write_json({

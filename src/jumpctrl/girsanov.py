@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import sim
-from .problem import ProblemSpec, RandomizationSpec
-from .sim import CsrEvents, PathBundle, StatePath
+from .problem import ProblemSpec
+from .sim import PathBundle
 
 
 def _nearest_index(axis: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -145,35 +145,22 @@ class IntensityControl:
         return self.table[(k, *cells, np.full(n, a_index, dtype=np.int64))]
 
 
-@dataclass(frozen=True)
-class DoleansWeight:
-    """Tilt weight of one path; starts at 1 and stays positive."""
-
-    path_index: int
-    value: float
-    log_value: float
-
-    def __post_init__(self):
-        if not (self.value > 0.0):
-            raise ValueError("tilt weight must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Weight computation
 # ---------------------------------------------------------------------------
 
-def _log_weights(nu: IntensityControl, lambda0: RandomizationSpec,
-                 time_grid: np.ndarray, states: np.ndarray,
-                 start_regimes: np.ndarray, theta: CsrEvents,
-                 t0: float) -> np.ndarray:
-    """log kappa_T per path, exact in the regime path.
+def doleans_weights(bundle: PathBundle, nu: IntensityControl) -> np.ndarray:
+    """kappa_T for every path of a bundle, in log space and exact in the
+    regime path.
 
-    ``states`` is (M, N+1, D); the feedback intensity is evaluated with the
-    state frozen at the left grid node of each step, matching both the
-    thinning simulator and the lattice the tilt was built from.
+    The feedback intensity is evaluated with the state frozen at the left
+    grid node of each step, matching both the thinning simulator and the
+    lattice the tilt was built from.
     """
-    n_paths = states.shape[0]
-    weights = lambda0.lambda0_weights
+    time_grid, states, theta = bundle.time_grid, bundle.states, bundle.theta
+    start_regimes, t0 = bundle.regimes[:, 0], bundle.t0
+    n_paths = bundle.n_paths
+    weights = bundle.spec.randomization.lambda0_weights
     total = float(weights.sum())
     horizon = float(time_grid[-1])
     log_k = np.zeros(n_paths)
@@ -201,7 +188,7 @@ def _log_weights(nu: IntensityControl, lambda0: RandomizationSpec,
     # compensator factor
     if nu.kind == "constant":
         log_k += (1.0 - nu.constant) * total * (horizon - t0)
-        return log_k
+        return np.exp(log_k)
     segs = sim._segments_from_events(theta, start_regimes, t0, horizon)
     n_controls = weights.size
     for k in range(time_grid.size - 1):
@@ -217,43 +204,7 @@ def _log_weights(nu: IntensityControl, lambda0: RandomizationSpec,
                 rates = np.broadcast_to(rates, (n_paths, n_controls))
             s_a = ((1.0 - rates) * weights[None, :]).sum(axis=1)
             log_k += col * s_a
-    return log_k
-
-
-def doleans_weights(bundle: PathBundle, nu: IntensityControl) -> np.ndarray:
-    """kappa_T for every path of a bundle (vectorized, log-space)."""
-    log_k = _log_weights(nu, bundle.spec.randomization, bundle.time_grid,
-                         bundle.states, bundle.regimes[:, 0], bundle.theta,
-                         bundle.t0)
     return np.exp(log_k)
-
-
-def doleans_exponential(theta_log: sim.EventLog, nu: IntensityControl,
-                        lambda0: RandomizationSpec,
-                        path_context: Optional[StatePath] = None
-                        ) -> DoleansWeight:
-    """Tilt weight of a single path.
-
-    Constant multipliers need only the event count; feedback forms need the
-    path context (states and regime path) to evaluate nu along the path.
-    """
-    if nu.kind == "constant":
-        total = lambda0.total_mass
-        span = theta_log.horizon - theta_log.t_open
-        log_k = ((1.0 - nu.constant) * total * span
-                 + theta_log.size * math.log(nu.constant))
-        return DoleansWeight(path_index=0, value=math.exp(log_k),
-                             log_value=log_k)
-    if path_context is None:
-        raise ValueError("state-dependent intensities need a path context")
-    theta = CsrEvents(theta_log.times, theta_log.marks,
-                      np.array([0, theta_log.size]))
-    log_k = _log_weights(
-        nu, lambda0, path_context.time_grid, path_context.states[None, :, :],
-        np.array([int(path_context.control.regimes[0])]), theta,
-        float(path_context.time_grid[0]))
-    return DoleansWeight(path_index=0, value=float(np.exp(log_k[0])),
-                         log_value=float(log_k[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +214,6 @@ def doleans_exponential(theta_log: sim.EventLog, nu: IntensityControl,
 def gain_payoff(bundle: PathBundle) -> np.ndarray:
     """Running reward plus terminal reward (the randomized gain)."""
     return sim.total_gain(bundle)
-
-
-def terminal_payoff(bundle: PathBundle) -> np.ndarray:
-    return sim.terminal_rewards(bundle)
 
 
 def unit_payoff(bundle: PathBundle) -> np.ndarray:

@@ -107,24 +107,6 @@ def _hamiltonian_nodes(spec: ProblemSpec, t: float, x: np.ndarray,
     return out
 
 
-def hamiltonian(spec: ProblemSpec, t: float, x: np.ndarray, a_index: int,
-                derivatives: tuple[np.ndarray, np.ndarray],
-                value_accessor, n_quad: int = QUAD_NODES_NONLOCAL) -> float:
-    """Supremand of the value equation at one point and one control.
-
-    ``derivatives`` is (Dv, D^2v) on the augmented state; ``value_accessor``
-    maps (P, D) points to values on the same time slice (needed only when
-    the problem jumps).  Mark laws with atoms are summed exactly; continuous
-    laws use Gauss quadrature.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    gv, hv = derivatives
-    gv = np.asarray(gv, dtype=float).reshape(1, -1)
-    hv = np.asarray(hv, dtype=float).reshape(1, x.shape[1], x.shape[1])
-    ham = _hamiltonian_nodes(spec, t, x, gv, hv, value_accessor, n_quad)
-    return float(ham[0, a_index])
-
-
 # ---------------------------------------------------------------------------
 # Stencils
 # ---------------------------------------------------------------------------

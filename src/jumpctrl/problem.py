@@ -632,34 +632,6 @@ def load_problem(source) -> ProblemSpec:
     )
 
 
-@dataclass(frozen=True)
-class CoefficientValues:
-    b: np.ndarray               # (d,)
-    sigma: np.ndarray           # (d, m)
-    gamma: Optional[np.ndarray]  # (d,) when a mark is supplied
-    f: float
-
-
-def eval_coefficients(spec: ProblemSpec, t: float, x: np.ndarray,
-                      a_index: int, z: Optional[float] = None
-                      ) -> CoefficientValues:
-    """Evaluate all coefficients at one point; pure, no state anywhere."""
-    x = np.asarray(x, dtype=float).reshape(1, spec.dim)
-    a = float(spec.control.points[a_index])
-    c = spec.coefficients
-    gamma = None
-    if z is not None:
-        if c.gamma is None:
-            gamma = np.zeros(spec.dim)
-        else:
-            gamma = c.gamma(t, x, a, np.asarray([z], dtype=float))[0]
-    return CoefficientValues(
-        b=c.b(t, x, a)[0],
-        sigma=np.asarray(c.sigma(t, x, a))[0],
-        gamma=gamma,
-        f=float(c.f(t, x, a)[0]))
-
-
 def eval_terminal(spec: ProblemSpec, x_aug: np.ndarray) -> np.ndarray:
     """Terminal reward on the (possibly augmented) state, vectorized."""
     x_aug = np.atleast_2d(np.asarray(x_aug, dtype=float))

@@ -14,20 +14,28 @@ sweep also supports thinning against a state-feedback intensity (used by the
 tilted estimators), per-step feedback policies (used by rollouts), and fixed
 regime schedules.  Everything is reproducible: path ``i`` of a bundle is a
 pure function of ``(master seed, i)``.
+
+Every simulation is a ``PathBundle`` from ``_simulate_core``; one path is
+a 1-row bundle.  Its replay form is the one deterministic entry
+point: ``_simulate_core(spec, M, seed, control="fixed", fixed_theta=...,
+start_regimes=..., brownian=..., pi_events=...)`` replays given switch
+events, (M, N, m) Brownian increments and jump events instead of drawing
+them.  Event tables from outside must increase strictly inside
+``(t0, horizon]`` on each path, and switch marks must be indices on the
+control grid; otherwise it raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import stream
-from .problem import (ProblemSpec, RandomizationSpec, eval_terminal,
-                      update_running_functional)
+from .problem import ProblemSpec, eval_terminal, update_running_functional
 
 OVERFLOW_BOUND = 1e12
 CSV_SCHEMA = "jumpctrl-paths@1"
@@ -36,70 +44,6 @@ CSV_SCHEMA = "jumpctrl-paths@1"
 # ---------------------------------------------------------------------------
 # Event containers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EventLog:
-    """Events of one marked Poisson stream on (t0, horizon], one path."""
-
-    times: np.ndarray
-    marks: np.ndarray
-    measure_id: str             # "pi" | "theta"
-    horizon: float
-    t_open: float = 0.0
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "marks", np.asarray(self.marks))
-        if self.measure_id not in ("pi", "theta"):
-            raise ValueError(f"unknown measure_id {self.measure_id!r}")
-        if t.size and (np.any(np.diff(t) <= 0.0) or t[0] <= self.t_open
-                       or t[-1] > self.horizon):
-            raise ValueError("event times must increase strictly inside "
-                             "(t_open, horizon]")
-        if self.marks.shape != t.shape:
-            raise ValueError("marks must align with times")
-
-    @property
-    def size(self) -> int:
-        return int(self.times.size)
-
-
-@dataclass(frozen=True)
-class ControlJumpPath:
-    """Piecewise-constant regime path; switch_times[0] is the start time."""
-
-    switch_times: np.ndarray
-    regimes: np.ndarray         # control indices per segment
-    horizon: float
-
-    def __post_init__(self):
-        t = np.asarray(self.switch_times, dtype=float)
-        r = np.asarray(self.regimes, dtype=np.int64)
-        if t.size != r.size or t.size == 0:
-            raise ValueError("switch_times and regimes must align")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("switch times must increase strictly")
-        object.__setattr__(self, "switch_times", t)
-        object.__setattr__(self, "regimes", r)
-
-    def regime_at(self, t: float) -> int:
-        """Right-continuous regime index at time t."""
-        k = int(np.searchsorted(self.switch_times, t, side="right")) - 1
-        return int(self.regimes[max(k, 0)])
-
-
-@dataclass(frozen=True)
-class StatePath:
-    """One simulated path on a uniform grid plus its jump ledger."""
-
-    time_grid: np.ndarray
-    states: np.ndarray          # (N+1, total_dim)
-    control: ControlJumpPath
-    pi_log: EventLog
-    post_jump_states: np.ndarray  # (n_pi_events, core_dim), value after jump
-    excluded: bool = False
-
 
 class CsrEvents:
     """Path-major flattened event storage for a bundle."""
@@ -125,17 +69,6 @@ class CsrEvents:
     def path_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_paths), self.counts())
 
-    def for_path(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.times[lo:hi], self.marks[lo:hi]
-
-    def to_event_log(self, i: int, measure_id: str, horizon: float,
-                     t_open: float = 0.0) -> EventLog:
-        t, m = self.for_path(i)
-        return EventLog(times=t.copy(), marks=m.copy(),
-                        measure_id=measure_id, horizon=horizon,
-                        t_open=t_open)
-
     @staticmethod
     def from_flat(path_ids, times, marks, n_paths) -> "CsrEvents":
         order = np.lexsort((times, path_ids))
@@ -158,11 +91,9 @@ class PathBundle:
     brownian_increments: np.ndarray  # (M, N, m)
     pi: CsrEvents                   # state-jump events (marks = z values)
     theta: CsrEvents                # regime-switch events (marks = indices)
-    post_jump_states: np.ndarray    # aligned with pi flat order
     running_reward: np.ndarray      # (M,) integral of f along each path
     excluded: np.ndarray            # (M,) bool overflow flags
     control_mode: str               # "randomized" | "tilted" | ...
-    extra: dict = field(default_factory=dict)
 
     @property
     def n_paths(self) -> int:
@@ -181,20 +112,6 @@ class PathBundle:
 
     def terminal_states(self) -> np.ndarray:
         return self.states[:, -1, :]
-
-    def path(self, i: int) -> StatePath:
-        """Extract one path as a StatePath (copies its slices)."""
-        horizon = float(self.time_grid[-1])
-        lo, hi = self.pi.indptr[i], self.pi.indptr[i + 1]
-        return StatePath(
-            time_grid=self.time_grid.copy(),
-            states=self.states[i].copy(),
-            control=control_path_from_events(
-                self.theta.to_event_log(i, "theta", horizon, self.t0),
-                start_regime=int(self.regimes[i, 0]), start_time=self.t0),
-            pi_log=self.pi.to_event_log(i, "pi", horizon, self.t0),
-            post_jump_states=self.post_jump_states[lo:hi].copy(),
-            excluded=bool(self.excluded[i]))
 
     def theta_segments(self):
         """(path, start, end, regime) flat arrays of the regime path."""
@@ -242,64 +159,6 @@ def _categorical_from_uniform(u: np.ndarray,
                               weights: np.ndarray) -> np.ndarray:
     cum = np.cumsum(weights) / weights.sum()
     return np.searchsorted(cum, u, side="right").astype(np.int64)
-
-
-def simulate_poisson_measure(rate: float, mark_sampler, horizon: float,
-                             seed: int, stream_id: int = stream.STREAM_PI,
-                             measure_id: str = "pi",
-                             t0: float = 0.0) -> EventLog:
-    """One event log of a homogeneous marked Poisson stream on (t0, horizon].
-
-    ``mark_sampler`` maps mark laws to values: a JumpMeasureSpec (via
-    ``sample_marks``), a RandomizationSpec (categorical on the control
-    grid), or any callable taking uniforms in [0, 1).
-    """
-    times, keep, mu = _poisson_block(rate, horizon - t0, t0, seed,
-                                     stream_id, 1)
-    t = times[0][keep[0]]
-    u = mu[0][keep[0]]
-    if hasattr(mark_sampler, "sample_marks"):
-        marks = mark_sampler.sample_marks(u)
-    elif isinstance(mark_sampler, RandomizationSpec):
-        marks = _categorical_from_uniform(u, mark_sampler.lambda0_weights)
-    elif callable(mark_sampler):
-        marks = np.asarray(mark_sampler(u))
-    else:
-        raise TypeError("mark_sampler must sample marks from uniforms")
-    return EventLog(times=t, marks=marks, measure_id=measure_id,
-                    horizon=horizon, t_open=t0)
-
-
-def build_control_path(theta_log: EventLog,
-                       randomization: RandomizationSpec,
-                       start_time: float = 0.0,
-                       start_regime: Optional[int] = None) -> ControlJumpPath:
-    """Regime path started at the reference regime and switched by the log.
-
-    Events that re-select the current regime are retained (they are genuine
-    points of the switch stream even when the path shows no visible jump).
-    """
-    if theta_log.measure_id != "theta":
-        raise ValueError("control paths are built from theta logs")
-    start = (randomization.a0_index if start_regime is None
-             else int(start_regime))
-    n = randomization.lambda0_weights.size
-    marks = np.asarray(theta_log.marks, dtype=np.int64)
-    if marks.size and (marks.min() < 0 or marks.max() >= n):
-        raise ValueError("theta marks outside the control grid")
-    return ControlJumpPath(
-        switch_times=np.concatenate([[start_time], theta_log.times]),
-        regimes=np.concatenate([[start], marks]),
-        horizon=theta_log.horizon)
-
-
-def control_path_from_events(theta_log: EventLog, start_regime: int,
-                             start_time: float) -> ControlJumpPath:
-    return ControlJumpPath(
-        switch_times=np.concatenate([[start_time], theta_log.times]),
-        regimes=np.concatenate([[start_regime],
-                                np.asarray(theta_log.marks, dtype=np.int64)]),
-        horizon=theta_log.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +218,7 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
     """
     n_steps = time_grid.size - 1
     parts_path, parts_time = [], []
-    parts_kind, parts_z, parts_mark, parts_u, parts_orig = [], [], [], [], []
+    parts_kind, parts_z, parts_mark, parts_u = [], [], [], []
     if pi is not None and pi.total:
         parts_path.append(pi.path_ids())
         parts_time.append(pi.times)
@@ -367,7 +226,6 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
         parts_z.append(np.asarray(pi.marks, dtype=float))
         parts_mark.append(np.full(pi.total, -1, dtype=np.int64))
         parts_u.append(np.ones(pi.total))
-        parts_orig.append(np.arange(pi.total))
     if theta_time is not None and theta_time.size:
         e = theta_time.size
         parts_path.append(theta_path)
@@ -377,7 +235,6 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
         parts_mark.append(theta_mark.astype(np.int64))
         parts_u.append(theta_accept_u if theta_accept_u is not None
                        else np.zeros(e))
-        parts_orig.append(np.full(e, -1, dtype=np.int64))
     if not parts_path:
         return None
     path = np.concatenate(parts_path)
@@ -386,13 +243,12 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
     z = np.concatenate(parts_z)
     mark = np.concatenate(parts_mark)
     u = np.concatenate(parts_u)
-    orig = np.concatenate(parts_orig)
 
     step = np.clip(np.searchsorted(time_grid, time, side="left") - 1,
                    0, n_steps - 1)
     order = np.lexsort((time, path, step))
-    path, time, kind, z, mark, u, orig, step = (
-        arr[order] for arr in (path, time, kind, z, mark, u, orig, step))
+    path, time, kind, z, mark, u, step = (
+        arr[order] for arr in (path, time, kind, z, mark, u, step))
     group = step.astype(np.int64) * np.int64(n_paths) + path
     first = np.searchsorted(group, group, side="left")
     slot = np.arange(group.size) - first
@@ -400,8 +256,29 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
     ends = np.searchsorted(step, np.arange(n_steps), side="right")
     return {
         "path": path, "time": time, "kind": kind, "z": z, "mark": mark,
-        "u": u, "orig": orig, "slot": slot, "starts": starts, "ends": ends,
+        "u": u, "slot": slot, "starts": starts, "ends": ends,
     }
+
+
+def _check_events(events: CsrEvents, n_paths: int, t0: float,
+                  horizon: float, name: str, n_marks=None) -> None:
+    """Reject an outside event table: on each path the times must increase
+    strictly inside (t0, horizon]; with ``n_marks`` the marks must index a
+    grid of that many points."""
+    t, marks, starts = events.times, events.marks, events.indptr[:-1]
+    if (marks.shape != t.shape or events.n_paths != n_paths
+            or events.indptr[-1] != t.size):
+        raise ValueError(f"{name} events need one mark per time on "
+                         f"{n_paths} paths")
+    later = np.ones(t.size, dtype=bool)
+    later[starts[starts < t.size]] = False
+    if not (np.all((t > t0) & (t <= horizon))
+            and np.all(np.diff(t)[later[1:]] > 0.0)):
+        raise ValueError(f"{name} event times must increase strictly inside "
+                         f"(t0, horizon] on each path")
+    if n_marks is not None and not np.all(
+            (marks == np.floor(marks)) & (marks >= 0) & (marks < n_marks)):
+        raise ValueError(f"{name} marks must be indices on the control grid")
 
 
 def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
@@ -414,7 +291,14 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                    start_regimes: Optional[np.ndarray] = None,
                    brownian: Optional[np.ndarray] = None,
                    pi_events: Optional[CsrEvents] = None) -> PathBundle:
-    """Shared engine behind the public simulation entry points."""
+    """Shared engine behind every simulation; see the module docstring.
+
+    ``control`` picks the regime path: "randomized" (the reference switch
+    stream), "tilted" (thinned against ``tilt``), "policy" (``policy(k, t,
+    states)`` per step) or "fixed" (``fixed_theta`` from ``start_regimes``).
+    ``brownian`` and ``pi_events``, when given, replace the drawn Brownian
+    increments and jump events.
+    """
     horizon = spec.horizon
     if n_steps is None:
         n_steps = spec.default_steps(t0)
@@ -449,7 +333,9 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
         brownian = np.asarray(brownian, dtype=float).reshape(
             n_paths, n_steps, m_brown)
 
-    if pi_events is None:
+    if pi_events is not None:
+        _check_events(pi_events, n_paths, t0, horizon, "pi")
+    else:
         times, keep, mu = _poisson_block(jump.total_rate, span, t0, seed,
                                          stream.STREAM_PI, n_paths)
         z = jump.sample_marks(mu[keep]) if keep.size else np.zeros(0)
@@ -484,6 +370,8 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     elif control == "fixed":
         if fixed_theta is None:
             raise ValueError("fixed control needs a theta event table")
+        _check_events(fixed_theta, n_paths, t0, horizon, "theta",
+                      n_marks=n_controls)
         th_path = fixed_theta.path_ids()
         th_time = fixed_theta.times
         th_mark = np.asarray(fixed_theta.marks, dtype=np.int64)
@@ -508,8 +396,8 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
         cur_reg = np.asarray(start_regimes, dtype=np.int64).copy()
     excluded = np.zeros(n_paths, dtype=bool)
     running_reward = np.zeros(n_paths)
-    post_jump = np.zeros((pi_events.total, d))
-    acc_p, acc_t, acc_m = [], [], []
+    acc_p = [np.zeros(0, dtype=np.int64)]
+    acc_t, acc_m = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
 
     decay = spec.decay_factor(dt)[None, :]
     has_jumps = jump.total_rate > 0.0 and coeff.gamma is not None
@@ -538,7 +426,6 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
             sl_z = table["z"][lo:hi]
             sl_mark = table["mark"][lo:hi]
             sl_u = table["u"][lo:hi]
-            sl_orig = table["orig"][lo:hi]
             sl_slot = table["slot"][lo:hi]
             for s in range(int(sl_slot.max()) + 1):
                 at = sl_slot == s
@@ -550,13 +437,13 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                 mk_at = sl_mark[at]
                 z_at = sl_z[at]
                 u_at = sl_u[at]
-                orig_at = sl_orig[at]
                 # switch candidates first: acceptance, occupation, regime
                 th = kd == 1
                 if np.any(th):
                     pt, et, mk = p[th], tt[th], mk_at[th]
                     if control == "tilted":
-                        nu_val = tilt.rate(t_k, x_left[pt], cur_reg[pt], mk)
+                        nu_val = tilt.rate(t_k, states[pt, k, :],
+                                           cur_reg[pt], mk)
                         ok = u_at[th] * tilt.nu_max <= nu_val
                     else:
                         ok = np.ones(pt.size, dtype=bool)
@@ -571,7 +458,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                 # state jumps: gamma at the left node, pre-switch regime
                 pj = kd == 0
                 if np.any(pj) and has_jumps:
-                    pp, zz, oo = p[pj], z_at[pj], orig_at[pj]
+                    pp, zz = p[pj], z_at[pj]
                     pre = cur_reg[pp]
                     for ai in range(n_controls):
                         grp = pre == ai
@@ -580,7 +467,6 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                         gz = coeff.gamma(t_k, x_left[pp[grp]],
                                          float(a_values[ai]), zz[grp])
                         jump_acc[pp[grp]] += gz
-                    post_jump[oo] = x_left[pp] + jump_acc[pp]
 
         occ[rows, cur_reg] += t_next - last_switch
 
@@ -628,19 +514,11 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     if control == "fixed":
         theta_csr = fixed_theta
     elif control == "randomized":
-        theta_csr = (CsrEvents(th_time, th_mark,
-                               np.concatenate([[0], np.cumsum(np.bincount(
-                                   th_path, minlength=n_paths))]))
-                     if th_time is not None and th_time.size
-                     else CsrEvents(np.zeros(0), np.zeros(0, dtype=np.int64),
-                                    np.zeros(n_paths + 1, dtype=np.int64)))
-    elif acc_p:
+        theta_csr = CsrEvents.from_flat(th_path, th_time, th_mark, n_paths)
+    else:
         theta_csr = CsrEvents.from_flat(np.concatenate(acc_p),
                                         np.concatenate(acc_t),
                                         np.concatenate(acc_m), n_paths)
-    else:
-        theta_csr = CsrEvents(np.zeros(0), np.zeros(0, dtype=np.int64),
-                              np.zeros(n_paths + 1, dtype=np.int64))
 
     n_exc = int(excluded.sum())
     if n_exc:
@@ -650,8 +528,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     return PathBundle(
         spec=spec, seed=seed, t0=t0, time_grid=time_grid, states=states,
         regimes=regimes, brownian_increments=brownian, pi=pi_events,
-        theta=theta_csr, post_jump_states=post_jump,
-        running_reward=running_reward, excluded=excluded,
+        theta=theta_csr, running_reward=running_reward, excluded=excluded,
         control_mode=control)
 
 
@@ -667,44 +544,6 @@ def simulate_bundle(spec: ProblemSpec, n_paths: int, seed: int,
         raise ValueError("n_paths must be positive")
     return _simulate_core(spec, n_paths, seed, n_steps=n_steps, t0=t0,
                           x0=x0, control="randomized")
-
-
-def integrate_state(spec: ProblemSpec, control_source, drivers,
-                    t0: float = 0.0, x0=None,
-                    n_steps: Optional[int] = None) -> StatePath:
-    """Integrate one path from explicit drivers (deterministic).
-
-    ``control_source`` is a ControlJumpPath or a constant control index;
-    ``drivers`` is a (brownian_increments, pi_log) pair where the increments
-    have shape (n_steps, brownian_dim) and the log may be None.
-    """
-    brownian, pi_log = drivers
-    brownian = np.asarray(brownian, dtype=float)
-    if n_steps is None:
-        n_steps = brownian.shape[0]
-    if isinstance(control_source, ControlJumpPath):
-        start = int(control_source.regimes[0])
-        times = control_source.switch_times[1:]
-        marks = control_source.regimes[1:]
-        inside = times <= spec.horizon
-        fixed = CsrEvents(times[inside], marks[inside],
-                          np.array([0, int(inside.sum())]))
-    else:
-        start = int(control_source)
-        fixed = CsrEvents(np.zeros(0), np.zeros(0, dtype=np.int64),
-                          np.array([0, 0]))
-    if pi_log is None:
-        pi_csr = CsrEvents(np.zeros(0), np.zeros(0), np.array([0, 0]))
-    else:
-        pi_csr = CsrEvents(pi_log.times, pi_log.marks,
-                           np.array([0, pi_log.size]))
-    bundle = _simulate_core(
-        spec, 1, seed=0, n_steps=n_steps, t0=t0,
-        x0=None if x0 is None else np.asarray(x0, dtype=float),
-        control="fixed", fixed_theta=fixed,
-        start_regimes=np.array([start]),
-        brownian=brownian[None, :, :], pi_events=pi_csr)
-    return bundle.path(0)
 
 
 def terminal_rewards(bundle: PathBundle) -> np.ndarray:
@@ -747,29 +586,50 @@ def empirical_moment_check(bundle: PathBundle, p: float = 2.0) -> dict:
 # Columnar export
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return repr(float(x))
+#: Rows formatted and written per chunk by ``write_csv_columns``.
+CSV_CHUNK_ROWS = 8192
+
+
+def write_csv_columns(csv_path, header, columns) -> None:
+    """RFC-4180 CSV from equal-length 1-d numeric columns, CRLF line ends.
+
+    A float cell is the ``repr`` of the Python float, the shortest text that
+    parses back to the same double; an integer cell is the Python int's.
+    Rows are formatted and written ``CSV_CHUNK_ROWS`` at a time, so the text
+    held in memory does not grow with the file.
+    """
+    n_rows = len(columns[0])
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError("CSV columns must have equal lengths")
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+            cells = [map(repr, col[lo:lo + CSV_CHUNK_ROWS].tolist())
+                     for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _state_columns(spec: ProblemSpec) -> list:
+    """CSV names of the (augmented) state coordinates."""
+    cols = [f"x{i}" for i in range(spec.dim)]
+    if spec.aug_dim:
+        cols.append("running")
+    return cols
 
 
 def write_bundle_csv(bundle: PathBundle, csv_path: str,
                      sidecar_path: Optional[str] = None) -> None:
     """RFC-4180 CSV, one row per (path, grid time); JSON sidecar metadata."""
-    import csv
-
     spec = bundle.spec
-    cols = [f"x{i}" for i in range(spec.dim)]
-    if spec.aug_dim:
-        cols.append("running")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(["path", "t", *cols, "regime", "excluded"])
-        for i in range(bundle.n_paths):
-            exc = int(bundle.excluded[i])
-            for k, t in enumerate(bundle.time_grid):
-                row = [str(i), _fmt(t)]
-                row += [_fmt(v) for v in bundle.states[i, k]]
-                row += [str(int(bundle.regimes[i, k])), str(exc)]
-                w.writerow(row)
+    n_times = bundle.time_grid.size
+    rows = bundle.n_paths * n_times
+    write_csv_columns(
+        csv_path, ["path", "t", *_state_columns(spec), "regime", "excluded"],
+        [np.repeat(np.arange(bundle.n_paths), n_times),
+         np.tile(bundle.time_grid, bundle.n_paths),
+         *bundle.states.reshape(rows, -1).T,
+         bundle.regimes.reshape(rows),
+         np.repeat(bundle.excluded.astype(np.int64), n_times)])
     if sidecar_path is not None:
         meta = {
             "schema_version": CSV_SCHEMA,

@@ -1,14 +1,20 @@
 """Command-line front end: artifacts, verdicts, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jumpctrl import cli, dp
+from jumpctrl import bsde, cli, dp, hjb, problem, sim, transition
 
 
 def _write_cfg(path, family, **extra):
@@ -183,6 +189,52 @@ def test_solve_reports_truncated_jump_mass(tmp_path):
                      "--nodes", "41", "--out", str(out)]) == 0
     report = _read_json(out / "value_report.json")
     assert 0.0 < report["details"]["truncated_jump_mass"] < 1e-6
+
+
+def test_verify_reports_truncated_jump_mass(tmp_path):
+    cfg = _write_cfg(tmp_path / "jump.json", "jump-reward",
+                     parameters={"rate": 100.0}, control_points=[1.0],
+                     a0_index=0)
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="Poisson mass"):
+        cli.main(["verify", cfg, "--suite", "hjb", "--steps", "64",
+                  "--nodes", "41", "--out", str(out)])
+    tail = _read_json(out / "verify_report.json")["details"][
+        "truncated_jump_mass"]
+    spec = problem.load_problem(cfg)
+    assert tail == transition.truncated_jump_mass(spec, 1 / 64)
+    assert 0.02 < tail < 0.025
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(problem.FAMILIES)),
+       command=st.sampled_from(["penalized-grid", "penalized-lsmc", "dp",
+                                "verify"]),
+       steps=st.integers(1, 6), nodes=st.integers(5, 15),
+       paths=st.integers(1, 40),
+       levels=st.lists(st.integers(1, 16), min_size=1, max_size=3,
+                       unique=True).map(sorted))
+def test_exit_code_is_0_1_or_2_and_1_only_with_a_fail_verdict(
+        family, command, steps, nodes, paths, levels):
+    """Small legal and degenerate sizes: cli.main returns, never raises."""
+    sizes = ["--steps", str(steps), "--nodes", str(nodes),
+             "--paths", str(paths)]
+    level_text = ",".join(map(str, levels))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = _write_cfg(root / "cfg.json", family)
+        out = root / "run"
+        if command == "verify":
+            argv = ["verify", cfg, "--suite", "all", "--levels", level_text]
+            report = out / "verify_report.json"
+        else:
+            argv = ["solve", cfg, "--method", command, "--ladder", level_text]
+            report = out / "value_report.json"
+        code = cli.main(argv + sizes + ["--out", str(out)])
+        assert code in (0, 1, 2)
+        if code != 2:
+            verdicts = _read_json(report)["verdicts"].values()
+            assert (code == 1) == ("fail" in verdicts)
 
 
 def test_dp_field_csv_roundtrips_exactly(bang_cfg, tmp_path):
@@ -382,3 +434,94 @@ def test_level_list_parses_and_rejects():
 
 def test_no_arguments_exits_2():
     assert cli.main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes
+# ---------------------------------------------------------------------------
+
+# Cells that stress the float format: a NaN, a signed zero, a subnormal
+# neighbour, a value whose shortest repr is long, and plain ones.
+_CELLS = (float("nan"), -0.0, 1e-300, 0.1 + 0.2, 1.0 / 3.0, -7.0,
+          12345678.9, 2.5)
+
+
+def _cells(shape):
+    n = int(np.prod(shape))
+    return np.resize(np.array(_CELLS), n).reshape(shape)
+
+
+def _golden_inputs():
+    """Hand-built writer inputs on the 2-D lookback lattice (no solver)."""
+    spec = problem.load_problem({"schema_version": 1,
+                                 "family": "lookback-integral"})
+    n_controls = spec.control.size
+    grid = transition.LatticeGrid(axes=(np.array([-0.0, 1e-300, 0.1 + 0.2]),
+                                        np.array([1.0 / 3.0, 2.5])))
+    time_grid = np.array([0.0, 0.1 + 0.2, 1.0])
+    meta = {"fingerprint": "golden", "kernel": "golden"}
+    argmax = np.arange(12).reshape(2, 3, 2) % n_controls
+    dp_field = dp.DpField(time_grid=time_grid, grid=grid,
+                          values=_cells((3, 3, 2)), argmax=argmax,
+                          metadata=meta)
+    pen_field = bsde.PenalizedField(
+        level_n=4, time_grid=time_grid, grid=grid,
+        values=_cells((3, 3, 2, n_controls))[::-1].copy(),
+        continuation=np.zeros((2, 3, 2, n_controls)), metadata=meta)
+    band = np.array([[True, True], [False, False], [True, False]])
+    res_argmax = np.where(band, -1, argmax)
+    residual = hjb.HjbResidualField(
+        time_grid=time_grid[:-1], grid=grid,
+        residual=np.where(band, np.nan, _cells((2, 3, 2))[::-1]),
+        argmax=res_argmax, v_t=np.zeros((2, 3, 2)),
+        grad=np.zeros((2, 3, 2, 2)), hess=np.zeros((2, 3, 2, 2, 2)),
+        terminal_error=0.0, excluded=band, metadata={})
+    ladder = SimpleNamespace(levels=(1, 2, 4), values=(0.1 + 0.2, -0.0,
+                                                       float("nan")),
+                             ses=(1e-300, 0.0, 1.0 / 3.0))
+    empty = sim.CsrEvents(np.zeros(0), np.zeros(0), np.zeros(3, dtype=int))
+    bundle = sim.PathBundle(
+        spec=spec, seed=0, t0=0.0, time_grid=time_grid,
+        states=_cells((2, 3, 2)), regimes=np.array([[1, 0, 0], [1, 1, 0]]),
+        brownian_increments=np.zeros((2, 2, 1)), pi=empty, theta=empty,
+        running_reward=np.zeros(2),
+        excluded=np.array([False, True]), control_mode="randomized")
+    return spec, bundle, ladder, dp_field, pen_field, residual
+
+
+#: sha256 of each writer's output on ``_golden_inputs``, recorded from the
+#: row-by-row ``csv.writer`` implementation the columnar writer replaced.
+_GOLDEN_SHA256 = {
+    "paths":
+        "2c8d5daa054d0d3dfd4f02ec9397f6d3fe46f46b16d36a8f31b97d9af8643b5b",
+    "ladder":
+        "b8a49898e22e6beb5dde3370b14b0a8bcb4cf9a0332fd3befcc213f2fbbec0ea",
+    "dp_field":
+        "1f87d85f97a079c325ef3f7c955957d4d70191f772454349d010c01f03aa7629",
+    "penalized_field":
+        "a51c1a79363e080f13a6df72bcfdc9d29427460bb9f65c5c8ee0b1605a76dfa2",
+    "residual":
+        "dbe20850bb78b749c1c1b247f32fbf3d1b8b6145e9b691a434abc09e645aa818",
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [sim.CSV_CHUNK_ROWS, 5])
+@pytest.mark.parametrize("name", sorted(_GOLDEN_SHA256))
+def test_csv_writers_match_golden_bytes(name, chunk_rows, tmp_path,
+                                        monkeypatch):
+    # 5 rows per chunk puts chunk boundaries inside every file
+    monkeypatch.setattr(sim, "CSV_CHUNK_ROWS", chunk_rows)
+    spec, bundle, ladder, dp_field, pen_field, residual = _golden_inputs()
+    path = tmp_path / f"{name}.csv"
+    if name == "paths":
+        sim.write_bundle_csv(bundle, str(path))
+    elif name == "ladder":
+        cli.write_ladder_csv(ladder, path)
+    elif name == "dp_field":
+        cli.write_dp_field_csv(dp_field, spec, path, tmp_path / "side.json")
+    elif name == "penalized_field":
+        cli.write_penalized_field_csv(pen_field, spec, path)
+    else:
+        cli.write_residual_csv(residual, spec, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _GOLDEN_SHA256[name]

@@ -1,5 +1,6 @@
 """Tilt weights, reweighted estimators, thinning simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from onerow import one_path, path_events, replay
 from jumpctrl import girsanov, problem, sim
 
 
@@ -18,10 +20,10 @@ def load(family, **over):
     return problem.load_problem(doc)
 
 
-def make_log(times, marks, horizon=1.0):
-    return sim.EventLog(times=np.asarray(times, dtype=float),
-                        marks=np.asarray(marks, dtype=np.int64),
-                        measure_id="theta", horizon=horizon)
+def kappa(spec, nu, times=(), marks=(), start=None, n_steps=8):
+    """Tilt weight of one path with the given switches and no noise."""
+    path = one_path(spec, n_steps, start=start, switches=(times, marks))
+    return girsanov.doleans_weights(path, nu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -30,21 +32,17 @@ def make_log(times, marks, horizon=1.0):
 
 def test_doleans_unit_intensity_is_one():
     spec = load("bang-drift")
-    w = girsanov.doleans_exponential(make_log([0.2, 0.8], [0, 1]),
-                                     girsanov.IntensityControl.const(1.0),
-                                     spec.randomization)
-    assert w.value == 1.0 and w.log_value == 0.0
+    w = kappa(spec, girsanov.IntensityControl.const(1.0), [0.2, 0.8], [0, 1])
+    assert w == 1.0 and math.log(w) == 0.0
 
 
 def test_doleans_constant_two_closed_forms():
     spec = load("bang-drift")          # lambda0 total mass 1 by default
     nu2 = girsanov.IntensityControl.const(2.0)
-    empty = girsanov.doleans_exponential(make_log([], []), nu2,
-                                         spec.randomization)
-    assert empty.value == pytest.approx(oracles.KAPPA_CONST2_NO_EVENTS)
-    one = girsanov.doleans_exponential(make_log([0.4], [1]), nu2,
-                                       spec.randomization)
-    assert one.value == pytest.approx(oracles.KAPPA_CONST2_ONE_EVENT)
+    empty = kappa(spec, nu2)
+    assert empty == pytest.approx(oracles.KAPPA_CONST2_NO_EVENTS)
+    one = kappa(spec, nu2, [0.4], [1])
+    assert one == pytest.approx(oracles.KAPPA_CONST2_ONE_EVENT)
 
 
 @settings(max_examples=100, deadline=None)
@@ -53,11 +51,12 @@ def test_doleans_constant_two_closed_forms():
 def test_doleans_constant_matches_oracle(c, count, mass):
     rnd = problem.RandomizationSpec(
         lambda0_weights=np.full(3, mass / 3.0), a0_index=0)
+    spec = dataclasses.replace(load("bang-drift"), randomization=rnd)
     times = np.linspace(0.05, 0.95, count) if count else []
-    w = girsanov.doleans_exponential(
-        make_log(times, [0] * count), girsanov.IntensityControl.const(c), rnd)
-    assert w.value > 0.0
-    assert w.value == pytest.approx(
+    w = kappa(spec, girsanov.IntensityControl.const(c), times, [0] * count,
+              n_steps=4)
+    assert w > 0.0
+    assert w == pytest.approx(
         oracles.constant_tilt_weight(c, mass, 1.0, count), rel=1e-12)
 
 
@@ -68,19 +67,13 @@ def test_doleans_matrix_single_path_manual():
                     [1.5, 1.0, 0.25],
                     [3.0, 0.75, 1.0]])
     nu = girsanov.IntensityControl.from_matrix(mat)
-    control = sim.ControlJumpPath(switch_times=np.array([0.0, 0.25, 0.5]),
-                                  regimes=np.array([2, 0, 1]), horizon=1.0)
-    drivers = (np.zeros((8, 1)), None)
-    path = sim.integrate_state(spec, control, drivers, n_steps=8)
-    log = make_log([0.25, 0.5], [0, 1])
-    w = girsanov.doleans_exponential(log, nu, spec.randomization,
-                                     path_context=path)
+    w = kappa(spec, nu, [0.25, 0.5], [0, 1], start=2)
     third = 1.0 / 3.0
     comp = (0.25 * third * ((1 - 3.0) + (1 - 0.75) + (1 - 1.0))
             + 0.25 * third * ((1 - 1.0) + (1 - 2.0) + (1 - 0.5))
             + 0.50 * third * ((1 - 1.5) + (1 - 1.0) + (1 - 0.25)))
     expected = math.exp(comp) * mat[2, 0] * mat[0, 1]
-    assert w.value == pytest.approx(expected, rel=1e-12)
+    assert w == pytest.approx(expected, rel=1e-12)
 
 
 def test_bundle_weights_agree_with_single_path():
@@ -90,11 +83,8 @@ def test_bundle_weights_agree_with_single_path():
     bundle = sim.simulate_bundle(spec, 40, seed=11, n_steps=16)
     weights = girsanov.doleans_weights(bundle, nu)
     for i in (0, 3, 17, 39):
-        path = bundle.path(i)
-        log = bundle.theta.to_event_log(i, "theta", 1.0)
-        w = girsanov.doleans_exponential(log, nu, spec.randomization,
-                                         path_context=path)
-        assert weights[i] == pytest.approx(w.value, rel=1e-12)
+        w = girsanov.doleans_weights(replay(bundle, i), nu)[0]
+        assert weights[i] == pytest.approx(w, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0])
@@ -157,7 +147,7 @@ def test_tilted_unit_intensity_reproduces_reference_law():
     def gaps(bundle):
         segs = []
         for i in range(bundle.n_paths):
-            t, _ = bundle.theta.for_path(i)
+            t, _ = path_events(bundle.theta, i)
             if t.size:
                 segs.append(np.diff(np.concatenate([[0.0], t])))
         return np.concatenate(segs)

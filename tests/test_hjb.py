@@ -32,30 +32,34 @@ def bang_limit_field(bang_spec):
 # Hamiltonian
 # ---------------------------------------------------------------------------
 
+def ham_row(spec, t, x, grad, hess, accessor):
+    """Supremand at one point for every control, shape (A,)."""
+    return hjb._hamiltonian_nodes(spec, t, np.atleast_2d(x),
+                                  np.atleast_2d(grad), np.asarray(hess)[None],
+                                  accessor, hjb.QUAD_NODES_NONLOCAL)[0]
+
+
 def test_hamiltonian_pure_drift_returns_the_drift(bang_spec):
     acc = lambda pts: pts[:, 0]
+    h = ham_row(bang_spec, 0.3, [0.2], [1.0], [[0.0]], acc)
     for i, a in enumerate(bang_spec.control.points):
-        h = hjb.hamiltonian(bang_spec, 0.3, np.array([0.2]), i,
-                            (np.array([1.0]), np.array([[0.0]])), acc)
-        assert h == pytest.approx(a, abs=1e-14)
+        assert h[i] == pytest.approx(a, abs=1e-14)
 
 
 def test_hamiltonian_running_reward_only():
     spec = _spec("jump-reward", parameters={"rate": 0.0, "sigma": 0.0})
+    h = ham_row(spec, 0.0, [0.7], np.zeros(1), np.zeros((1, 1)), None)
     for i, a in enumerate(spec.control.points):
-        h = hjb.hamiltonian(spec, 0.0, np.array([0.7]), i,
-                            (np.zeros(1), np.zeros((1, 1))), None)
-        assert h == pytest.approx(a, abs=1e-14)
+        assert h[i] == pytest.approx(a, abs=1e-14)
 
 
 def test_hamiltonian_nonlocal_quadratic_two_point_atoms():
     spec = _spec("jump-reward")
     acc = lambda pts: -pts[:, 0] ** 2
     m2 = spec.jump_measure.second_moment
+    h = ham_row(spec, 0.0, [0.4], [-0.8], [[-2.0]], acc)
     for i, a in enumerate(spec.control.points):
-        h = hjb.hamiltonian(spec, 0.0, np.array([0.4]), i,
-                            (np.array([-0.8]), np.array([[-2.0]])), acc)
-        assert h == pytest.approx(a - a * a * m2, abs=1e-12)
+        assert h[i] == pytest.approx(a - a * a * m2, abs=1e-12)
 
 
 @pytest.mark.parametrize("sampler,params,m2_marks", [
@@ -71,17 +75,15 @@ def test_hamiltonian_nonlocal_quadratic_continuous_laws(sampler, params,
                          rho_envelope=1.0, second_moment=rate * m2_marks)
     spec = dataclasses.replace(_spec("jump-reward"), jump_measure=jm)
     acc = lambda pts: -pts[:, 0] ** 2
+    h = ham_row(spec, 0.0, [-0.2], [0.4], [[-2.0]], acc)
     for i, a in enumerate(spec.control.points):
-        h = hjb.hamiltonian(spec, 0.0, np.array([-0.2]), i,
-                            (np.array([0.4]), np.array([[-2.0]])), acc)
-        assert h == pytest.approx(a - a * a * rate * m2_marks, abs=1e-10)
+        assert h[i] == pytest.approx(a - a * a * rate * m2_marks, abs=1e-10)
 
 
 def test_hamiltonian_requires_accessor_for_jump_problems():
     spec = _spec("jump-reward")
     with pytest.raises(ValueError, match="accessor"):
-        hjb.hamiltonian(spec, 0.0, np.array([0.0]), 0,
-                        (np.zeros(1), np.zeros((1, 1))), None)
+        ham_row(spec, 0.0, [0.0], np.zeros(1), np.zeros((1, 1)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -104,30 +104,32 @@ def test_fingerprint_stable_and_discriminating():
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def test_eval_coefficients_bang_drift_values():
+def test_coefficients_bang_drift_values():
     spec = problem.load_problem(cfg("bang-drift"))
-    vals = problem.eval_coefficients(spec, 0.3, [0.7], a_index=0)
-    assert vals.b.shape == (1,) and vals.b[0] == -1.0
-    assert vals.sigma.shape == (1, 1) and vals.sigma[0, 0] == 0.2
-    assert vals.f == 0.0
-    assert vals.gamma is None
+    c, a, x = spec.coefficients, spec.control.points[0], np.array([[0.7]])
+    b = c.b(0.3, x, a)
+    assert b.shape == (1, 1) and b[0, 0] == -1.0
+    sig = c.sigma(0.3, x, a)
+    assert sig.shape == (1, 1, 1) and sig[0, 0, 0] == 0.2
+    assert c.f(0.3, x, a)[0] == 0.0
+    assert c.gamma is None
 
 
-def test_eval_coefficients_jump_reward_gamma():
+def test_coefficients_jump_reward_gamma():
     spec = problem.load_problem(cfg("jump-reward"))
-    vals = problem.eval_coefficients(spec, 0.0, [0.0], a_index=0, z=0.5)
-    assert vals.gamma.shape == (1,)
-    assert vals.gamma[0] == -0.5     # a=-1 times z=0.5
-    assert vals.f == -1.0
+    c, a, x = spec.coefficients, spec.control.points[0], np.array([[0.0]])
+    gam = c.gamma(0.0, x, a, np.array([0.5]))
+    assert gam.shape == (1, 1)
+    assert gam[0, 0] == -0.5     # a=-1 times z=0.5
+    assert c.f(0.0, x, a)[0] == -1.0
 
 
-def test_eval_coefficients_is_pure():
+def test_coefficients_are_pure():
     spec = problem.load_problem(cfg("ou-switch"))
-    first = problem.eval_coefficients(spec, 0.5, [1.2], a_index=2)
-    second = problem.eval_coefficients(spec, 0.5, [1.2], a_index=2)
-    assert np.array_equal(first.b, second.b)
-    assert np.array_equal(first.sigma, second.sigma)
-    assert first.f == second.f
+    c, a, x = spec.coefficients, spec.control.points[2], np.array([[1.2]])
+    assert np.array_equal(c.b(0.5, x, a), c.b(0.5, x, a))
+    assert np.array_equal(c.sigma(0.5, x, a), c.sigma(0.5, x, a))
+    assert c.f(0.5, x, a)[0] == c.f(0.5, x, a)[0]
 
 
 def test_eval_terminal_shapes_and_values():
@@ -186,8 +188,8 @@ def test_growth_bounds_hold(x, ai, t, fam):
     L = spec.regularity.lipschitz_l
     pbar = spec.regularity.growth_pbar
     bound = L * (1.0 + abs(x) ** pbar)
-    vals = problem.eval_coefficients(spec, t, [x], a_index=ai)
-    assert abs(vals.f) <= bound + 1e-12
+    f = spec.coefficients.f(t, np.array([[x]]), spec.control.points[ai])
+    assert abs(f[0]) <= bound + 1e-12
     xa = np.zeros((1, spec.total_dim))
     xa[0, 0] = x
     if spec.augmentation != "none":

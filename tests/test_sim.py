@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from onerow import one_path, path_events, poisson_events, replay
 from jumpctrl import problem, sim, stream
 
 
@@ -40,18 +41,18 @@ def test_event_budget_scales():
 
 
 # ---------------------------------------------------------------------------
-# simulate_poisson_measure
+# Poisson streams
 # ---------------------------------------------------------------------------
 
 def test_poisson_log_reproducible_and_seed_sensitive():
     spec = load("jump-reward")
-    log1 = sim.simulate_poisson_measure(2.0, spec.jump_measure, 1.0, seed=5)
-    log2 = sim.simulate_poisson_measure(2.0, spec.jump_measure, 1.0, seed=5)
-    log3 = sim.simulate_poisson_measure(2.0, spec.jump_measure, 1.0, seed=6)
-    assert np.array_equal(log1.times, log2.times)
-    assert np.array_equal(log1.marks, log2.marks)
-    assert (log1.times.size != log3.times.size
-            or not np.allclose(log1.times, log3.times))
+    t1, z1 = poisson_events(2.0, spec.jump_measure, 1.0, seed=5)
+    t2, z2 = poisson_events(2.0, spec.jump_measure, 1.0, seed=5)
+    t3, _ = poisson_events(2.0, spec.jump_measure, 1.0, seed=6)
+    assert np.array_equal(t1, t2)
+    assert np.array_equal(z1, z2)
+    assert (t1.size != t3.size
+            or not np.allclose(t1, t3))
 
 
 def test_poisson_count_matches_rate():
@@ -59,8 +60,7 @@ def test_poisson_count_matches_rate():
     mean_th, var_th = oracles.poisson_mean_var(rate, horizon)
     spec = load("jump-reward")
     counts = np.array([
-        sim.simulate_poisson_measure(rate, spec.jump_measure, horizon,
-                                     seed=s).size
+        poisson_events(rate, spec.jump_measure, horizon, seed=s)[0].size
         for s in range(reps)])
     se = math.sqrt(var_th / reps)
     assert abs(counts.mean() - mean_th) < 3.0 * se
@@ -69,11 +69,10 @@ def test_poisson_count_matches_rate():
 def test_poisson_log_strictly_increasing_in_window():
     spec = load("jump-reward")
     for s in range(50):
-        log = sim.simulate_poisson_measure(5.0, spec.jump_measure, 2.0,
-                                           seed=s)
-        if log.size:
-            assert np.all(np.diff(log.times) > 0)
-            assert log.times[0] > 0.0 and log.times[-1] <= 2.0
+        times, _ = poisson_events(5.0, spec.jump_measure, 2.0, seed=s)
+        if times.size:
+            assert np.all(np.diff(times) > 0)
+            assert times[0] > 0.0 and times[-1] <= 2.0
 
 
 def test_event_budget_overflow_raises(monkeypatch):
@@ -84,39 +83,40 @@ def test_event_budget_overflow_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# build_control_path
+# Fixed regime paths
 # ---------------------------------------------------------------------------
 
-def test_build_control_path_retains_noop_switches():
+def test_fixed_switches_retain_noop_events():
     spec = load("bang-drift")
-    log = sim.EventLog(times=np.array([0.3, 0.7]),
-                       marks=np.array([2, 2]), measure_id="theta",
-                       horizon=1.0)
-    path = sim.build_control_path(log, spec.randomization)
-    assert np.array_equal(path.switch_times, [0.0, 0.3, 0.7])
-    assert np.array_equal(path.regimes, [2, 2, 2])
-    assert path.regime_at(0.1) == 2          # a0 is index 2 for this family
+    switches = ([0.3, 0.7], [2, 2])
+    path = one_path(spec, 8, switches=switches)
+    segs = path.theta_segments()
+    assert np.array_equal(segs.start, [0.0, 0.3, 0.7])
+    assert np.array_equal(segs.regime, [2, 2, 2])
+    # a0 is index 2 for this family; t = 0.1 lies in step 0 of 8
+    assert path.regimes[0, 0] == 2
     spec_mid = load("bang-drift", a0_index=1)
-    path_mid = sim.build_control_path(log, spec_mid.randomization)
-    assert path_mid.regime_at(0.1) == 1
-    assert path_mid.regime_at(0.9) == 2
+    path_mid = one_path(spec_mid, 8, switches=switches)
+    assert path_mid.regimes[0, 0] == 1
+    assert path_mid.regimes[0, 7] == 2        # t = 0.875 > 0.7
 
 
-def test_build_control_path_rejects_pi_log():
+def test_fixed_control_rejects_non_index_marks():
     spec = load("bang-drift")
-    log = sim.EventLog(times=np.array([0.5]), marks=np.array([0.1]),
-                       measure_id="pi", horizon=1.0)
     with pytest.raises(ValueError, match="theta"):
-        sim.build_control_path(log, spec.randomization)
+        one_path(spec, 8, switches=([0.5], [0.1]))
 
 
 def test_event_log_validation():
+    spec = load("bang-drift")
     with pytest.raises(ValueError, match="increase strictly"):
-        sim.EventLog(times=np.array([0.5, 0.5]), marks=np.array([1, 2]),
-                     measure_id="theta", horizon=1.0)
+        one_path(spec, 8, switches=([0.5, 0.5], [1, 2]))
     with pytest.raises(ValueError, match="increase strictly"):
-        sim.EventLog(times=np.array([0.2, 1.4]), marks=np.array([1, 2]),
-                     measure_id="theta", horizon=1.0)
+        one_path(spec, 8, switches=([0.2, 1.4], [1, 2]))
+    with pytest.raises(ValueError, match="increase strictly"):
+        one_path(load("jump-reward"), 8, jumps=([0.0, 0.5], [1.0, -1.0]))
+    with pytest.raises(ValueError, match="control grid"):
+        one_path(spec, 8, switches=([0.5], [3]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,8 @@ def test_bundle_path_prefix_purity():
     assert np.array_equal(big.states[:7], small.states)
     assert np.array_equal(big.regimes[:7], small.regimes)
     for i in range(7):
-        tb, mb = big.pi.for_path(i)
-        ts, ms = small.pi.for_path(i)
+        tb, mb = path_events(big.pi, i)
+        ts, ms = path_events(small.pi, i)
         assert np.array_equal(tb, ts) and np.array_equal(mb, ms)
 
 
@@ -150,8 +150,8 @@ def test_pi_theta_streams_never_coincide():
     spec = load("jump-reward")
     b = sim.simulate_bundle(spec, 400, seed=3)
     for i in range(b.n_paths):
-        tp, _ = b.pi.for_path(i)
-        tt, _ = b.theta.for_path(i)
+        tp, _ = path_events(b.pi, i)
+        tt, _ = path_events(b.theta, i)
         if tp.size and tt.size:
             assert not np.intersect1d(tp, tt).size
 
@@ -163,44 +163,34 @@ def test_pi_theta_streams_never_coincide():
 def test_constant_drift_is_exact():
     """b=+1, sigma noise off via zero increments: X_t = x0 + t exactly."""
     spec = load("bang-drift")
-    drivers = (np.zeros((16, 1)), None)
-    path = sim.integrate_state(spec, control_source=2, drivers=drivers,
-                               x0=[0.25], n_steps=16)
-    assert np.allclose(path.states[:, 0],
+    path = one_path(spec, 16, start=2, x0=[0.25])
+    assert np.allclose(path.states[0, :, 0],
                        0.25 + path.time_grid, atol=1e-14)
 
 
 def test_linear_decay_flow_is_exact():
     """dX = -X dt integrates to the exact exponential at grid nodes."""
     spec = load("uncontrolled-decay")
-    drivers = (np.zeros((8, 1)), None)
-    path = sim.integrate_state(spec, control_source=0, drivers=drivers,
-                               x0=[1.0], n_steps=8)
-    assert np.allclose(path.states[:, 0], np.exp(-path.time_grid),
+    path = one_path(spec, 8, start=0, x0=[1.0])
+    assert np.allclose(path.states[0, :, 0], np.exp(-path.time_grid),
                        atol=1e-14)
-    assert path.states[-1, 0] == pytest.approx(oracles.DECAY_VALUE_T0)
+    assert path.states[0, -1, 0] == pytest.approx(oracles.DECAY_VALUE_T0)
 
 
 def test_mid_step_switch_integrates_drift_exactly():
     """Regime flips inside a step: occupation-split drift stays exact."""
     spec = load("bang-drift")
-    control = sim.ControlJumpPath(
-        switch_times=np.array([0.0, 0.3141]),
-        regimes=np.array([2, 0]), horizon=1.0)
-    drivers = (np.zeros((4, 1)), None)   # coarse grid: 0.3141 is mid-step
-    path = sim.integrate_state(spec, control_source=control,
-                               drivers=drivers, x0=[0.0], n_steps=4)
+    # coarse grid: 0.3141 is mid-step
+    path = one_path(spec, 4, start=2, switches=([0.3141], [0]), x0=[0.0])
     expected = 0.3141 * 1.0 + (1.0 - 0.3141) * (-1.0)
-    assert path.states[-1, 0] == pytest.approx(expected, abs=1e-14)
+    assert path.states[0, -1, 0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_running_integral_augmentation_trapezoid():
     spec = load("lookback-integral")
-    drivers = (np.zeros((32, 1)), None)
-    path = sim.integrate_state(spec, control_source=1, drivers=drivers,
-                               x0=[0.0], n_steps=32)
+    path = one_path(spec, 32, start=1, x0=[0.0])
     # X_t = t, integral = t^2/2; trapezoid on a linear path is exact
-    assert path.states[-1, 1] == pytest.approx(0.5, abs=1e-14)
+    assert path.states[0, -1, 1] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_adaptedness_truncated_drivers_reproduce_prefix():
@@ -208,23 +198,10 @@ def test_adaptedness_truncated_drivers_reproduce_prefix():
     spec = load("jump-reward")
     bundle = sim.simulate_bundle(spec, 6, seed=21, n_steps=32)
     k = 20
-    t_k = bundle.time_grid[k]
+    spec_k = load("jump-reward", horizon=float(bundle.time_grid[k]))
     for i in range(bundle.n_paths):
-        full = bundle.path(i)
-        keep = full.pi_log.times <= t_k
-        trunc_log = sim.EventLog(times=full.pi_log.times[keep],
-                                 marks=full.pi_log.marks[keep],
-                                 measure_id="pi", horizon=t_k)
-        ctrl_keep = full.control.switch_times <= t_k
-        trunc_ctrl = sim.ControlJumpPath(
-            switch_times=full.control.switch_times[ctrl_keep],
-            regimes=full.control.regimes[ctrl_keep], horizon=t_k)
-        spec_k = load("jump-reward", horizon=float(t_k))
-        prefix = sim.integrate_state(
-            spec_k, control_source=trunc_ctrl,
-            drivers=(bundle.brownian_increments[i, :k], trunc_log),
-            x0=full.states[0, :1], n_steps=k)
-        assert np.allclose(prefix.states[:, 0], full.states[:k + 1, 0],
+        prefix = replay(bundle, i, spec=spec_k, n_steps=k)
+        assert np.allclose(prefix.states[0, :, 0], bundle.states[i, :k + 1, 0],
                            atol=1e-12)
 
 
