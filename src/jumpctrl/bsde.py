@@ -11,15 +11,17 @@ which charges the estimated advantage of jumping to a better regime.  Under
 computed on a common time grid increase nodewise in ``n`` and stay below
 the dynamic-programming value.  Two independent routes are provided:
 
-* a lattice recursion through the shared one-step kernel
-  (:func:`solve_penalized_grid`), and
+* a lattice recursion (:func:`solve_penalized_grid_ladder`), every level
+  in one :func:`transition.backward_sweep` through the one-step operators
+  that dynamic programming applies too, and
 * a regression Monte Carlo recursion on simulated reference paths
   (:func:`solve_penalized_lsmc_ladder`, every level in one backward pass
   over one path bundle), which never touches that kernel.
 
-Both routes apply T_n through one helper, :func:`_advantage`.
+Both routes apply T_n through one helper, :func:`_advantage`, and on
+both the one-level solvers are the ladders' one-level case.
 
-:func:`minimal_value` runs a ladder of levels and takes a limit;
+:func:`minimal_value` solves a ladder of levels and takes a limit;
 :func:`constraint_gap` quantifies how hard the penalty is working; and
 :func:`check_randomized_dpp` replays an intermediate-horizon optimization
 against the solved field.
@@ -135,16 +137,17 @@ class LadderReport:
     n_time_steps: int
     fingerprint: str
     kernel: str
-    last_field: object = field(repr=False, default=None)
+    per_level: tuple = field(repr=False, default=())
+
+    @property
+    def last_field(self):
+        """The largest level's field (lattice) or quintuple (regression)."""
+        return self.per_level[-1]
 
 
 # ---------------------------------------------------------------------------
 # Lattice route
 # ---------------------------------------------------------------------------
-
-def _stability(level_n: int, dt: float, mass: float) -> float:
-    return level_n * dt * mass
-
 
 def _advantage(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_b (u[b] - u[a])^+ * weights[b]`` for every control ``a``.
@@ -177,66 +180,75 @@ def solve_penalized_grid(spec: ProblemSpec, level_n: int,
                          hermite_nodes: int = 8,
                          mc_inner: int | None = None,
                          mc_seed: int = 0) -> PenalizedField:
-    """Backward lattice recursion at one penalization level.
+    """One level of :func:`solve_penalized_grid_ladder` (see there)."""
+    return solve_penalized_grid_ladder(
+        spec, (level_n,), n_time_steps, grid, n_state_nodes, seed,
+        hermite_nodes, mc_inner, mc_seed)[0]
+
+
+def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
+                                n_time_steps: int | None = None,
+                                grid: LatticeGrid | None = None,
+                                n_state_nodes: int | None = None,
+                                seed: int = 0, hermite_nodes: int = 8,
+                                mc_inner: int | None = None,
+                                mc_seed: int = 0
+                                ) -> tuple[PenalizedField, ...]:
+    """Backward lattice recursion, every level in one sweep.
 
     Runs on [0, horizon] with ``n_time_steps`` uniform steps (default keeps
-    the monotonicity bound with slack 2).  ``mc_inner`` switches the inner
-    conditional expectation to common-random-number Monte Carlo with that
-    many draws per step.
+    the monotonicity bound with slack 2 at the largest level).
+    ``mc_inner`` switches the inner conditional expectation to
+    common-random-number Monte Carlo with that many draws per step.
+    Returns one :class:`PenalizedField` per level.  The levels share the
+    operators as slots of one :func:`transition.backward_sweep`, and each
+    level's penalty reads that level alone, so each field is bitwise the
+    one-level solve.
     """
-    if level_n < 1:
+    levels = [int(n) for n in levels]
+    if not levels or min(levels) < 1:
         raise ValueError("penalization level must be >= 1")
-    mass = spec.randomization.total_mass
     if n_time_steps is None:
-        n_time_steps = default_time_steps(spec, level_n)
+        n_time_steps = default_time_steps(spec, max(levels))
     if grid is None:
         grid = transition.default_state_grid(spec, n_state_nodes, seed)
-    time_grid = np.linspace(0.0, spec.horizon, n_time_steps + 1)
     dt = spec.horizon / n_time_steps
-    stability = _stability(level_n, dt, mass)
-    if stability > 1.0 + 1e-12:
+    level_dt = np.array(levels) * dt
+    stability = level_dt * spec.randomization.total_mass
+    if stability.max() > 1.0 + 1e-12:
         warnings.warn("penalty step exceeds the monotone stability bound; "
                       "values may lose nodewise comparability",
                       RuntimeWarning)
 
-    shape = grid.shape
-    n_controls = spec.control.size
-    nodes = grid.nodes()
-    p_cnt = nodes.shape[0]
-    core = nodes[:, :spec.dim]
     weights = spec.randomization.lambda0_weights
+    n_controls = spec.control.size
+    p_cnt = int(np.prod(grid.shape))
+    # level-major: values[l] is level l's (Nt+1, P, A) field
+    values = np.empty((len(levels), n_time_steps + 1, p_cnt, n_controls))
+    continuation = np.empty((len(levels), n_time_steps, p_cnt, n_controls))
 
-    values = np.empty((n_time_steps + 1, *shape, n_controls))
-    continuation = np.empty((n_time_steps, *shape, n_controls))
-    terminal = spec.coefficients.g(nodes)
-    for a in range(n_controls):
-        values[-1][..., a] = terminal.reshape(shape)
+    def penalize(k, u):
+        # u is (A, P, L); the stores are (L, P, A) per step
+        continuation[:, k] = u.T
+        v = u + level_dt * _advantage(u, weights)
+        values[:, k] = v.T
+        return v
 
-    ops = transition.StepOperators(spec, grid, dt,
-                                   hermite_nodes=hermite_nodes,
-                                   mc_inner=mc_inner, mc_seed=mc_seed)
-    u = np.empty((n_controls, p_cnt))
-    for k in range(n_time_steps - 1, -1, -1):
-        t_k = time_grid[k]
-        next_flat = values[k + 1].reshape(p_cnt, n_controls)
-        for a, matrix in enumerate(ops.at(k, t_k)):
-            a_val = float(spec.control.points[a])
-            u[a] = (matrix @ next_flat[:, a]
-                    + spec.coefficients.f(t_k, core, a_val) * dt)
-        continuation[k] = u.T.reshape(*shape, n_controls)
-        penalized = u + level_n * dt * _advantage(u, weights)
-        values[k] = penalized.T.reshape(*shape, n_controls)
-
-    metadata = {
-        "solver": "grid", "level_n": level_n, "dt": dt,
-        "stability": stability, "monotone_safe": stability <= 1.0 + 1e-12,
-        **ops.metadata(),
-        "fingerprint": spec.fingerprint(), "hermite_nodes": hermite_nodes,
-        "mc_inner": mc_inner, "seed": seed,
-    }
-    return PenalizedField(level_n=level_n, time_grid=time_grid, grid=grid,
-                          values=values, continuation=continuation,
-                          metadata=metadata)
+    time_grid, terminal, sweep_meta = transition.backward_sweep(
+        spec, grid, n_time_steps, len(levels), penalize,
+        hermite_nodes=hermite_nodes, mc_inner=mc_inner, mc_seed=mc_seed)
+    values[:, -1] = terminal[:, None]
+    shape = (*grid.shape, n_controls)
+    return tuple(PenalizedField(
+        level_n=n, time_grid=time_grid, grid=grid,
+        values=values[l].reshape(n_time_steps + 1, *shape),
+        continuation=continuation[l].reshape(n_time_steps, *shape),
+        metadata={"solver": "grid", "level_n": n,
+                  "stability": float(stability[l]),
+                  "monotone_safe": bool(stability[l] <= 1.0 + 1e-12),
+                  **sweep_meta, "fingerprint": spec.fingerprint(),
+                  "seed": seed})
+        for l, n in enumerate(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +417,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
         carried_cells=tuple(carried),
         metadata={"solver": "lsmc", "level_n": n, "dt": dt,
                   "degree": degree,
-                  "stability": _stability(n, dt,
-                                          spec.randomization.total_mass),
+                  "stability": n * dt * spec.randomization.total_mass,
                   "fingerprint": spec.fingerprint(), "seed": bundle.seed,
                   "n_time_steps": n_time_steps})
         for l, n in enumerate(levels))
@@ -519,54 +530,39 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
 
     values, ses, spreads, ratios = [], [], [], []
     monotone_violation = 0.0
-    growth_bound = None
-    last_field = None
-    kernel = ""
-
     if solver == "grid":
-        grid = transition.default_state_grid(spec, n_state_nodes, seed)
-        node_norm = 1.0 + np.max(np.abs(grid.nodes()), axis=1) ** pbar
-        prev_values = None
-        for n in levels:
-            fld = solve_penalized_grid(spec, n, n_time_steps=n_time_steps,
-                                       grid=grid, seed=seed,
-                                       hermite_nodes=hermite_nodes,
-                                       mc_inner=mc_inner)
+        per_level = solve_penalized_grid_ladder(
+            spec, levels, n_time_steps=n_time_steps,
+            n_state_nodes=n_state_nodes, seed=seed,
+            hermite_nodes=hermite_nodes, mc_inner=mc_inner)
+        node_norm = 1.0 + np.max(np.abs(per_level[0].grid.nodes()),
+                                 axis=1) ** pbar
+        for fld in per_level:
             values.append(fld.value_at_origin(spec))
             ses.append(0.0)
             at0 = _origin_values(fld, spec)
             spreads.append(float(at0.max() - at0.min()))
             flat = np.abs(fld.values.reshape(n_time_steps + 1, -1,
                                              spec.control.size))
-            ratio = float((flat / node_norm[None, :, None]).max())
-            ratios.append(ratio)
-            if growth_bound is None:
-                growth_bound = 1.5 * ratio
-            if prev_values is not None:
-                monotone_violation = max(
-                    monotone_violation,
-                    float((prev_values - fld.values).max()))
-            prev_values = fld.values
-            last_field = fld
-            kernel = fld.metadata["kernel"]
+            ratios.append(float((flat / node_norm[None, :, None]).max()))
+        for lo, hi in zip(per_level, per_level[1:]):
+            monotone_violation = max(monotone_violation,
+                                     float((lo.values - hi.values).max()))
     elif solver == "lsmc":
         bundle = sim.simulate_bundle(spec, n_paths, seed,
                                      n_steps=n_time_steps)
-        for quint in solve_penalized_lsmc_ladder(spec, levels, bundle):
+        per_level = solve_penalized_lsmc_ladder(spec, levels, bundle)
+        for quint in per_level:
             values.append(quint.y0)
             ses.append(quint.y0_se)
             spreads.append(float("nan"))
-            ratio = float(np.max(np.abs(quint.y_mean))
-                          / (1.0 + abs(_x0_norm(spec)) ** pbar))
-            ratios.append(ratio)
-            if growth_bound is None:
-                growth_bound = 1.5 * ratio
+            ratios.append(float(np.max(np.abs(quint.y_mean))
+                                / (1.0 + abs(_x0_norm(spec)) ** pbar)))
             if len(values) >= 2:
                 drop = values[-2] - values[-1]
                 slack = 3.0 * math.hypot(ses[-1], ses[-2])
                 monotone_violation = max(monotone_violation,
                                          float(drop - slack))
-            last_field = quint
     else:
         raise ValueError("solver must be 'grid' or 'lsmc'")
 
@@ -575,12 +571,13 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
     return LadderReport(
         solver=solver, levels=levels, values=tuple(values), ses=tuple(ses),
         regime_spreads=tuple(spreads), growth_ratios=tuple(ratios),
-        growth_bound=float(growth_bound),
+        growth_bound=1.5 * ratios[0],
         monotone_ok=monotone_violation <= spec.tolerances["tol_monotone"],
         monotone_max_violation=float(monotone_violation),
         value_limit=float(limit), extrapolation=extrapolation,
         n_time_steps=n_time_steps, fingerprint=spec.fingerprint(),
-        kernel=kernel, last_field=last_field)
+        kernel=per_level[-1].metadata.get("kernel", ""),
+        per_level=per_level)
 
 
 def _origin_values(fld: PenalizedField, spec: ProblemSpec) -> np.ndarray:

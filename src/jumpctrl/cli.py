@@ -282,12 +282,6 @@ class _Workbench:
         self.seed = seed
         self._cache = {}
 
-    def state_grid(self):
-        if "grid" not in self._cache:
-            self._cache["grid"] = transition.default_state_grid(
-                self.spec, self.nodes, self.seed)
-        return self._cache["grid"]
-
     def ladder(self):
         if "ladder" not in self._cache:
             self._cache["ladder"] = bsde.minimal_value(
@@ -297,20 +291,13 @@ class _Workbench:
         return self._cache["ladder"]
 
     def penalized(self, level: int):
-        if level == max(self.levels):
-            return self.ladder().last_field
-        key = ("pen", level)
-        if key not in self._cache:
-            self._cache[key] = bsde.solve_penalized_grid(
-                self.spec, level, n_time_steps=self.steps,
-                grid=self.state_grid(), seed=self.seed)
-        return self._cache[key]
+        return self.ladder().per_level[self.levels.index(level)]
 
     def dp_field(self):
         if "dp" not in self._cache:
             self._cache["dp"] = dp.solve_dp_grid(
                 self.spec, n_time_steps=self.steps,
-                grid=self.state_grid(), seed=self.seed)
+                n_state_nodes=self.nodes, seed=self.seed)
         return self._cache["dp"]
 
     def bundle(self):

@@ -4,9 +4,10 @@ The backward recursion maximizes over the control grid at every node,
 
     v(t_k, x) = max_a { E[v(t_{k+1}, X') | X = x, control a] + f(t_k,x,a) dt },
 
-and applies the exact same one-step operators as the penalized route
-(``transition.StepOperators``), so discrepancies between the two values can
-only come from the control handling, never from the transition machinery.
+through the same backward loop as the penalized route
+(``transition.backward_sweep``, with one value column where the ladder
+stacks its levels), so discrepancies between the two values can only
+come from the control handling, never from the transition machinery.
 Ties in the maximum resolve to the lowest control index, and the rollout
 policy uses the same rule.  A tie is any control within ``TIE_TOL`` of
 the maximum, so summation-order rounding cannot flip the stored argmax.
@@ -72,43 +73,39 @@ def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
         n_time_steps = spec.default_steps()
     if grid is None:
         grid = transition.default_state_grid(spec, n_state_nodes, seed)
-    time_grid = np.linspace(0.0, spec.horizon, n_time_steps + 1)
-    dt = spec.horizon / n_time_steps
+    p_cnt = int(np.prod(grid.shape))
+    values = np.empty((n_time_steps + 1, p_cnt))
+    argmax = np.empty((n_time_steps, p_cnt), dtype=np.int64)
 
-    shape = grid.shape
-    n_controls = spec.control.size
-    nodes = grid.nodes()
-    p_cnt = nodes.shape[0]
-    core = nodes[:, :spec.dim]
-
-    values = np.empty((n_time_steps + 1, *shape))
-    argmax = np.empty((n_time_steps, *shape), dtype=np.int64)
-    values[-1] = spec.coefficients.g(nodes).reshape(shape)
-
-    ops = transition.StepOperators(spec, grid, dt,
-                                   hermite_nodes=hermite_nodes,
-                                   mc_inner=mc_inner, mc_seed=mc_seed)
-    q = np.empty((p_cnt, n_controls))
-    for k in range(n_time_steps - 1, -1, -1):
-        t_k = time_grid[k]
-        next_flat = values[k + 1].ravel()
-        for a, matrix in enumerate(ops.at(k, t_k)):
-            a_val = float(spec.control.points[a])
-            q[:, a] = (matrix @ next_flat
-                       + spec.coefficients.f(t_k, core, a_val) * dt)
-        best = q.max(axis=1)
-        values[k] = best.reshape(shape)
+    def maximize(k, u):
+        # u is (A, P, 1); every control continues from the maximum
+        best = u.max(axis=0)
+        values[k] = best[:, 0]
         # lowest index among the controls tied with the maximum
-        tied = q >= best[:, None] - TIE_TOL
-        argmax[k] = tied.argmax(axis=1).reshape(shape)
+        argmax[k] = (u >= best - TIE_TOL).argmax(axis=0)[:, 0]
+        return np.broadcast_to(best, u.shape)
 
-    metadata = {
-        "solver": "dp", "dt": dt, **ops.metadata(),
-        "fingerprint": spec.fingerprint(), "hermite_nodes": hermite_nodes,
-        "mc_inner": mc_inner, "seed": seed,
-    }
-    return DpField(time_grid=time_grid, grid=grid, values=values,
-                   argmax=argmax, metadata=metadata)
+    time_grid, terminal, sweep_meta = transition.backward_sweep(
+        spec, grid, n_time_steps, 1, maximize, hermite_nodes=hermite_nodes,
+        mc_inner=mc_inner, mc_seed=mc_seed)
+    values[-1] = terminal
+    return DpField(time_grid=time_grid, grid=grid,
+                   values=values.reshape(n_time_steps + 1, *grid.shape),
+                   argmax=argmax.reshape(n_time_steps, *grid.shape),
+                   metadata={"solver": "dp", **sweep_meta,
+                             "fingerprint": spec.fingerprint(),
+                             "seed": seed})
+
+
+def _operator_settings(fld) -> tuple:
+    """What fixes a field's operators: Monte Carlo draws, when used,
+    replace the Hermite rule, and their seed matters only then."""
+    meta = fld.metadata
+    mc_inner = meta.get("mc_inner")
+    return (meta.get("dt"), mc_inner,
+            meta.get("mc_seed") if mc_inner is not None else None,
+            meta.get("hermite_nodes") if mc_inner is None else None,
+            tuple(ax.tolist() for ax in fld.grid.axes))
 
 
 def value_equality_check(dp_field: DpField, ladder, spec: ProblemSpec,
@@ -120,7 +117,8 @@ def value_equality_check(dp_field: DpField, ladder, spec: ProblemSpec,
     passes when the two initial values agree within the value tolerance
     (plus Monte Carlo noise for regression ladders) and, when a tilted gain
     estimate is supplied, that gain does not beat the classical value
-    beyond noise.
+    beyond noise.  An AssertionError refuses a lattice ladder solved with
+    other operators: kernel code, ``dt``, nodes or lattice axes.
     """
     if se_mult is None:
         se_mult = spec.tolerances["se_multiplier"]
@@ -128,8 +126,12 @@ def value_equality_check(dp_field: DpField, ladder, spec: ProblemSpec,
         raise ValueError("spec mismatch")
     if ladder.fingerprint != spec.fingerprint():
         raise ValueError("spec mismatch")
-    if ladder.kernel and ladder.kernel != dp_field.metadata["kernel"]:
-        raise AssertionError("transition kernels differ between solvers")
+    if ladder.kernel and (
+            ladder.kernel != dp_field.metadata["kernel"]
+            or _operator_settings(ladder.last_field)
+            != _operator_settings(dp_field)):
+        raise AssertionError("transition kernels differ between solvers "
+                             "(code, dt, nodes or lattice axes)")
 
     tol = spec.tolerances["tol_value"]
     v_dp = dp_field.value_at_origin(spec)

@@ -7,10 +7,13 @@ quadrature nodes, the same interpolation.  For one control,
 P x P matrix over the lattice's C-order nodes (the Markov-chain
 approximation of Kushner & Dupuis): row p holds, for every reachable
 outcome from node p, the outcome weight times its multilinear corner
-weights.  :class:`StepOperators` assembles the operators of a solve once
-and hands them to the backward loop.  ``kernel_checksum`` hashes the
-bytecode of the functions involved; solver artifacts record it so
-cross-checks can assert that no second kernel crept in.
+weights.  :func:`backward_sweep` is the one backward loop: it assembles
+the operators of a solve once, applies them at every step to a stack of
+value columns (one per penalization level, or one for dynamic
+programming) and leaves the per-step maximum or penalty to its caller.
+``kernel_checksum`` hashes the bytecode of the kernel functions; solver
+artifacts record it so cross-checks can assert that no second kernel
+crept in.
 
 The conditional expectation over one step combines a Gauss-Hermite rule for
 the Brownian factor with a truncated-Poisson enumeration of jump outcomes
@@ -403,73 +406,79 @@ def kernel_checksum() -> str:
     return hashlib.sha256(b"".join(blobs)).hexdigest()[:16]
 
 
-class StepOperators:
-    """The one-step operators a backward solve applies, and their accounting.
+def backward_sweep(spec: ProblemSpec, grid: LatticeGrid, n_time_steps: int,
+                   n_stack: int, aggregate, hermite_nodes: int = 8,
+                   mc_inner: int | None = None, mc_seed: int = 0):
+    """The one backward lattice loop, shared by DP and the penalized ladder.
 
-    :meth:`at` returns the per-control matrices of one step.  Quadrature
-    operators are assembled once, at t = 0, because no registry family's
-    coefficients depend on t (the tests check this for every family).
-    With ``mc_inner`` each step has its own common random draws, so its
-    operators are assembled when the step asks for them.  Every step
-    served adds its clamped mass.
+    Starts an (A, P, S) stack ``v`` at the terminal reward for every
+    control a, lattice node p and slot s.  At each step k, last first, it
+    hands the continuation ``u[a] = M_a @ v[a] + f(t_k, core, a) * dt`` to
+    ``aggregate(k, u)``, which stores what its solver keeps (``u`` is one
+    reused buffer) and returns the stack at t_k.  The ladder puts one
+    level in each slot; DP uses S = 1.  The operators are assembled once
+    (no registry family's coefficients depend on t, as the tests check),
+    or per step with ``mc_inner`` common random draws.
+
+    Returns ``(time_grid, terminal, metadata)``.  The metadata holds the
+    settings that fix the operators (``dt``, ``hermite_nodes``,
+    ``mc_inner``, ``mc_seed``), the clamped fraction of interior
+    transition mass, the Poisson mass truncated per step and the kernel
+    checksum.  Warns when clamping touched 1% or more of that mass, or
+    when the Poisson mass dropped over all steps exceeds ``tol_value``.
     """
+    time_grid = np.linspace(0.0, spec.horizon, n_time_steps + 1)
+    dt = spec.horizon / n_time_steps
+    nodes = grid.nodes()
+    core = nodes[:, :spec.dim]
+    interior = interior_mask(grid)
+    controls = [float(a) for a in spec.control.points]
 
-    def __init__(self, spec: ProblemSpec, grid: LatticeGrid, dt: float,
-                 hermite_nodes: int = 8, mc_inner: int | None = None,
-                 mc_seed: int = 0):
-        self.spec = spec
-        self.grid = grid
-        self.dt = dt
-        self.hermite_nodes = hermite_nodes
-        self.mc_inner = mc_inner
-        self.mc_seed = mc_seed
-        self._interior = interior_mask(grid)
-        self._clamp_mass = 0.0
-        self._n_steps = 0
-        if mc_inner is None:
-            self._assemble(0.0, None)
-
-    def _assemble(self, t: float, mc_nodes) -> None:
-        ops = [assemble_operator(self.spec, t, self.dt, a, self.grid,
-                                 hermite_nodes=self.hermite_nodes,
+    def assemble(t, mc_nodes):
+        ops = [assemble_operator(spec, t, dt, a, grid,
+                                 hermite_nodes=hermite_nodes,
                                  mc_nodes=mc_nodes)
-               for a in range(self.spec.control.size)]
-        self._matrices = [m for m, _ in ops]
-        self._step_clamp = math.fsum(float(c[self._interior].sum())
-                                     for _, c in ops)
+               for a in range(len(controls))]
+        return ([m for m, _ in ops],
+                math.fsum(float(c[interior].sum()) for _, c in ops))
 
-    def at(self, k: int, t_k: float) -> list:
-        """Per-control CSR matrices of the step from t_k to t_k + dt."""
-        if self.mc_inner is not None:
-            self._assemble(t_k, monte_carlo_nodes(
-                self.spec, self.dt, k, self.mc_inner, self.mc_seed))
-        self._clamp_mass += self._step_clamp
-        self._n_steps += 1
-        return self._matrices
+    if mc_inner is None:
+        matrices, step_clamp = assemble(0.0, None)
+    terminal = spec.coefficients.g(nodes)
+    v = np.broadcast_to(terminal[None, :, None],
+                        (len(controls), terminal.size, n_stack))
+    u = np.empty(v.shape)
+    clamp_mass = 0.0
+    for k in range(n_time_steps - 1, -1, -1):
+        t_k = time_grid[k]
+        if mc_inner is not None:
+            matrices, step_clamp = assemble(t_k, monte_carlo_nodes(
+                spec, dt, k, mc_inner, mc_seed))
+        clamp_mass += step_clamp
+        for a, matrix in enumerate(matrices):
+            u[a] = (matrix @ v[a]
+                    + (spec.coefficients.f(t_k, core, controls[a])
+                       * dt)[:, None])
+        v = aggregate(k, u)
 
-    def metadata(self) -> dict:
-        """Clamp fraction, truncated jump mass and kernel of the steps served.
-
-        Warns when clamping touched 1% or more of the interior transition
-        mass, or when the Poisson mass dropped over all steps exceeds the
-        spec's ``tol_value``.
-        """
-        n_lookups = self._n_steps * self.spec.control.size
-        n_interior = int(self._interior.sum())
-        clamp_fraction = self._clamp_mass / max(n_lookups * n_interior, 1)
-        if clamp_fraction >= 0.01:
-            warnings.warn(f"state grid missed {100 * clamp_fraction:.2f}% "
-                          f"of one-step transition mass "
-                          f"({self._clamp_mass:.0f} clamped lookups); "
-                          "widen the grid", RuntimeWarning)
-        truncated = truncated_jump_mass(self.spec, self.dt)
-        dropped = self._n_steps * truncated
-        tol = self.spec.tolerances["tol_value"]
-        if dropped > tol:
-            warnings.warn(f"the one-step kernel drops {truncated:.3g} of the "
-                          f"Poisson mass per step beyond {MAX_JUMPS_PER_STEP}"
-                          f" jumps, {dropped:.3g} over {self._n_steps} steps "
-                          f"(tol_value {tol:g}); refine the time grid",
-                          RuntimeWarning)
-        return {"clamp_fraction": clamp_fraction,
+    n_lookups = n_time_steps * len(controls) * int(interior.sum())
+    clamp_fraction = clamp_mass / max(n_lookups, 1)
+    if clamp_fraction >= 0.01:
+        warnings.warn(f"state grid missed {100 * clamp_fraction:.2f}% "
+                      f"of one-step transition mass "
+                      f"({clamp_mass:.0f} clamped lookups); "
+                      "widen the grid", RuntimeWarning)
+    truncated = truncated_jump_mass(spec, dt)
+    dropped = n_time_steps * truncated
+    tol = spec.tolerances["tol_value"]
+    if dropped > tol:
+        warnings.warn(f"the one-step kernel drops {truncated:.3g} of the "
+                      f"Poisson mass per step beyond {MAX_JUMPS_PER_STEP}"
+                      f" jumps, {dropped:.3g} over {n_time_steps} steps "
+                      f"(tol_value {tol:g}); refine the time grid",
+                      RuntimeWarning)
+    metadata = {"dt": dt, "hermite_nodes": hermite_nodes,
+                "mc_inner": mc_inner, "mc_seed": mc_seed,
+                "clamp_fraction": clamp_fraction,
                 "truncated_jump_mass": truncated, "kernel": kernel_checksum()}
+    return time_grid, terminal, metadata

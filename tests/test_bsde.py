@@ -115,6 +115,33 @@ def test_grid_snap_time_picks_nearest_node():
     assert fld.snap_time(0.0) == (0, 0.0)
 
 
+@pytest.mark.parametrize("case", ["bang-drift", "jump-reward",
+                                  "lookback-integral", "bang-drift-mc"])
+def test_grid_ladder_stacks_the_single_level_solves(case, bang_spec):
+    spec = bang_spec if case.startswith("bang") else _spec(case)
+    levels = (1, 2, 4, 8, 16)
+    opts = {"n_time_steps": bsde.default_time_steps(spec, max(levels)),
+            "grid": transition.default_state_grid(spec, seed=0)}
+    if case == "bang-drift-mc":
+        opts["mc_inner"] = 64
+    stack = bsde.solve_penalized_grid_ladder(spec, levels, **opts)
+    assert [f.level_n for f in stack] == list(levels)
+    for fld in stack:
+        ref = bsde.solve_penalized_grid(spec, fld.level_n, **opts)
+        np.testing.assert_array_equal(fld.time_grid, ref.time_grid)
+        np.testing.assert_array_equal(fld.values, ref.values)
+        np.testing.assert_array_equal(fld.continuation, ref.continuation)
+        assert fld.metadata == ref.metadata
+    assert stack[0].metadata["mc_inner"] == opts.get("mc_inner")
+
+
+def test_grid_ladder_rejects_a_level_below_one(bang_spec):
+    grid = LatticeGrid(axes=(np.linspace(-1.0, 1.0, 9),))
+    with pytest.raises(ValueError, match=">= 1"):
+        bsde.solve_penalized_grid_ladder(bang_spec, (1, 0, 4),
+                                         n_time_steps=8, grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # Regression route
 # ---------------------------------------------------------------------------

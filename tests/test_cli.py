@@ -233,8 +233,26 @@ def test_exit_code_is_0_1_or_2_and_1_only_with_a_fail_verdict(
         code = cli.main(argv + sizes + ["--out", str(out)])
         assert code in (0, 1, 2)
         if code != 2:
-            verdicts = _read_json(report)["verdicts"].values()
-            assert (code == 1) == ("fail" in verdicts)
+            payload = _read_json(report)
+            verdicts = payload["verdicts"]
+            assert (code == 1) == ("fail" in verdicts.values())
+            # a fail verdict rests on measured numbers, never on nan/inf
+            for name, verdict in verdicts.items():
+                if verdict == "fail":
+                    floats = list(_floats(payload["details"][name]))
+                    assert all(map(math.isfinite, floats)), (name, floats)
+
+
+def _floats(obj):
+    """Every float of a decoded JSON payload."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _floats(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _floats(value)
 
 
 def test_dp_field_csv_roundtrips_exactly(bang_cfg, tmp_path):

@@ -161,6 +161,27 @@ def test_value_equality_rejects_kernel_drift(bang_spec, bang_dp,
         dp.value_equality_check(bang_dp, tampered, bang_spec)
 
 
+@pytest.mark.parametrize("setting", [{"hermite_nodes": 4},
+                                     {"mc_inner": 64},
+                                     {"n_time_steps": 32},
+                                     {"n_state_nodes": 101}],
+                         ids=["hermite", "mc-inner", "dt", "axes"])
+def test_value_equality_rejects_other_operator_settings(bang_spec,
+                                                        bang_ladder,
+                                                        setting):
+    opts = {"n_time_steps": bang_ladder.n_time_steps, **setting}
+    fld = dp.solve_dp_grid(bang_spec, **opts)
+    with pytest.raises(AssertionError, match="kernels differ"):
+        dp.value_equality_check(fld, bang_ladder, bang_spec)
+
+
+def test_value_equality_ignores_the_seed_of_unused_mc_nodes(
+        bang_spec, bang_ladder):
+    fld = dp.solve_dp_grid(bang_spec, n_time_steps=bang_ladder.n_time_steps,
+                           mc_seed=5)
+    assert dp.value_equality_check(fld, bang_ladder, bang_spec)["ok"]
+
+
 def test_solvers_share_one_kernel(bang_dp, bang_ladder):
     want = transition.kernel_checksum()
     assert bang_dp.metadata["kernel"] == want
