@@ -176,30 +176,23 @@ def default_time_steps(spec: ProblemSpec, max_level: int) -> int:
 def solve_penalized_grid(spec: ProblemSpec, level_n: int,
                          n_time_steps: int | None = None,
                          grid: LatticeGrid | None = None,
-                         n_state_nodes: int | None = None, seed: int = 0,
-                         hermite_nodes: int = 8,
-                         mc_inner: int | None = None,
-                         mc_seed: int = 0) -> PenalizedField:
+                         n_state_nodes: int | None = None,
+                         seed: int = 0) -> PenalizedField:
     """One level of :func:`solve_penalized_grid_ladder` (see there)."""
     return solve_penalized_grid_ladder(
-        spec, (level_n,), n_time_steps, grid, n_state_nodes, seed,
-        hermite_nodes, mc_inner, mc_seed)[0]
+        spec, (level_n,), n_time_steps, grid, n_state_nodes, seed)[0]
 
 
 def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
                                 n_time_steps: int | None = None,
                                 grid: LatticeGrid | None = None,
                                 n_state_nodes: int | None = None,
-                                seed: int = 0, hermite_nodes: int = 8,
-                                mc_inner: int | None = None,
-                                mc_seed: int = 0
+                                seed: int = 0
                                 ) -> tuple[PenalizedField, ...]:
     """Backward lattice recursion, every level in one sweep.
 
     Runs on [0, horizon] with ``n_time_steps`` uniform steps (default keeps
     the monotonicity bound with slack 2 at the largest level).
-    ``mc_inner`` switches the inner conditional expectation to
-    common-random-number Monte Carlo with that many draws per step.
     Returns one :class:`PenalizedField` per level.  The levels share the
     operators as slots of one :func:`transition.backward_sweep`, and each
     level's penalty reads that level alone, so each field is bitwise the
@@ -235,8 +228,7 @@ def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
         return v
 
     time_grid, terminal, sweep_meta = transition.backward_sweep(
-        spec, grid, n_time_steps, len(levels), penalize,
-        hermite_nodes=hermite_nodes, mc_inner=mc_inner, mc_seed=mc_seed)
+        spec, grid, n_time_steps, len(levels), penalize)
     values[:, -1] = terminal[:, None]
     shape = (*grid.shape, n_controls)
     return tuple(PenalizedField(
@@ -441,17 +433,16 @@ def _pi_counts_per_step(bundle, keep: np.ndarray,
 # Constraint diagnostics
 # ---------------------------------------------------------------------------
 
-def constraint_gap(source, spec: ProblemSpec | None = None,
-                   n_paths: int = 20_000, seed: int = 0) -> ConstraintReport:
+def constraint_gap(source, bundle=None) -> ConstraintReport:
     """Penalty pressure at one level.
 
     ``phi`` is the squared mean of the pathwise constraint integral
     int sum_b (advantage)^+ lambda0(b) dt; ``k_ratio`` is the second moment
     of the accumulated compensator divided by the squared level.  Both are
     expected to shrink as the level grows.  Accepts either regression
-    output (pathwise integrals already recorded) or a lattice field, in
-    which case reference paths are simulated and the field's pre-penalty
-    advantages are read off the lattice.
+    output (pathwise integrals already recorded) or a lattice field plus a
+    reference path ``bundle`` on the field's time grid, along which the
+    field's pre-penalty advantages are read off the lattice.
     """
     if isinstance(source, BsdeQuintuple):
         s = source.constraint_integral
@@ -462,13 +453,17 @@ def constraint_gap(source, spec: ProblemSpec | None = None,
             se_integral=float(s.std(ddof=1) / math.sqrt(n)), n_paths=n)
     if not isinstance(source, PenalizedField):
         raise TypeError("source must be a BsdeQuintuple or PenalizedField")
-    if spec is None:
-        raise ValueError("a problem spec is required with a lattice field")
+    if bundle is None:
+        raise ValueError("a path bundle is required with a lattice field")
+    spec = bundle.spec
     if spec.fingerprint() != source.metadata["fingerprint"]:
         raise ValueError("spec mismatch between solver artifacts")
-
     n_steps = source.n_steps
-    bundle = sim.simulate_bundle(spec, n_paths, seed, n_steps=n_steps)
+    if (bundle.n_steps != n_steps
+            or not np.allclose(bundle.time_grid, source.time_grid,
+                               rtol=0.0, atol=1e-12 * spec.horizon)):
+        raise ValueError("the bundle's time grid is not the field's")
+
     keep = bundle.included()
     states = bundle.states[keep]
     regimes = bundle.regimes[keep]
@@ -506,14 +501,13 @@ def _aitken_limit(values) -> float:
 def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
                   solver: str = "grid", extrapolation: str = "last",
                   n_time_steps: int | None = None,
-                  n_state_nodes: int | None = None, seed: int = 0,
-                  n_paths: int = 50_000,
-                  hermite_nodes: int = 8,
-                  mc_inner: int | None = None) -> LadderReport:
+                  grid: LatticeGrid | None = None, seed: int = 0,
+                  n_paths: int = 50_000) -> LadderReport:
     """Ladder of penalization levels on one common time grid.
 
     The common grid keeps levels nodewise comparable (lattice route), so
     monotonicity in the level is checked exactly rather than statistically.
+    The lattice route runs on ``grid`` (default: the state grid of ``seed``).
     ``extrapolation`` is ``last`` (largest level) or ``richardson``
     (one Aitken step on the last three levels, needs >= 3).
     """
@@ -532,9 +526,7 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
     monotone_violation = 0.0
     if solver == "grid":
         per_level = solve_penalized_grid_ladder(
-            spec, levels, n_time_steps=n_time_steps,
-            n_state_nodes=n_state_nodes, seed=seed,
-            hermite_nodes=hermite_nodes, mc_inner=mc_inner)
+            spec, levels, n_time_steps=n_time_steps, grid=grid, seed=seed)
         node_norm = 1.0 + np.max(np.abs(per_level[0].grid.nodes()),
                                  axis=1) ** pbar
         for fld in per_level:

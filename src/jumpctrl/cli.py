@@ -282,12 +282,17 @@ class _Workbench:
         self.seed = seed
         self._cache = {}
 
+    def grid(self):
+        if "grid" not in self._cache:
+            self._cache["grid"] = transition.default_state_grid(
+                self.spec, self.nodes, self.seed)
+        return self._cache["grid"]
+
     def ladder(self):
         if "ladder" not in self._cache:
             self._cache["ladder"] = bsde.minimal_value(
                 self.spec, levels=self.levels, solver="grid",
-                n_time_steps=self.steps, n_state_nodes=self.nodes,
-                seed=self.seed)
+                n_time_steps=self.steps, grid=self.grid(), seed=self.seed)
         return self._cache["ladder"]
 
     def penalized(self, level: int):
@@ -296,8 +301,8 @@ class _Workbench:
     def dp_field(self):
         if "dp" not in self._cache:
             self._cache["dp"] = dp.solve_dp_grid(
-                self.spec, n_time_steps=self.steps,
-                n_state_nodes=self.nodes, seed=self.seed)
+                self.spec, n_time_steps=self.steps, grid=self.grid(),
+                seed=self.seed)
         return self._cache["dp"]
 
     def bundle(self):
@@ -352,10 +357,8 @@ def _suite_constraint(wb: _Workbench):
     lo_n, hi_n = min(wb.levels), max(wb.levels)
     if lo_n == hi_n:
         raise problem.ConfigError("constraint suite needs >= 2 levels")
-    lo = bsde.constraint_gap(wb.penalized(lo_n), wb.spec,
-                             n_paths=wb.paths, seed=wb.seed)
-    hi = bsde.constraint_gap(wb.penalized(hi_n), wb.spec,
-                             n_paths=wb.paths, seed=wb.seed)
+    lo = bsde.constraint_gap(wb.penalized(lo_n), wb.bundle())
+    hi = bsde.constraint_gap(wb.penalized(hi_n), wb.bundle())
     # phi is a squared mean, so its MC noise comes from the mean's se
     noise = (2.0 * abs(lo.mean_integral) * lo.se_integral
              + 2.0 * abs(hi.mean_integral) * hi.se_integral
@@ -468,10 +471,11 @@ def cmd_solve(args) -> int:
             verdicts=verdicts, details=details)
     else:
         solver = "grid" if args.method == "penalized-grid" else "lsmc"
+        grid = transition.default_state_grid(spec, args.nodes, args.seed)
         ladder = bsde.minimal_value(
             spec, levels=args.ladder, solver=solver,
-            n_time_steps=args.steps, n_state_nodes=args.nodes,
-            seed=args.seed, n_paths=args.paths)
+            n_time_steps=args.steps, grid=grid, seed=args.seed,
+            n_paths=args.paths)
         write_ladder_csv(ladder, out / "ladder.csv")
         outputs.append("ladder.csv")
         verdicts["monotonicity"] = _verdict(ladder.monotone_ok)
@@ -479,12 +483,10 @@ def cmd_solve(args) -> int:
             "max_violation": ladder.monotone_max_violation,
             "tol_monotone": spec.tolerances["tol_monotone"]}
 
-        # classical value on the same time grid keeps the report
-        # apples-to-apples
-        grid = ladder.last_field.grid if solver == "grid" else None
+        # classical value on the same time grid and lattice keeps the
+        # report apples-to-apples
         fld = dp.solve_dp_grid(spec, n_time_steps=ladder.n_time_steps,
-                               grid=grid, n_state_nodes=args.nodes,
-                               seed=args.seed)
+                               grid=grid, seed=args.seed)
         write_dp_field_csv(fld, spec, out / "dp_field.csv",
                            out / "dp_field.json")
         outputs += ["dp_field.csv", "dp_field.json"]

@@ -65,9 +65,8 @@ class DpField:
 
 def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
                   grid: LatticeGrid | None = None,
-                  n_state_nodes: int | None = None, seed: int = 0,
-                  hermite_nodes: int = 8, mc_inner: int | None = None,
-                  mc_seed: int = 0) -> DpField:
+                  n_state_nodes: int | None = None,
+                  seed: int = 0) -> DpField:
     """Backward value iteration over the control grid."""
     if n_time_steps is None:
         n_time_steps = spec.default_steps()
@@ -86,8 +85,7 @@ def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
         return np.broadcast_to(best, u.shape)
 
     time_grid, terminal, sweep_meta = transition.backward_sweep(
-        spec, grid, n_time_steps, 1, maximize, hermite_nodes=hermite_nodes,
-        mc_inner=mc_inner, mc_seed=mc_seed)
+        spec, grid, n_time_steps, 1, maximize)
     values[-1] = terminal
     return DpField(time_grid=time_grid, grid=grid,
                    values=values.reshape(n_time_steps + 1, *grid.shape),
@@ -98,13 +96,9 @@ def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
 
 
 def _operator_settings(fld) -> tuple:
-    """What fixes a field's operators: Monte Carlo draws, when used,
-    replace the Hermite rule, and their seed matters only then."""
-    meta = fld.metadata
-    mc_inner = meta.get("mc_inner")
-    return (meta.get("dt"), mc_inner,
-            meta.get("mc_seed") if mc_inner is not None else None,
-            meta.get("hermite_nodes") if mc_inner is None else None,
+    """What fixes a field's operators besides the kernel checksum, which
+    covers the quadrature rule: the time step and the lattice axes."""
+    return (fld.metadata.get("dt"),
             tuple(ax.tolist() for ax in fld.grid.axes))
 
 

@@ -11,17 +11,16 @@ weights.  :func:`backward_sweep` is the one backward loop: it assembles
 the operators of a solve once, applies them at every step to a stack of
 value columns (one per penalization level, or one for dynamic
 programming) and leaves the per-step maximum or penalty to its caller.
-``kernel_checksum`` hashes the bytecode of the kernel functions; solver
-artifacts record it so cross-checks can assert that no second kernel
-crept in.
+``kernel_checksum`` hashes the bytecode and literals of the kernel
+functions and the quadrature constants; solver artifacts record it so
+cross-checks can assert that no second kernel crept in.
 
 The conditional expectation over one step combines a Gauss-Hermite rule for
 the Brownian factor with a truncated-Poisson enumeration of jump outcomes
 (per-jump marks from the atom list or a small Gauss rule).  Every jump in a
 step displaces by gamma evaluated at the step's left node, exactly as the
-path integrator does.  Optionally the node set is replaced by common Monte
-Carlo draws (one set per time step, shared across lattice nodes, regimes
-and penalization levels, so comparisons stay coherent).
+path integrator does.  The Brownian rule has ``HERMITE_NODES`` nodes per
+factor; every registry family has one factor.
 """
 
 from __future__ import annotations
@@ -29,17 +28,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import types
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import stream
 from .problem import ProblemSpec, update_running_functional
 
 #: per-jump quadrature nodes for continuous mark laws, by jump count
 _NODES_BY_COUNT = {1: 8, 2: 4, 3: 3, 4: 2}
 MAX_JUMPS_PER_STEP = 4
+#: Gauss-Hermite nodes per Brownian factor
+HERMITE_NODES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +235,11 @@ def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def one_step_points(spec: ProblemSpec, t: float, dt: float, a_index: int,
-                    x_nodes: np.ndarray, hermite_nodes: int = 8,
-                    mc_nodes=None):
+                    x_nodes: np.ndarray):
     """Reachable points and weights of one backward step from lattice nodes.
 
     ``x_nodes`` is (P, D) with D = core + augmentation; returns a list of
-    (weight, points (P, D)) outcomes whose weights sum to 1.  With
-    ``mc_nodes`` (from :func:`monte_carlo_nodes`) the quadrature is replaced
-    by equally weighted common random draws.
+    (weight, points (P, D)) outcomes whose weights sum to 1.
     """
     x_nodes = np.atleast_2d(x_nodes)
     p_cnt, d_tot = x_nodes.shape
@@ -276,17 +274,8 @@ def one_step_points(spec: ProblemSpec, t: float, dt: float, a_index: int,
         return out_core
 
     outcomes = []
-    if mc_nodes is not None:
-        xi_draws, mark_draws = mc_nodes
-        w = 1.0 / len(xi_draws)
-        for xi, marks in zip(xi_draws, mark_draws):
-            shock = np.einsum("pdm,m->pd", sig, xi) * math.sqrt(dt)
-            base = decay * (core + drift + shock)
-            outcomes.append((w, finish(base, marks)))
-        return outcomes
-
     if sig_norm > 0.0:
-        h_nodes, h_weights = _hermite_nodes(hermite_nodes)
+        h_nodes, h_weights = _hermite_nodes(HERMITE_NODES)
     else:
         h_nodes, h_weights = np.zeros(1), np.ones(1)
     jumps = _jump_outcomes(spec, dt)
@@ -301,38 +290,8 @@ def one_step_points(spec: ProblemSpec, t: float, dt: float, a_index: int,
     return outcomes
 
 
-def monte_carlo_nodes(spec: ProblemSpec, dt: float, step_index: int,
-                      n_draws: int, seed: int):
-    """Common random nodes for the inner expectation of one time step.
-
-    One draw is a Brownian shock plus a jump count with marks; the same set
-    serves every lattice node, regime, and penalization level, which keeps
-    ladder comparisons coherent under the Monte Carlo kernel too.
-    """
-    m = spec.brownian_dim
-    cols = m + 1 + MAX_JUMPS_PER_STEP
-    u = stream.uniform_block(seed * 1_000_003 + step_index,
-                             stream.STREAM_INNER, n_draws, cols)
-    from scipy.special import ndtri
-    xi = ndtri(np.clip(u[:, :m], 1e-300, 1 - 1e-16))
-    jump = spec.jump_measure
-    mark_draws = []
-    if _has_jumps(spec):
-        pk = _poisson_truncated(jump.total_rate * dt, MAX_JUMPS_PER_STEP)
-        counts = np.searchsorted(np.cumsum(pk), u[:, m], side="right")
-        for i in range(n_draws):
-            k = int(counts[i])
-            zs = jump.sample_marks(u[i, m + 1:m + 1 + k]) if k else ()
-            mark_draws.append(tuple(float(z) for z in np.atleast_1d(zs))
-                              if k else ())
-    else:
-        mark_draws = [()] * n_draws
-    return list(xi), mark_draws
-
-
 def assemble_operator(spec: ProblemSpec, t: float, dt: float, a_index: int,
-                      grid: LatticeGrid, hermite_nodes: int = 8,
-                      mc_nodes=None):
+                      grid: LatticeGrid):
     """One-step expectation of one control as a sparse matrix.
 
     Returns ``(matrix, clamp_rows)``.  ``matrix`` is a P x P CSR matrix over
@@ -347,9 +306,7 @@ def assemble_operator(spec: ProblemSpec, t: float, dt: float, a_index: int,
     p_cnt = nodes.shape[0]
     cols, vals = [], []
     clamp_rows = np.zeros(p_cnt)
-    for w, pts in one_step_points(spec, t, dt, a_index, nodes,
-                                  hermite_nodes=hermite_nodes,
-                                  mc_nodes=mc_nodes):
+    for w, pts in one_step_points(spec, t, dt, a_index, nodes):
         corners, outside = _stencil(grid.axes, pts)
         clamp_rows += w * outside
         for loc, cw in corners:
@@ -364,23 +321,15 @@ def assemble_operator(spec: ProblemSpec, t: float, dt: float, a_index: int,
 
 def expect_next(spec: ProblemSpec, t: float, dt: float, a_index: int,
                 grid: LatticeGrid, next_values: np.ndarray,
-                hermite_nodes: int = 8, mc_nodes=None,
                 clamp_mask: np.ndarray | None = None) -> tuple[np.ndarray,
                                                                float]:
-    """E[ v(t+dt, X') | X = lattice nodes, regime a ].
+    """E[ v(t+dt, X') | X = lattice nodes, regime a ], flat over the nodes.
 
-    ``next_values`` holds v(t+dt, .) on the lattice (same shape as the
-    grid); the result is flat over the lattice's C-order nodes.  The second
-    return is the probability-weighted count of one-step transitions that
-    left the lattice box (dividing by the counted node count gives the
-    fraction of transition mass the clamping touched).  ``clamp_mask``
-    restricts that accounting to a flat subset of nodes, typically the
-    interior (transitions from the outermost layer leave the box by
-    construction and say nothing about sizing).
+    One application of :func:`assemble_operator`; the second return sums
+    its clamped transition mass over all nodes, or over the flat subset
+    ``clamp_mask`` (typically the interior).
     """
-    matrix, clamp_rows = assemble_operator(spec, t, dt, a_index, grid,
-                                           hermite_nodes=hermite_nodes,
-                                           mc_nodes=mc_nodes)
+    matrix, clamp_rows = assemble_operator(spec, t, dt, a_index, grid)
     if clamp_mask is not None:
         clamp_rows = clamp_rows[clamp_mask]
     return matrix @ np.ravel(next_values), float(clamp_rows.sum())
@@ -396,19 +345,35 @@ def interior_mask(grid: LatticeGrid) -> np.ndarray:
     return mask.ravel()
 
 
+def _code_bytes(obj) -> bytes:
+    """Bytecode and literals of a code object, nested code included.
+
+    Literals go by value and frozensets sorted; nested code goes by its
+    own bytes, not its ``repr``, which holds a memory address.
+    """
+    if isinstance(obj, types.CodeType):
+        return obj.co_code + _code_bytes(obj.co_consts)
+    if isinstance(obj, frozenset):
+        return b"frozenset" + _code_bytes(tuple(sorted(obj, key=repr)))
+    if isinstance(obj, tuple):
+        return b"(" + b",".join(map(_code_bytes, obj)) + b")"
+    return f"{type(obj).__name__}:{obj!r}".encode()
+
+
 def kernel_checksum() -> str:
-    """Bytecode hash of the kernel path shared by the backward solvers."""
-    blobs = []
+    """Hash of the kernel path shared by the backward solvers: each
+    kernel function's bytecode and literals, and the quadrature constants."""
+    blobs = [repr((HERMITE_NODES, MAX_JUMPS_PER_STEP,
+                   sorted(_NODES_BY_COUNT.items()))).encode()]
     for fn in (_stencil, multilinear, _poisson_pmf, _poisson_truncated,
                _jump_outcomes, _hermite_nodes, one_step_points,
                assemble_operator, expect_next):
-        blobs.append(fn.__code__.co_code)
-    return hashlib.sha256(b"".join(blobs)).hexdigest()[:16]
+        blobs.append(_code_bytes(fn.__code__))
+    return hashlib.sha256(b"\0".join(blobs)).hexdigest()[:16]
 
 
 def backward_sweep(spec: ProblemSpec, grid: LatticeGrid, n_time_steps: int,
-                   n_stack: int, aggregate, hermite_nodes: int = 8,
-                   mc_inner: int | None = None, mc_seed: int = 0):
+                   n_stack: int, aggregate):
     """The one backward lattice loop, shared by DP and the penalized ladder.
 
     Starts an (A, P, S) stack ``v`` at the terminal reward for every
@@ -417,15 +382,14 @@ def backward_sweep(spec: ProblemSpec, grid: LatticeGrid, n_time_steps: int,
     ``aggregate(k, u)``, which stores what its solver keeps (``u`` is one
     reused buffer) and returns the stack at t_k.  The ladder puts one
     level in each slot; DP uses S = 1.  The operators are assembled once
-    (no registry family's coefficients depend on t, as the tests check),
-    or per step with ``mc_inner`` common random draws.
+    (no registry family's coefficients depend on t, as the tests check).
 
-    Returns ``(time_grid, terminal, metadata)``.  The metadata holds the
-    settings that fix the operators (``dt``, ``hermite_nodes``,
-    ``mc_inner``, ``mc_seed``), the clamped fraction of interior
-    transition mass, the Poisson mass truncated per step and the kernel
-    checksum.  Warns when clamping touched 1% or more of that mass, or
-    when the Poisson mass dropped over all steps exceeds ``tol_value``.
+    Returns ``(time_grid, terminal, metadata)``.  The metadata holds
+    ``dt``, the clamped fraction of interior transition mass, the Poisson
+    mass truncated per step and the kernel checksum, which also covers
+    the quadrature rule.  Warns when clamping touched 1% or more of that
+    mass, or when the Poisson mass dropped over all steps exceeds
+    ``tol_value``.
     """
     time_grid = np.linspace(0.0, spec.horizon, n_time_steps + 1)
     dt = spec.horizon / n_time_steps
@@ -434,16 +398,9 @@ def backward_sweep(spec: ProblemSpec, grid: LatticeGrid, n_time_steps: int,
     interior = interior_mask(grid)
     controls = [float(a) for a in spec.control.points]
 
-    def assemble(t, mc_nodes):
-        ops = [assemble_operator(spec, t, dt, a, grid,
-                                 hermite_nodes=hermite_nodes,
-                                 mc_nodes=mc_nodes)
-               for a in range(len(controls))]
-        return ([m for m, _ in ops],
-                math.fsum(float(c[interior].sum()) for _, c in ops))
-
-    if mc_inner is None:
-        matrices, step_clamp = assemble(0.0, None)
+    ops = [assemble_operator(spec, 0.0, dt, a, grid)
+           for a in range(len(controls))]
+    step_clamp = math.fsum(float(c[interior].sum()) for _, c in ops)
     terminal = spec.coefficients.g(nodes)
     v = np.broadcast_to(terminal[None, :, None],
                         (len(controls), terminal.size, n_stack))
@@ -451,11 +408,8 @@ def backward_sweep(spec: ProblemSpec, grid: LatticeGrid, n_time_steps: int,
     clamp_mass = 0.0
     for k in range(n_time_steps - 1, -1, -1):
         t_k = time_grid[k]
-        if mc_inner is not None:
-            matrices, step_clamp = assemble(t_k, monte_carlo_nodes(
-                spec, dt, k, mc_inner, mc_seed))
         clamp_mass += step_clamp
-        for a, matrix in enumerate(matrices):
+        for a, (matrix, _) in enumerate(ops):
             u[a] = (matrix @ v[a]
                     + (spec.coefficients.f(t_k, core, controls[a])
                        * dt)[:, None])
@@ -477,8 +431,6 @@ def backward_sweep(spec: ProblemSpec, grid: LatticeGrid, n_time_steps: int,
                       f" jumps, {dropped:.3g} over {n_time_steps} steps "
                       f"(tol_value {tol:g}); refine the time grid",
                       RuntimeWarning)
-    metadata = {"dt": dt, "hermite_nodes": hermite_nodes,
-                "mc_inner": mc_inner, "mc_seed": mc_seed,
-                "clamp_fraction": clamp_fraction,
+    metadata = {"dt": dt, "clamp_fraction": clamp_fraction,
                 "truncated_jump_mass": truncated, "kernel": kernel_checksum()}
     return time_grid, terminal, metadata

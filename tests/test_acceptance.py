@@ -103,7 +103,9 @@ def test_criterion_2_monotone_ladder_on_all_families(announce):
 
 def test_criterion_3_constraint_decay_on_bang(bang_spec, bang_ladder,
                                               announce):
-    reports = [bsde.constraint_gap(fld, bang_spec, n_paths=20_000, seed=5)
+    bundle = sim.simulate_bundle(bang_spec, 20_000, 5,
+                                 n_steps=bang_ladder.n_time_steps)
+    reports = [bsde.constraint_gap(fld, bundle)
                for fld in bang_ladder.per_level]
     phi_ok = True
     for lo, hi in zip(reports, reports[1:]):

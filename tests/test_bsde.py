@@ -99,15 +99,6 @@ def test_grid_jump_reward_matches_moment_ode_oracle():
     assert abs(fld.value_at_origin(spec) - want) < 2e-2
 
 
-def test_grid_mc_inner_mode_is_deterministic_and_close(bang_spec):
-    f1 = bsde.solve_penalized_grid(bang_spec, 4, n_time_steps=32,
-                                   mc_inner=256, mc_seed=7)
-    f2 = bsde.solve_penalized_grid(bang_spec, 4, n_time_steps=32,
-                                   mc_inner=256, mc_seed=7)
-    np.testing.assert_array_equal(f1.values, f2.values)
-    assert abs(f1.value_at_origin(bang_spec) - oracles.BANG_VALUE_T0) < 0.05
-
-
 def test_grid_snap_time_picks_nearest_node():
     fld = bsde.solve_penalized_grid(_spec("uncontrolled-decay"), 1,
                                     n_time_steps=8)
@@ -116,14 +107,12 @@ def test_grid_snap_time_picks_nearest_node():
 
 
 @pytest.mark.parametrize("case", ["bang-drift", "jump-reward",
-                                  "lookback-integral", "bang-drift-mc"])
+                                  "lookback-integral"])
 def test_grid_ladder_stacks_the_single_level_solves(case, bang_spec):
-    spec = bang_spec if case.startswith("bang") else _spec(case)
+    spec = bang_spec if case == "bang-drift" else _spec(case)
     levels = (1, 2, 4, 8, 16)
     opts = {"n_time_steps": bsde.default_time_steps(spec, max(levels)),
             "grid": transition.default_state_grid(spec, seed=0)}
-    if case == "bang-drift-mc":
-        opts["mc_inner"] = 64
     stack = bsde.solve_penalized_grid_ladder(spec, levels, **opts)
     assert [f.level_n for f in stack] == list(levels)
     for fld in stack:
@@ -132,7 +121,6 @@ def test_grid_ladder_stacks_the_single_level_solves(case, bang_spec):
         np.testing.assert_array_equal(fld.values, ref.values)
         np.testing.assert_array_equal(fld.continuation, ref.continuation)
         assert fld.metadata == ref.metadata
-    assert stack[0].metadata["mc_inner"] == opts.get("mc_inner")
 
 
 def test_grid_ladder_rejects_a_level_below_one(bang_spec):
@@ -259,7 +247,8 @@ def test_constraint_gap_routes_agree(bang_spec, bang_bundle):
     q = bsde.solve_penalized_lsmc(bang_spec, 4, bang_bundle)
     fld = bsde.solve_penalized_grid(bang_spec, 4, n_time_steps=64)
     r_q = bsde.constraint_gap(q)
-    r_f = bsde.constraint_gap(fld, bang_spec, n_paths=20_000, seed=3)
+    r_f = bsde.constraint_gap(
+        fld, sim.simulate_bundle(bang_spec, 20_000, 3, n_steps=64))
     band = 3 * math.hypot(r_q.se_integral, r_f.se_integral) + 2e-3
     assert abs(r_q.mean_integral - r_f.mean_integral) <= band
 
@@ -278,10 +267,21 @@ def test_constraint_gap_validates_inputs(bang_spec):
         bsde.constraint_gap(object())
     fld = bsde.solve_penalized_grid(_spec("uncontrolled-decay"), 1,
                                     n_time_steps=8)
-    with pytest.raises(ValueError, match="spec"):
+    with pytest.raises(ValueError, match="bundle"):
         bsde.constraint_gap(fld, None)
     with pytest.raises(ValueError, match="spec mismatch"):
-        bsde.constraint_gap(fld, bang_spec)
+        bsde.constraint_gap(fld, sim.simulate_bundle(bang_spec, 50, 0,
+                                                     n_steps=8))
+
+
+def test_constraint_gap_rejects_a_bundle_on_another_time_grid():
+    spec = _spec("uncontrolled-decay")
+    fld = bsde.solve_penalized_grid(spec, 1, n_time_steps=8)
+    on_grid = sim.simulate_bundle(spec, 50, 0, n_steps=8)
+    assert bsde.constraint_gap(fld, on_grid).n_paths == 50
+    with pytest.raises(ValueError, match="time grid"):
+        bsde.constraint_gap(fld, sim.simulate_bundle(spec, 50, 0,
+                                                     n_steps=16))
 
 
 # ---------------------------------------------------------------------------

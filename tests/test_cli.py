@@ -285,6 +285,22 @@ def test_verify_all_suites_pass_on_the_degenerate_problem(decay_cfg,
     assert all(v == "pass" for v in report["verdicts"].values())
 
 
+def test_verify_builds_its_lattice_once(decay_cfg, tmp_path, monkeypatch):
+    calls = []
+    build = transition.default_state_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(transition, "default_state_grid", counted)
+    code = cli.main(["verify", decay_cfg, "--suite", "all",
+                     "--levels", "1,2,4", "--paths", "2000",
+                     "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_value_equality_passes_on_bang(bang_cfg, tmp_path):
     out = tmp_path / "run"
     code = cli.main(["verify", bang_cfg, "--suite", "value-equality",

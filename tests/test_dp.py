@@ -97,15 +97,6 @@ def test_dp_dominates_penalized_field_nodewise(bang_spec):
     assert float(gap.max()) <= 1e-9
 
 
-def test_dp_mc_inner_mode_is_deterministic_and_close(bang_spec):
-    f1 = dp.solve_dp_grid(bang_spec, n_time_steps=32, mc_inner=256,
-                          mc_seed=3)
-    f2 = dp.solve_dp_grid(bang_spec, n_time_steps=32, mc_inner=256,
-                          mc_seed=3)
-    np.testing.assert_array_equal(f1.values, f2.values)
-    assert abs(f1.value_at_origin(bang_spec) - oracles.BANG_VALUE_T0) < 0.05
-
-
 def test_dp_policy_at_picks_nearest_node():
     grid = LatticeGrid(axes=(np.array([0.0, 1.0, 2.0]),))
     fld = dp.DpField(time_grid=np.array([0.0, 1.0]), grid=grid,
@@ -161,11 +152,9 @@ def test_value_equality_rejects_kernel_drift(bang_spec, bang_dp,
         dp.value_equality_check(bang_dp, tampered, bang_spec)
 
 
-@pytest.mark.parametrize("setting", [{"hermite_nodes": 4},
-                                     {"mc_inner": 64},
-                                     {"n_time_steps": 32},
+@pytest.mark.parametrize("setting", [{"n_time_steps": 32},
                                      {"n_state_nodes": 101}],
-                         ids=["hermite", "mc-inner", "dt", "axes"])
+                         ids=["dt", "axes"])
 def test_value_equality_rejects_other_operator_settings(bang_spec,
                                                         bang_ladder,
                                                         setting):
@@ -173,13 +162,6 @@ def test_value_equality_rejects_other_operator_settings(bang_spec,
     fld = dp.solve_dp_grid(bang_spec, **opts)
     with pytest.raises(AssertionError, match="kernels differ"):
         dp.value_equality_check(fld, bang_ladder, bang_spec)
-
-
-def test_value_equality_ignores_the_seed_of_unused_mc_nodes(
-        bang_spec, bang_ladder):
-    fld = dp.solve_dp_grid(bang_spec, n_time_steps=bang_ladder.n_time_steps,
-                           mc_seed=5)
-    assert dp.value_equality_check(fld, bang_ladder, bang_spec)["ok"]
 
 
 def test_solvers_share_one_kernel(bang_dp, bang_ladder):

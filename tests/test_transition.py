@@ -1,6 +1,10 @@
 """One-step kernel: quadrature exactness, interpolation, lattice bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,33 +204,6 @@ def test_expect_next_counts_clamps_near_boundary():
     assert clamped > 0
 
 
-def test_monte_carlo_nodes_are_reproducible_and_calibrated():
-    spec = _spec("jump-reward")
-    dt = 1 / 64
-    a = transition.monte_carlo_nodes(spec, dt, 3, 4000, seed=11)
-    b = transition.monte_carlo_nodes(spec, dt, 3, 4000, seed=11)
-    np.testing.assert_array_equal(np.array(a[0]), np.array(b[0]))
-    assert a[1] == b[1]
-    counts = np.array([len(m) for m in a[1]])
-    lam = spec.jump_measure.total_rate * dt
-    assert abs(counts.mean() - lam) < 4 * math.sqrt(lam / 4000)
-    xi = np.array(a[0])
-    assert abs(xi.mean()) < 4 / math.sqrt(4000)
-
-
-def test_expect_next_mc_mode_tracks_quadrature():
-    spec = _spec("ou-switch")
-    grid = LatticeGrid(axes=(np.linspace(-3.0, 3.0, 61),))
-    vals = grid.axes[0] ** 2
-    dt = 1 / 64
-    quad, _ = transition.expect_next(spec, 0.0, dt, 1, grid, vals)
-    mc = transition.monte_carlo_nodes(spec, dt, 0, 20000, seed=5)
-    est, _ = transition.expect_next(spec, 0.0, dt, 1, grid, vals,
-                                    mc_nodes=mc)
-    sd = 0.3 * math.sqrt(dt) * 2 * 3.5   # crude scale bound on the shock
-    assert np.max(np.abs(est - quad)) < 6 * sd / math.sqrt(20000) + 1e-3
-
-
 # ---------------------------------------------------------------------------
 # Pilot lattice + checksum
 # ---------------------------------------------------------------------------
@@ -253,6 +230,40 @@ def test_kernel_checksum_format_and_stability():
     assert c1 == c2
     assert len(c1) == 16
     int(c1, 16)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("HERMITE_NODES", 4), ("MAX_JUMPS_PER_STEP", 3),
+    ("_NODES_BY_COUNT", {1: 8, 2: 4, 3: 3, 4: 3})],
+    ids=["hermite", "max-jumps", "mark-nodes"])
+def test_kernel_checksum_covers_the_quadrature_constants(monkeypatch, name,
+                                                         value):
+    before = transition.kernel_checksum()
+    monkeypatch.setattr(transition, name, value)
+    assert transition.kernel_checksum() != before
+
+
+def test_kernel_checksum_covers_literals_of_nested_code():
+    code = transition.one_step_points.__code__
+    finish = next(c for c in code.co_consts if hasattr(c, "co_code"))
+    before = transition._code_bytes(code)
+    consts = tuple(c.replace(co_consts=(*c.co_consts, 0.5))
+                   if c is finish else c for c in code.co_consts)
+    assert transition._code_bytes(code.replace(co_consts=consts)) != before
+
+
+def test_kernel_checksum_is_the_same_in_every_interpreter():
+    src = str(Path(transition.__file__).resolve().parents[1])
+    script = ("from jumpctrl import transition; "
+              "print(transition.kernel_checksum())")
+    outs = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": src}
+        outs.add(subprocess.run([sys.executable, "-c", script], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout.strip())
+    assert outs == {transition.kernel_checksum()}
 
 
 # ---------------------------------------------------------------------------
