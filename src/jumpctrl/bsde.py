@@ -433,7 +433,8 @@ def _pi_counts_per_step(bundle, keep: np.ndarray,
 # Constraint diagnostics
 # ---------------------------------------------------------------------------
 
-def constraint_gap(source, bundle=None) -> ConstraintReport:
+def constraint_gap(source, bundle=None
+                   ) -> ConstraintReport | tuple[ConstraintReport, ...]:
     """Penalty pressure at one level.
 
     ``phi`` is the squared mean of the pathwise constraint integral
@@ -443,6 +444,11 @@ def constraint_gap(source, bundle=None) -> ConstraintReport:
     output (pathwise integrals already recorded) or a lattice field plus a
     reference path ``bundle`` on the field's time grid, along which the
     field's pre-penalty advantages are read off the lattice.
+
+    ``source`` may also be a sequence of lattice fields on one lattice (a
+    ladder's levels): each step then interpolates all their continuations
+    with one stencil, and the result is a tuple with one report per field,
+    each equal to that field's own call.
     """
     if isinstance(source, BsdeQuintuple):
         s = source.constraint_integral
@@ -451,39 +457,48 @@ def constraint_gap(source, bundle=None) -> ConstraintReport:
             level_n=source.level_n, phi=float(s.mean() ** 2),
             k_ratio=float((s ** 2).mean()), mean_integral=float(s.mean()),
             se_integral=float(s.std(ddof=1) / math.sqrt(n)), n_paths=n)
-    if not isinstance(source, PenalizedField):
+    many = isinstance(source, (list, tuple))
+    fields = tuple(source) if many else (source,)
+    if not fields or not all(isinstance(f, PenalizedField) for f in fields):
         raise TypeError("source must be a BsdeQuintuple or PenalizedField")
     if bundle is None:
         raise ValueError("a path bundle is required with a lattice field")
     spec = bundle.spec
-    if spec.fingerprint() != source.metadata["fingerprint"]:
-        raise ValueError("spec mismatch between solver artifacts")
-    n_steps = source.n_steps
-    if (bundle.n_steps != n_steps
-            or not np.allclose(bundle.time_grid, source.time_grid,
-                               rtol=0.0, atol=1e-12 * spec.horizon)):
-        raise ValueError("the bundle's time grid is not the field's")
+    axes = fields[0].grid.axes
+    for fld in fields:
+        if spec.fingerprint() != fld.metadata["fingerprint"]:
+            raise ValueError("spec mismatch between solver artifacts")
+        if (bundle.n_steps != fld.n_steps
+                or not np.allclose(bundle.time_grid, fld.time_grid,
+                                   rtol=0.0, atol=1e-12 * spec.horizon)):
+            raise ValueError("the bundle's time grid is not the field's")
+        if not all(np.array_equal(a, b) for a, b in zip(fld.grid.axes, axes)):
+            raise ValueError("the fields do not share one lattice")
 
     keep = bundle.included()
-    states = bundle.states[keep]
-    regimes = bundle.regimes[keep]
-    m_used = states.shape[0]
+    # step-major copies of the kept paths: each step reads contiguous rows
+    states = np.compress(keep, bundle.states.transpose(1, 0, 2), axis=1)
+    regimes = np.compress(keep, bundle.regimes.T, axis=1)
+    m_used = states.shape[1]
     if m_used == 0:
         raise ValueError("no paths")
-    dt = float(source.time_grid[1] - source.time_grid[0])
     weights = spec.randomization.lambda0_weights
-    s = np.zeros(m_used)
-    for k in range(n_steps):
-        cont, _ = transition.multilinear(source.grid.axes,
-                                         source.continuation[k],
-                                         states[:, k, :])
-        own = cont[np.arange(m_used), regimes[:, k]]
-        s += dt * (np.maximum(cont - own[:, None], 0.0) @ weights)
-    return ConstraintReport(
-        level_n=source.level_n, phi=float(s.mean() ** 2),
-        k_ratio=float((s ** 2).mean()), mean_integral=float(s.mean()),
-        se_integral=float(s.std(ddof=1) / math.sqrt(m_used)),
-        n_paths=m_used)
+    rows = np.arange(m_used)
+    s = np.zeros((len(fields), m_used))
+    for k in range(fields[0].n_steps):
+        stacked = np.stack([fld.continuation[k] for fld in fields], axis=-1)
+        cont_all, _ = transition.multilinear(axes, stacked, states[k])
+        for l, fld in enumerate(fields):
+            cont = cont_all[..., l]
+            own = cont[rows, regimes[k]]
+            dt = float(fld.time_grid[1] - fld.time_grid[0])
+            s[l] += dt * (np.maximum(cont - own[:, None], 0.0) @ weights)
+    reports = tuple(ConstraintReport(
+        level_n=fld.level_n, phi=float(s_l.mean() ** 2),
+        k_ratio=float((s_l ** 2).mean()), mean_integral=float(s_l.mean()),
+        se_integral=float(s_l.std(ddof=1) / math.sqrt(m_used)),
+        n_paths=m_used) for fld, s_l in zip(fields, s))
+    return reports if many else reports[0]
 
 
 # ---------------------------------------------------------------------------

@@ -337,9 +337,7 @@ def _suite_martingale(wb: _Workbench):
                         "kappa_se": est["se"], "ok": good})
         ok = ok and good
     agree = girsanov.check_mode_agreement(
-        wb.spec, girsanov.IntensityControl.const(2.0),
-        n_paths=wb.paths, seed=wb.seed, se_multiplier=se_mult,
-        n_steps=wb.steps)
+        bundle, girsanov.IntensityControl.const(2.0), se_multiplier=se_mult)
     ok = ok and agree["ok"]
     return ok, {"weights": weights, "mode_agreement": agree}
 
@@ -357,8 +355,8 @@ def _suite_constraint(wb: _Workbench):
     lo_n, hi_n = min(wb.levels), max(wb.levels)
     if lo_n == hi_n:
         raise problem.ConfigError("constraint suite needs >= 2 levels")
-    lo = bsde.constraint_gap(wb.penalized(lo_n), wb.bundle())
-    hi = bsde.constraint_gap(wb.penalized(hi_n), wb.bundle())
+    lo, hi = bsde.constraint_gap((wb.penalized(lo_n), wb.penalized(hi_n)),
+                                 wb.bundle())
     # phi is a squared mean, so its MC noise comes from the mean's se
     noise = (2.0 * abs(lo.mean_integral) * lo.se_integral
              + 2.0 * abs(hi.mean_integral) * hi.se_integral

@@ -132,18 +132,6 @@ class IntensityControl:
         k, cells = self._cells(t, x)
         return self.table[(k, *cells, a_idx, b_idx)]
 
-    def rates_from(self, t, x: np.ndarray, a_index: int) -> np.ndarray:
-        """(P, A) array of nu(t, x, a_index, b) over all targets b."""
-        x = np.atleast_2d(x)
-        n = x.shape[0]
-        if self.kind == "constant":
-            # a constant knows no grid size; callers broadcast the column
-            return np.full((n, 1), self.constant)
-        if self.kind == "matrix":
-            return np.broadcast_to(self.matrix[a_index], (n, self.matrix.shape[1]))
-        k, cells = self._cells(t, x)
-        return self.table[(k, *cells, np.full(n, a_index, dtype=np.int64))]
-
 
 # ---------------------------------------------------------------------------
 # Weight computation
@@ -189,21 +177,24 @@ def doleans_weights(bundle: PathBundle, nu: IntensityControl) -> np.ndarray:
     if nu.kind == "constant":
         log_k += (1.0 - nu.constant) * total * (horizon - t0)
         return np.exp(log_k)
+    # sum_b (1 - nu(a, b)) lambda0(b) for every source regime a, once per
+    # matrix entry or feedback cell: (A,) or (K, *shape, A)
+    deficit = ((1.0 - (nu.matrix if nu.kind == "matrix" else nu.table))
+               * weights).sum(axis=-1)
     segs = sim._segments_from_events(theta, start_regimes, t0, horizon)
     n_controls = weights.size
+    cell = ()
     for k in range(time_grid.size - 1):
         t_lo, t_hi = float(time_grid[k]), float(time_grid[k + 1])
         occ = sim._occupation_rows(segs, t_lo, t_hi, n_paths, n_controls)
-        x_left = states[:, k, :]
+        if nu.kind == "feedback":
+            k_idx, cells = nu._cells(t_lo, states[:, k, :])
+            cell = (k_idx, *cells)
         for ai in range(n_controls):
             col = occ[:, ai]
             if not np.any(col > 0):
                 continue
-            rates = nu.rates_from(t_lo, x_left, ai)
-            if rates.shape[1] == 1 and n_controls > 1:
-                rates = np.broadcast_to(rates, (n_paths, n_controls))
-            s_a = ((1.0 - rates) * weights[None, :]).sum(axis=1)
-            log_k += col * s_a
+            log_k += col * deficit[(*cell, ai)]
     return np.exp(log_k)
 
 
@@ -285,16 +276,21 @@ class GainEstimate:
             "n_excluded": self.n_excluded}, sort_keys=True)
 
 
+def _reweighted_gain(bundle: PathBundle,
+                     nu: IntensityControl) -> GainEstimate:
+    est = reweighted_expectation(bundle, nu, gain_payoff)
+    return GainEstimate(nu_id=nu.nu_id, mode="reweight", mean=est["mean"],
+                        se=est["se"], n_paths=est["n_paths"],
+                        seed=bundle.seed, n_excluded=bundle.n_excluded)
+
+
 def randomized_gain(spec: ProblemSpec, nu: IntensityControl, n_paths: int,
                     seed: int, mode: str = "reweight",
                     n_steps: Optional[int] = None) -> GainEstimate:
     """Estimate E^nu[int f dt + g(X_T)] by one of the two routes."""
     if mode == "reweight":
-        bundle = sim.simulate_bundle(spec, n_paths, seed, n_steps=n_steps)
-        est = reweighted_expectation(bundle, nu, gain_payoff)
-        return GainEstimate(nu_id=nu.nu_id, mode=mode, mean=est["mean"],
-                            se=est["se"], n_paths=est["n_paths"], seed=seed,
-                            n_excluded=bundle.n_excluded)
+        return _reweighted_gain(
+            sim.simulate_bundle(spec, n_paths, seed, n_steps=n_steps), nu)
     if mode == "tilted":
         bundle = simulate_tilted_theta(nu, spec, seed, n_paths=n_paths,
                                        n_steps=n_steps)
@@ -310,13 +306,19 @@ def randomized_gain(spec: ProblemSpec, nu: IntensityControl, n_paths: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def check_mode_agreement(spec: ProblemSpec, nu: IntensityControl,
-                         n_paths: int, seed: int,
-                         se_multiplier: float = 3.0,
-                         n_steps: Optional[int] = None) -> dict:
-    """Cross-check the two gain routes; they share no draws (seed offset)."""
-    rw = randomized_gain(spec, nu, n_paths, seed, "reweight", n_steps)
-    ti = randomized_gain(spec, nu, n_paths, seed + 104729, "tilted", n_steps)
+def check_mode_agreement(bundle: PathBundle, nu: IntensityControl,
+                         se_multiplier: float = 3.0) -> dict:
+    """Cross-check the two gain routes; they share no draws (seed offset).
+
+    ``bundle`` is a reference bundle from time 0, which the reweighting
+    route reads as is; the tilted route simulates as many paths on the
+    same spec and time grid from ``bundle.seed + 104729``.
+    """
+    if bundle.control_mode != "randomized" or bundle.t0 != 0.0:
+        raise ValueError("mode agreement needs a reference bundle from t = 0")
+    rw = _reweighted_gain(bundle, nu)
+    ti = randomized_gain(bundle.spec, nu, bundle.n_paths, bundle.seed + 104729,
+                         "tilted", bundle.n_steps)
     band = se_multiplier * math.hypot(rw.se, ti.se)
     diff = rw.mean - ti.mean
     return {

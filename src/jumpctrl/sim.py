@@ -15,6 +15,16 @@ tilted estimators), per-step feedback policies (used by rollouts), and fixed
 regime schedules.  Everything is reproducible: path ``i`` of a bundle is a
 pure function of ``(master seed, i)``.
 
+Storage is step-major: the integrator writes an (N+1, M, D) state buffer
+and an (N+1, M) regime buffer one contiguous row per step, and a bundle
+exposes them as ``(M, N+1, D)`` and ``(M, N+1)`` transposed views, never
+copied.  Consumers that sweep time (regression, constraint diagnostics)
+transpose back and read contiguous rows.  Jump and switch events are
+merged once per simulation into one table ordered by (step, slot, kind,
+path), where the slot is an event's rank within its (step, path) group
+and switches come before jumps of the same slot; each step then walks its
+(slot, kind) runs as contiguous slices, each holding a path at most once.
+
 Every simulation is a ``PathBundle`` from ``_simulate_core``; one path is
 a 1-row bundle.  Its replay form is the one deterministic entry
 point: ``_simulate_core(spec, M, seed, control="fixed", fixed_theta=...,
@@ -146,8 +156,10 @@ def _poisson_block(rate: float, span: float, t0: float, seed: int,
         return empty, empty.astype(bool), empty
     budget = stream.event_budget(rate, span)
     u = stream.uniform_block(seed, stream_id, n_paths, 2 * budget)
-    inter = stream.exponential_from_uniform(u[:, :budget]) / rate
-    times = t0 + np.cumsum(inter, axis=1)
+    times = stream.exponential_from_uniform(u[:, :budget])
+    times /= rate
+    np.cumsum(times, axis=1, out=times)
+    times += t0
     keep = times <= t0 + span
     if np.any(keep[:, -1]):
         raise RuntimeError("event budget exceeded; rate too high for the "
@@ -208,13 +220,24 @@ def _occupation_rows(segs: _Segments, t_lo: float, t_hi: float,
 # Core integrator
 # ---------------------------------------------------------------------------
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of nonnegative integer keys, as a radix sort when
+    they fit in 16 bits."""
+    return np.argsort(keys.astype(np.min_scalar_type(int(keys.max()))),
+                      kind="stable")
+
+
 def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
                        theta_path, theta_time, theta_mark, theta_accept_u):
     """Merge state-jump events and switch candidates into one sweep table.
 
-    Returns per-event arrays sorted by (step, path, time) plus the slot
-    index of each event within its (step, path) group and contiguous
-    per-step ranges.
+    An event's slot is its rank in time within its (step, path) group.
+    Events are ordered by (step, slot, kind, path) with switches (kind 1)
+    before jumps (kind 0), so every (step, slot, kind) run is one
+    contiguous slice that holds each path at most once.  Returns the
+    permuted per-event columns plus the runs: ``run_lo``/``run_hi``
+    bounds, ``run_kind``, and ``step_runs``, the (N+1,) offsets of each
+    step's runs.
     """
     n_steps = time_grid.size - 1
     parts_path, parts_time = [], []
@@ -240,23 +263,54 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
     path = np.concatenate(parts_path)
     time = np.concatenate(parts_time)
     kind = np.concatenate(parts_kind)
-    z = np.concatenate(parts_z)
-    mark = np.concatenate(parts_mark)
-    u = np.concatenate(parts_u)
 
     step = np.clip(np.searchsorted(time_grid, time, side="left") - 1,
                    0, n_steps - 1)
-    order = np.lexsort((time, path, step))
-    path, time, kind, z, mark, u, step = (
-        arr[order] for arr in (path, time, kind, z, mark, u, step))
-    group = step.astype(np.int64) * np.int64(n_paths) + path
-    first = np.searchsorted(group, group, side="left")
-    slot = np.arange(group.size) - first
-    starts = np.searchsorted(step, np.arange(n_steps), side="left")
-    ends = np.searchsorted(step, np.arange(n_steps), side="right")
+    # order by (step, path, time): stable sorts by step (a radix sort on a
+    # small integer type) and then by group, and a time sort inside the few
+    # groups left out of time order (the sources come in (path, time)
+    # order, so only groups with events of both do).  Temporaries are
+    # dropped as soon as they are used: tables reach millions of events.
+    group = step * np.int64(n_paths) + path
+    by_group = _stable_order(step)
+    by_group = by_group[np.argsort(group[by_group], kind="stable")]
+    g_sorted = group[by_group]
+    del group
+    is_start = np.diff(g_sorted, prepend=-1) != 0
+    run_id = np.cumsum(is_start) - 1
+    t_sorted = time[by_group]
+    unsorted = np.flatnonzero(~is_start[1:] & (t_sorted[1:] < t_sorted[:-1]))
+    if unsorted.size:
+        bad_run = np.zeros(run_id[-1] + 1, dtype=bool)
+        bad_run[run_id[unsorted]] = True
+        fix = np.flatnonzero(bad_run[run_id])
+        by_group[fix] = by_group[fix][np.lexsort((t_sorted[fix],
+                                                  g_sorted[fix]))]
+    del g_sorted, t_sorted
+    slot = np.arange(run_id.size) - np.flatnonzero(is_start)[run_id]
+    del run_id, is_start
+    # then by (step, slot, kind), switches first; a stable sort keeps the
+    # path order within each run
+    run_key = step[by_group] * (int(slot.max()) + 1) + slot
+    del slot
+    run_key *= 2
+    run_key += 1 - kind[by_group]
+    by_run = _stable_order(run_key)
+    order = by_group[by_run]
+    del by_group
+    run_key = run_key[by_run]
+    del by_run
+    run_lo = np.flatnonzero(np.diff(run_key, prepend=-1))
+    run_step = step[order[run_lo]]
+    del run_key
     return {
-        "path": path, "time": time, "kind": kind, "z": z, "mark": mark,
-        "u": u, "slot": slot, "starts": starts, "ends": ends,
+        "path": path[order], "time": time[order],
+        "z": np.concatenate(parts_z)[order],
+        "mark": np.concatenate(parts_mark)[order],
+        "u": np.concatenate(parts_u)[order],
+        "run_lo": run_lo, "run_hi": np.append(run_lo[1:], order.size),
+        "run_kind": kind[order[run_lo]],
+        "step_runs": np.searchsorted(run_step, np.arange(n_steps + 1)),
     }
 
 
@@ -328,7 +382,8 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     if brownian is None:
         raw = stream.normal_block(seed, stream.STREAM_BROWNIAN, n_paths,
                                   n_steps * m_brown)
-        brownian = raw.reshape(n_paths, n_steps, m_brown) * np.sqrt(dt)
+        raw *= np.sqrt(dt)
+        brownian = raw.reshape(n_paths, n_steps, m_brown)
     else:
         brownian = np.asarray(brownian, dtype=float).reshape(
             n_paths, n_steps, m_brown)
@@ -384,11 +439,11 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     table = _merge_event_table(time_grid, n_paths, pi_events, th_path,
                                th_time, th_mark, theta_accept_u)
 
-    # --- state arrays ------------------------------------------------------
+    # --- state arrays: step-major, so each step is one contiguous row -----
     total_dim = spec.total_dim
-    states = np.zeros((n_paths, n_steps + 1, total_dim))
-    states[:, 0, :] = spec.initial_augmented(core0)
-    regimes = np.zeros((n_paths, n_steps + 1), dtype=np.int64)
+    state_buf = np.zeros((n_steps + 1, n_paths, total_dim))
+    state_buf[0] = spec.initial_augmented(core0)
+    regime_buf = np.zeros((n_steps + 1, n_paths), dtype=np.int64)
     if start_regimes is None:
         cur_reg = np.full(n_paths, spec.randomization.a0_index,
                           dtype=np.int64)
@@ -404,74 +459,64 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     if has_jumps:
         z_nodes, z_weights = jump.gauss_nodes(32)
     rows = np.arange(n_paths)
+    # per-step working arrays, allocated once
+    occ = np.empty((n_paths, n_controls))
+    last_switch = np.empty(n_paths)
+    jump_acc = np.empty((n_paths, d))
+    drift = np.empty((n_paths, d))
+    sig = np.empty((n_paths, d, m_brown))
+    if table is None:
+        step_runs = np.zeros(n_steps + 1, dtype=np.int64)
+    else:
+        ev_path, ev_time, ev_z = table["path"], table["time"], table["z"]
+        ev_mark, ev_u = table["mark"], table["u"]
+        run_lo, run_hi = table["run_lo"], table["run_hi"]
+        run_kind, step_runs = table["run_kind"], table["step_runs"]
 
     for k in range(n_steps):
         t_k = float(time_grid[k])
         t_next = float(time_grid[k + 1])
-        x_left = states[:, k, :d]
+        x_k = state_buf[k]
+        x_left = x_k[:, :d]
         if control == "policy":
-            cur_reg = np.asarray(policy(k, t_k, states[:, k, :]),
-                                 dtype=np.int64)
-        regimes[:, k] = cur_reg
+            cur_reg = np.asarray(policy(k, t_k, x_k), dtype=np.int64)
+        regime_buf[k] = cur_reg
 
-        occ = np.zeros((n_paths, n_controls))
-        last_switch = np.full(n_paths, t_k)
-        jump_acc = np.zeros((n_paths, d))
+        occ.fill(0.0)
+        last_switch.fill(t_k)
+        jump_acc.fill(0.0)
 
-        if table is not None and table["starts"][k] < table["ends"][k]:
-            lo, hi = table["starts"][k], table["ends"][k]
-            sl_path = table["path"][lo:hi]
-            sl_time = table["time"][lo:hi]
-            sl_kind = table["kind"][lo:hi]
-            sl_z = table["z"][lo:hi]
-            sl_mark = table["mark"][lo:hi]
-            sl_u = table["u"][lo:hi]
-            sl_slot = table["slot"][lo:hi]
-            for s in range(int(sl_slot.max()) + 1):
-                at = sl_slot == s
-                if not np.any(at):
-                    break
-                p = sl_path[at]
-                tt = sl_time[at]
-                kd = sl_kind[at]
-                mk_at = sl_mark[at]
-                z_at = sl_z[at]
-                u_at = sl_u[at]
-                # switch candidates first: acceptance, occupation, regime
-                th = kd == 1
-                if np.any(th):
-                    pt, et, mk = p[th], tt[th], mk_at[th]
-                    if control == "tilted":
-                        nu_val = tilt.rate(t_k, states[pt, k, :],
-                                           cur_reg[pt], mk)
-                        ok = u_at[th] * tilt.nu_max <= nu_val
-                    else:
-                        ok = np.ones(pt.size, dtype=bool)
-                    pa, ta, ma = pt[ok], et[ok], mk[ok]
-                    occ[pa, cur_reg[pa]] += ta - last_switch[pa]
-                    cur_reg[pa] = ma
-                    last_switch[pa] = ta
-                    if pa.size:
-                        acc_p.append(pa)
-                        acc_t.append(ta)
-                        acc_m.append(ma)
-                # state jumps: gamma at the left node, pre-switch regime
-                pj = kd == 0
-                if np.any(pj) and has_jumps:
-                    pp, zz = p[pj], z_at[pj]
-                    pre = cur_reg[pp]
-                    for ai in range(n_controls):
-                        grp = pre == ai
-                        if not np.any(grp):
-                            continue
-                        gz = coeff.gamma(t_k, x_left[pp[grp]],
-                                         float(a_values[ai]), zz[grp])
-                        jump_acc[pp[grp]] += gz
+        # one contiguous run per (slot, kind): switch candidates of a slot
+        # (acceptance, occupation, regime) before its state jumps
+        for r in range(step_runs[k], step_runs[k + 1]):
+            lo, hi = run_lo[r], run_hi[r]
+            p = ev_path[lo:hi]
+            if run_kind[r]:
+                et, mk = ev_time[lo:hi], ev_mark[lo:hi]
+                if control == "tilted":
+                    nu_val = tilt.rate(t_k, x_k[p], cur_reg[p], mk)
+                    ok = np.flatnonzero(ev_u[lo:hi] * tilt.nu_max <= nu_val)
+                    p, et, mk = p[ok], et[ok], mk[ok]
+                    acc_p.append(p)
+                    acc_t.append(et)
+                    acc_m.append(mk)
+                occ[p, cur_reg[p]] += et - last_switch[p]
+                cur_reg[p] = mk
+                last_switch[p] = et
+            elif has_jumps:
+                # gamma at the left node, pre-switch regime
+                pre, zz = cur_reg[p], ev_z[lo:hi]
+                for ai in range(n_controls):
+                    grp = np.flatnonzero(pre == ai)
+                    if grp.size:
+                        pg = p[grp]
+                        jump_acc[pg] += coeff.gamma(
+                            t_k, x_left[pg], float(a_values[ai]), zz[grp])
 
         occ[rows, cur_reg] += t_next - last_switch
 
         # drift, compensator and running reward: exact in the regime path
-        drift = np.zeros((n_paths, d))
+        drift.fill(0.0)
         for ai in range(n_controls):
             w = occ[:, ai]
             if not np.any(w > 0):
@@ -486,30 +531,30 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                                              np.full(n_paths, zi))
                 drift -= jump.total_rate * comp * w[:, None]
 
-        sig = np.empty((n_paths, d, m_brown))
-        reg_k = regimes[:, k]
+        reg_k = regime_buf[k]
         for ai in range(n_controls):
-            grp = reg_k == ai
-            if not np.any(grp):
-                continue
-            sig[grp] = coeff.sigma(t_k, x_left[grp], float(a_values[ai]))
+            grp = np.flatnonzero(reg_k == ai)
+            if grp.size:
+                sig[grp] = coeff.sigma(t_k, x_left[grp], float(a_values[ai]))
         diffusion = np.einsum("pdm,pm->pd", sig, brownian[:, k, :])
 
-        x_next = decay * (x_left + drift + diffusion) + jump_acc
+        x_next = state_buf[k + 1, :, :d]
+        np.add(x_left, drift, out=x_next)
+        x_next += diffusion
+        x_next *= decay
+        x_next += jump_acc
 
-        bad = ~np.isfinite(x_next).all(axis=1)
-        bad |= np.abs(x_next).max(axis=1) > OVERFLOW_BOUND
+        # non-finite or beyond the bound; NaN fails every comparison
+        bad = ~(np.abs(x_next) <= OVERFLOW_BOUND).all(axis=1)
         frozen = excluded | bad
         if np.any(frozen):
-            x_next[frozen] = x_left[frozen]
+            np.copyto(x_next, x_left, where=frozen[:, None])
         excluded |= bad
 
-        states[:, k + 1, :d] = x_next
         if spec.aug_dim:
-            states[:, k + 1, d] = update_running_functional(
-                spec.augmentation, states[:, k, d], x_left[:, 0],
-                x_next[:, 0], dt)
-    regimes[:, n_steps] = cur_reg
+            state_buf[k + 1, :, d] = update_running_functional(
+                spec.augmentation, x_k[:, d], x_left[:, 0], x_next[:, 0], dt)
+    regime_buf[n_steps] = cur_reg
 
     if control == "fixed":
         theta_csr = fixed_theta
@@ -526,8 +571,9 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                       RuntimeWarning)
 
     return PathBundle(
-        spec=spec, seed=seed, t0=t0, time_grid=time_grid, states=states,
-        regimes=regimes, brownian_increments=brownian, pi=pi_events,
+        spec=spec, seed=seed, t0=t0, time_grid=time_grid,
+        states=state_buf.transpose(1, 0, 2), regimes=regime_buf.T,
+        brownian_increments=brownian, pi=pi_events,
         theta=theta_csr, running_reward=running_reward, excluded=excluded,
         control_mode=control)
 

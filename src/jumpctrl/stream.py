@@ -41,12 +41,19 @@ def normal_block(seed: int, stream_id: int, n_rows: int,
                  n_cols: int) -> np.ndarray:
     """Standard normals via the inverse CDF (positionally pure)."""
     u = uniform_block(seed, stream_id, n_rows, n_cols)
-    return ndtri(np.clip(u, _UNIFORM_LO, _UNIFORM_HI))
+    np.clip(u, _UNIFORM_LO, _UNIFORM_HI, out=u)
+    return ndtri(u, out=u)
 
 
 def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Strictly positive unit-rate exponentials from uniforms in [0, 1)."""
-    return -np.log1p(-np.clip(u, 0.0, _UNIFORM_HI))
+    """Strictly positive unit-rate exponentials from uniforms in [0, 1).
+
+    Returns a fresh contiguous array; ``u`` may be a strided view.
+    """
+    e = np.clip(u, 0.0, _UNIFORM_HI)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    return np.negative(e, out=e)
 
 
 def event_budget(rate: float, span: float) -> int:

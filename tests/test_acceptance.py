@@ -105,8 +105,7 @@ def test_criterion_3_constraint_decay_on_bang(bang_spec, bang_ladder,
                                               announce):
     bundle = sim.simulate_bundle(bang_spec, 20_000, 5,
                                  n_steps=bang_ladder.n_time_steps)
-    reports = [bsde.constraint_gap(fld, bundle)
-               for fld in bang_ladder.per_level]
+    reports = bsde.constraint_gap(bang_ladder.per_level, bundle)
     phi_ok = True
     for lo, hi in zip(reports, reports[1:]):
         # phi is a squared mean; propagate the mean's MC noise
@@ -170,8 +169,8 @@ def test_criterion_6_tilt_weights_and_mode_agreement(
     for family in FAMILIES:
         spec = _spec(family)
         res = girsanov.check_mode_agreement(
-            spec, girsanov.IntensityControl.const(2.0),
-            n_paths=N_BIG, seed=17,
+            sim.simulate_bundle(spec, N_BIG, seed=17),
+            girsanov.IntensityControl.const(2.0),
             se_multiplier=spec.tolerances["se_multiplier"])
         agree_ok = agree_ok and res["ok"]
     announce(6, "tilt weights average to one and both gain routes agree",

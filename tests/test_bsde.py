@@ -262,6 +262,28 @@ def test_constraint_gap_decreases_along_ladder(bang_spec, bang_bundle):
     assert reports[-1].k_ratio < reports[0].k_ratio / 2
 
 
+def test_constraint_gap_many_fields_equal_their_one_field_calls(
+        bang_ladder, bang_bundle):
+    fields = bang_ladder.per_level
+    many = bsde.constraint_gap(fields, bang_bundle)
+    assert isinstance(many, tuple) and len(many) == len(fields)
+    for fld, rep in zip(fields, many):
+        assert rep == bsde.constraint_gap(fld, bang_bundle)
+    assert [r.level_n for r in many] == list(bang_ladder.levels)
+    assert bsde.constraint_gap(list(fields[:1]), bang_bundle) == many[:1]
+
+
+def test_constraint_gap_many_fields_need_one_lattice(bang_spec, bang_ladder,
+                                                     bang_bundle):
+    other = bsde.solve_penalized_grid(
+        bang_spec, 4, n_time_steps=64,
+        grid=transition.default_state_grid(bang_spec, 41))
+    with pytest.raises(ValueError, match="one lattice"):
+        bsde.constraint_gap((bang_ladder.last_field, other), bang_bundle)
+    with pytest.raises(TypeError):
+        bsde.constraint_gap((), bang_bundle)
+
+
 def test_constraint_gap_validates_inputs(bang_spec):
     with pytest.raises(TypeError):
         bsde.constraint_gap(object())

@@ -301,6 +301,27 @@ def test_verify_builds_its_lattice_once(decay_cfg, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_simulates_each_bundle_once(decay_cfg, tmp_path,
+                                           monkeypatch):
+    # pilot grid, reference bundle, tilted mode-agreement route, three dpp
+    # tilts and the value-equality tilt; the reference bundle serves the
+    # martingale, mode-agreement and constraint suites
+    calls = []
+    core = sim._simulate_core
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("control", "randomized"))
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_simulate_core", counted)
+    code = cli.main(["verify", decay_cfg, "--suite", "all",
+                     "--levels", "1,2,4", "--paths", "2000",
+                     "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert len(calls) == 7
+    assert calls.count("randomized") == 2
+
+
 def test_verify_value_equality_passes_on_bang(bang_cfg, tmp_path):
     out = tmp_path / "run"
     code = cli.main(["verify", bang_cfg, "--suite", "value-equality",

@@ -195,10 +195,22 @@ def test_gain_modes_agree_and_respect_value_bound():
     spec = load("bang-drift")
     for nu in (girsanov.IntensityControl.const(0.5),
                girsanov.IntensityControl.const(2.0)):
-        rep = girsanov.check_mode_agreement(spec, nu, n_paths=20_000, seed=43)
+        rep = girsanov.check_mode_agreement(
+            sim.simulate_bundle(spec, 20_000, seed=43), nu)
         assert rep["ok"], rep
         for est in (rep["reweight"], rep["tilted"]):
             assert est.mean <= oracles.BANG_VALUE_T0 + 3.0 * est.se
+
+
+def test_mode_agreement_needs_a_reference_bundle():
+    spec = load("bang-drift")
+    nu = girsanov.IntensityControl.const(2.0)
+    with pytest.raises(ValueError, match="reference bundle"):
+        girsanov.check_mode_agreement(
+            girsanov.simulate_tilted_theta(nu, spec, 3, n_paths=50), nu)
+    with pytest.raises(ValueError, match="reference bundle"):
+        girsanov.check_mode_agreement(
+            sim.simulate_bundle(spec, 50, 3, t0=0.5), nu)
 
 
 def test_strong_tilt_toward_best_regime_approaches_value():

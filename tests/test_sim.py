@@ -1,5 +1,6 @@
 """Simulation invariants: purity, adaptedness, exactness, martingales."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 from onerow import one_path, path_events, poisson_events, replay
-from jumpctrl import problem, sim, stream
+from jumpctrl import girsanov, problem, sim, stream
 
 
 def load(family, **over):
@@ -310,3 +311,136 @@ def test_write_bundle_csv_roundtrip(tmp_path):
     meta = json.loads(side.read_text())
     assert meta["schema_version"] == sim.CSV_SCHEMA
     assert meta["n_paths"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Golden bundle hashes
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATHS, GOLDEN_STEPS, GOLDEN_SEED = 400, 16, 5
+GOLDEN_MODES = ("randomized", "tilted-const", "tilted-feedback", "policy",
+                "fixed")
+#: extra specs beyond the registry defaults: a Gaussian initial law (the
+#: STREAM_INIT draw) and an overflowing system (the frozen/excluded rows)
+GOLDEN_EXTRA = {
+    "gaussian-init": ("jump-reward", {"initial_law": {
+        "kind": "gaussian", "mean": [0.1], "cov_diag": [0.25]}}),
+    "overflow": ("ou-switch", {"parameters": {"reversion": -60.0},
+                               "regularity": {"lipschitz_l": 60.0},
+                               "initial_law": {"kind": "gaussian",
+                                               "mean": [0.0],
+                                               "cov_diag": [400.0]}}),
+}
+
+
+def _golden_feedback_tilt(spec):
+    """An argmax tilt on a fixed synthetic lattice over every coordinate."""
+    time_grid = np.linspace(0.0, spec.horizon, GOLDEN_STEPS + 1)
+    axes = [np.linspace(-1.5, 1.5, 7) for _ in range(spec.total_dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    a = np.arange(spec.control.size)
+    values = np.cos(time_grid.reshape(-1, *(1,) * len(axes), 1)
+                    + 2.0 * sum(mesh)[None, ..., None] * (a - 0.5))
+    return girsanov.IntensityControl.argmax_tilt(time_grid, axes, values,
+                                                 strength=3.0)
+
+
+def _golden_policy(n_controls):
+    def policy(k, t, states):
+        cell = np.floor(np.nan_to_num(states[:, 0], posinf=0.0, neginf=0.0)
+                        * 4.0)
+        return (np.abs(cell).astype(np.int64) + k) % n_controls
+    return policy
+
+
+def _golden_bundle(spec, mode):
+    args = (spec, GOLDEN_PATHS, GOLDEN_SEED)
+    if mode == "randomized":
+        return sim.simulate_bundle(*args, n_steps=GOLDEN_STEPS)
+    if mode.startswith("tilted"):
+        nu = (girsanov.IntensityControl.const(2.0) if mode == "tilted-const"
+              else _golden_feedback_tilt(spec))
+        return girsanov.simulate_tilted_theta(
+            nu, spec, GOLDEN_SEED, GOLDEN_PATHS, n_steps=GOLDEN_STEPS)
+    if mode == "policy":
+        return sim._simulate_core(*args, n_steps=GOLDEN_STEPS,
+                                  control="policy",
+                                  policy=_golden_policy(spec.control.size))
+    ref = sim.simulate_bundle(spec, GOLDEN_PATHS, GOLDEN_SEED + 1,
+                              n_steps=GOLDEN_STEPS)
+    return sim._simulate_core(
+        *args, n_steps=GOLDEN_STEPS, control="fixed", fixed_theta=ref.theta,
+        start_regimes=(np.arange(GOLDEN_PATHS) % spec.control.size),
+        brownian=ref.brownian_increments, pi_events=ref.pi)
+
+
+def _bundle_hash(bundle) -> str:
+    h = hashlib.sha256()
+    for arr in (bundle.states, bundle.regimes, bundle.brownian_increments,
+                bundle.running_reward, bundle.excluded,
+                bundle.theta.times, bundle.theta.marks, bundle.theta.indptr,
+                bundle.pi.times, bundle.pi.marks, bundle.pi.indptr):
+        arr = np.asarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+#: sha256 prefixes recorded before the step loop was restructured
+GOLDEN_HASHES = {
+    "uncontrolled-decay/randomized": "f6bd53e8407a822f",
+    "uncontrolled-decay/tilted-const": "0b4fc95e2fdd7f76",
+    "uncontrolled-decay/tilted-feedback": "cb1e82db0176dab9",
+    "uncontrolled-decay/policy": "f12609197cdf6899",
+    "uncontrolled-decay/fixed": "3949cea12d92dfe9",
+    "bang-drift/randomized": "a73c2796371a8302",
+    "bang-drift/tilted-const": "0678995cdcb3b77a",
+    "bang-drift/tilted-feedback": "d4057b6307f9435d",
+    "bang-drift/policy": "1923833c2143f602",
+    "bang-drift/fixed": "826b4efba6e89760",
+    "jump-reward/randomized": "e3489de39d2b5194",
+    "jump-reward/tilted-const": "0479699fc1a60d45",
+    "jump-reward/tilted-feedback": "ed4b2153423145ff",
+    "jump-reward/policy": "5ff9ac687f76c92a",
+    "jump-reward/fixed": "cd579d8749d50119",
+    "ou-switch/randomized": "7191ca8c579ce8cd",
+    "ou-switch/tilted-const": "2ecfe3381edcb528",
+    "ou-switch/tilted-feedback": "45432cece7ed3fd6",
+    "ou-switch/policy": "355d6eb278b9899e",
+    "ou-switch/fixed": "711c99101cb251ca",
+    "lookback-integral/randomized": "d0a42170f790d990",
+    "lookback-integral/tilted-const": "4c31d987a661a0c7",
+    "lookback-integral/tilted-feedback": "24c0f106d9608a62",
+    "lookback-integral/policy": "dcb57a2ba76184ec",
+    "lookback-integral/fixed": "d93dddc789f116b1",
+    "gaussian-init/randomized": "e64ac8cff0e1dff2",
+    "gaussian-init/tilted-const": "8d7c9b25fffcb71f",
+    "gaussian-init/tilted-feedback": "a14628fe565021b8",
+    "gaussian-init/policy": "394e2f4bf5530824",
+    "gaussian-init/fixed": "180a26f10036c60f",
+    "overflow/randomized": "bfc868b0291cad92",
+    "overflow/tilted-const": "ad5b72aed98a4896",
+    "overflow/tilted-feedback": "7e27b86cded64ec9",
+    "overflow/policy": "fca755b3b488ab48",
+    "overflow/fixed": "bdf3f46b48e1ad7c",
+}
+
+
+def _golden_cases():
+    for family in problem.FAMILIES:
+        for mode in GOLDEN_MODES:
+            yield f"{family}/{mode}", family, {}, mode
+    for name, (family, over) in GOLDEN_EXTRA.items():
+        for mode in GOLDEN_MODES:
+            yield f"{name}/{mode}", family, over, mode
+
+
+@pytest.mark.filterwarnings("ignore:.*overflowed:RuntimeWarning")
+def test_bundles_match_golden_hashes():
+    """Every simulation mode on every family reproduces recorded bytes:
+    states, regimes, increments, rewards, exclusions and both event
+    tables.  A refactor of the integrator must leave these unchanged."""
+    got = {}
+    for key, family, over, mode in _golden_cases():
+        got[key] = _bundle_hash(_golden_bundle(load(family, **over), mode))
+    assert got == GOLDEN_HASHES
