@@ -306,8 +306,13 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
     fit with its rank and ridge decision, the running reward and the
     increments.  Each level's arithmetic reads that level alone, so its
     result does not depend on the other levels; ``ridge_events`` and
-    ``carried_cells`` depend on the features only and are shared.  Working
-    memory is a few (L, A, M) value stacks.
+    ``carried_cells`` depend on the features only and are shared.
+
+    The bundle is read in place: each step takes its rows from the
+    bundle's step-major state, regime and increment buffers (gathering the
+    kept rows when paths were excluded), and its jump counts from the
+    ``pi`` events of that step.  Working memory is a few (L, A, M) value
+    stacks and one index per jump event.
     """
     levels = [int(n) for n in levels]
     if not levels or min(levels) < 1:
@@ -316,13 +321,12 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
     m_used = int(keep.sum())
     if m_used == 0:
         raise ValueError("no paths")
-    # step-major copies of the kept paths: each step reads contiguous rows
-    states = np.compress(keep, bundle.states.transpose(1, 0, 2), axis=1)
-    regimes = np.compress(keep, bundle.regimes.T, axis=1)
-    brownian = np.compress(keep, bundle.brownian_increments.transpose(1, 0, 2),
-                           axis=1)
+    # the bundle's step-major buffers, as views
+    states = bundle.states.transpose(1, 0, 2)
+    regimes = bundle.regimes.T
+    brownian = bundle.brownian_increments.transpose(1, 0, 2)
+    at_step = _kept_rows_reader(keep)
     n_time_steps, time_grid = bundle.n_steps, bundle.time_grid
-    pi_counts = _pi_counts_per_step(bundle, keep, n_time_steps)
     dt = float(time_grid[1] - time_grid[0])
     weights = spec.randomization.lambda0_weights
     n_controls = spec.control.size
@@ -330,9 +334,11 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
     level_dt = np.array(levels) * dt
     regime_dtype = np.min_scalar_type(n_controls - 1)  # small: radix sort
     rate = spec.jump_measure.total_rate
+    if rate > 0.0:
+        jump_rows, jump_bounds = _jump_rows_by_step(bundle, keep)
 
     # value stack at the next node: v[l, b, i] = v^{n_l}(t_{k+1}, X_{i,k+1}, b)
-    g_terminal = spec.coefficients.g(states[-1])
+    g_terminal = spec.coefficients.g(at_step(states, n_time_steps))
     v_next = np.tile(g_terminal, (n_levels, n_controls, 1))
     tilde = np.empty_like(v_next)
     y_mean = np.full((n_levels, n_time_steps + 1), g_terminal.mean())
@@ -348,7 +354,8 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
                        regime * m_used + np.arange(m_used), axis=1)
 
     for k in range(n_time_steps - 1, -1, -1):
-        t_k, x_k, i_k = float(time_grid[k]), states[k], regimes[k]
+        t_k = float(time_grid[k])
+        x_k, i_k = at_step(states, k), at_step(regimes, k)
         phi = _monomial_features(x_k, degree)
         target = at_regime(v_next, i_k)                  # (L, M)
 
@@ -383,14 +390,18 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
 
         adv = _advantage(tilde.transpose(1, 0, 2),
                          weights * (counts > 0)).transpose(1, 0, 2)
-        v_next = tilde + level_dt[:, None, None] * adv
         r_pos = at_regime(adv, i_k)
+        # v = tilde + n dt adv, into the spent next-step stack
+        np.multiply(level_dt[:, None, None], adv, out=v_next)
+        v_next += tilde
+        del adv     # freed before the next step builds its own
         s_int += dt * r_pos
         r_pos_mean[:, k] = r_pos.mean(axis=1)
         y_mean[:, k] = at_regime(v_next, i_k).mean(axis=1)
-        z_mean[:, k] = (target @ brownian[k]) / m_used / dt
+        z_mean[:, k] = (target @ at_step(brownian, k)) / m_used / dt
         if rate > 0.0:
-            dn = pi_counts[k] - rate * dt
+            dn = (np.bincount(jump_rows[jump_bounds[k]:jump_bounds[k + 1]],
+                              minlength=m_used) - rate * dt)
             l_mean[:, k] = (target @ dn) / m_used / (rate * dt)
         betas_prev = betas
 
@@ -398,7 +409,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
     y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
     k_mean = np.zeros((n_levels, n_time_steps + 1))
     k_mean[:, 1:] = np.cumsum(level_dt[:, None] * r_pos_mean, axis=1)
-    y0 = at_regime(v_next, regimes[0]).mean(axis=1)
+    y0 = at_regime(v_next, at_step(regimes, 0)).mean(axis=1)
     return tuple(BsdeQuintuple(
         level_n=n, time_grid=time_grid, y0=float(y0[l]),
         y0_se=float(y0_se[l]), n_paths=m_used,
@@ -415,18 +426,33 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
         for l, n in enumerate(levels))
 
 
-def _pi_counts_per_step(bundle, keep: np.ndarray,
-                        n_steps: int) -> np.ndarray:
-    """(Nt, M_kept) jump counts of the driving measure per step."""
-    pi = bundle.pi
-    m_all = bundle.states.shape[0]
-    counts = np.zeros((n_steps, m_all))
-    if pi is not None and pi.times.size:
-        path_ids = np.repeat(np.arange(m_all), np.diff(pi.indptr))
-        step = np.clip(np.searchsorted(bundle.time_grid, pi.times,
-                                       side="right") - 1, 0, n_steps - 1)
-        np.add.at(counts, (step, path_ids), 1.0)
-    return counts[:, keep]
+def _kept_rows_reader(keep: np.ndarray):
+    """``at_step(buf, k)``: step k's rows of the kept paths from a
+    step-major buffer, contiguous; gathered only when paths are excluded."""
+    kept = None if keep.all() else np.flatnonzero(keep)
+
+    def at_step(buf, k):
+        return (np.ascontiguousarray(buf[k]) if kept is None
+                else np.take(buf[k], kept, axis=0))
+    return at_step
+
+
+def _jump_rows_by_step(bundle, keep: np.ndarray):
+    """Kept-row index of each jump of the driving measure, grouped by step.
+
+    Returns the rows in (step, path, time) order and the (Nt+1,) offsets
+    of each step's group.  A jump lands in the step whose state it moves:
+    the simulator applies a jump at t in (t_k, t_{k+1}] in step k.
+    """
+    pi, n_steps = bundle.pi, bundle.n_steps
+    step = np.clip(np.searchsorted(bundle.time_grid, pi.times, side="left")
+                   - 1, 0, n_steps - 1)
+    path = pi.path_ids()
+    on = keep[path]
+    rows = (np.cumsum(keep) - 1)[path[on]]
+    step = step[on]
+    order = np.argsort(step, kind="stable")
+    return rows[order], np.searchsorted(step[order], np.arange(n_steps + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +502,22 @@ def constraint_gap(source, bundle=None
             raise ValueError("the fields do not share one lattice")
 
     keep = bundle.included()
-    # step-major copies of the kept paths: each step reads contiguous rows
-    states = np.compress(keep, bundle.states.transpose(1, 0, 2), axis=1)
-    regimes = np.compress(keep, bundle.regimes.T, axis=1)
-    m_used = states.shape[1]
+    m_used = int(keep.sum())
     if m_used == 0:
         raise ValueError("no paths")
+    states, regimes = bundle.states.transpose(1, 0, 2), bundle.regimes.T
+    at_step = _kept_rows_reader(keep)
     weights = spec.randomization.lambda0_weights
     rows = np.arange(m_used)
     s = np.zeros((len(fields), m_used))
     for k in range(fields[0].n_steps):
         stacked = np.stack([fld.continuation[k] for fld in fields], axis=-1)
-        cont_all, _ = transition.multilinear(axes, stacked, states[k])
+        cont_all, _ = transition.multilinear(axes, stacked,
+                                             at_step(states, k))
+        i_k = at_step(regimes, k)
         for l, fld in enumerate(fields):
             cont = cont_all[..., l]
-            own = cont[rows, regimes[k]]
+            own = cont[rows, i_k]
             dt = float(fld.time_grid[1] - fld.time_grid[0])
             s[l] += dt * (np.maximum(cont - own[:, None], 0.0) @ weights)
     reports = tuple(ConstraintReport(
@@ -637,8 +664,8 @@ def check_randomized_dpp(fld: PenalizedField, spec: ProblemSpec,
         bundle = girsanov.simulate_tilted_theta(
             nu, spec_cut, seed + 7919 * i, n_paths, n_steps=k_prime)
         keep = bundle.included()
-        x_end = bundle.states[keep][:, -1, :]
-        i_end = bundle.regimes[keep][:, -1]
+        x_end = bundle.states[keep, -1, :]
+        i_end = bundle.regimes[keep, -1]
         tail = np.empty(x_end.shape[0])
         for a in range(spec.control.size):
             rows = i_end == a

@@ -184,11 +184,10 @@ def doleans_weights(bundle: PathBundle, nu: IntensityControl) -> np.ndarray:
     segs = sim._segments_from_events(theta, start_regimes, t0, horizon)
     n_controls = weights.size
     cell = ()
-    for k in range(time_grid.size - 1):
-        t_lo, t_hi = float(time_grid[k]), float(time_grid[k + 1])
-        occ = sim._occupation_rows(segs, t_lo, t_hi, n_paths, n_controls)
+    occupation = sim._occupation_by_step(segs, time_grid, n_paths, n_controls)
+    for k, occ in enumerate(occupation):
         if nu.kind == "feedback":
-            k_idx, cells = nu._cells(t_lo, states[:, k, :])
+            k_idx, cells = nu._cells(float(time_grid[k]), states[:, k, :])
             cell = (k_idx, *cells)
         for ai in range(n_controls):
             col = occ[:, ai]

@@ -16,14 +16,18 @@ regime schedules.  Everything is reproducible: path ``i`` of a bundle is a
 pure function of ``(master seed, i)``.
 
 Storage is step-major: the integrator writes an (N+1, M, D) state buffer
-and an (N+1, M) regime buffer one contiguous row per step, and a bundle
-exposes them as ``(M, N+1, D)`` and ``(M, N+1)`` transposed views, never
-copied.  Consumers that sweep time (regression, constraint diagnostics)
-transpose back and read contiguous rows.  Jump and switch events are
-merged once per simulation into one table ordered by (step, slot, kind,
-path), where the slot is an event's rank within its (step, path) group
-and switches come before jumps of the same slot; each step then walks its
-(slot, kind) runs as contiguous slices, each holding a path at most once.
+and an (N+1, M) regime buffer one contiguous row per step, and reads the
+Brownian increments from an (N, M, m) buffer, one transposed copy of the
+drawn (or replayed) block.  A bundle exposes the three as ``(M, N+1, D)``,
+``(M, N+1)`` and ``(M, N, m)`` transposed views, never copied, so it holds
+each path array once.  Consumers that sweep time (regression, constraint
+diagnostics) transpose back and read contiguous rows in place.  The
+random-number blocks behind the events are released as soon as their kept
+events are extracted.  Jump and switch events are merged once per
+simulation into one table ordered by (step, slot, kind, path), where the
+slot is an event's rank within its (step, path) group and switches come
+before jumps of the same slot; each step then walks its (slot, kind) runs
+as contiguous slices, each holding a path at most once.
 
 Every simulation is a ``PathBundle`` from ``_simulate_core``; one path is
 a 1-row bundle.  Its replay form is the one deterministic entry
@@ -98,7 +102,7 @@ class PathBundle:
     time_grid: np.ndarray           # (N+1,)
     states: np.ndarray              # (M, N+1, total_dim)
     regimes: np.ndarray             # (M, N+1) right-continuous control index
-    brownian_increments: np.ndarray  # (M, N, m)
+    brownian_increments: np.ndarray  # (M, N, m), a step-major buffer's view
     pi: CsrEvents                   # state-jump events (marks = z values)
     theta: CsrEvents                # regime-switch events (marks = indices)
     running_reward: np.ndarray      # (M,) integral of f along each path
@@ -133,10 +137,13 @@ class PathBundle:
 
     def step_occupation(self, k: int) -> np.ndarray:
         """(M, A) time spent in each regime during step k."""
-        segs = self.theta_segments()
-        return _occupation_rows(segs, float(self.time_grid[k]),
-                                float(self.time_grid[k + 1]),
-                                self.n_paths, self.spec.control.size)
+        if not 0 <= k < self.n_steps:
+            raise IndexError(f"step {k} is outside 0..{self.n_steps - 1}")
+        steps = _occupation_by_step(self.theta_segments(), self.time_grid,
+                                    self.n_paths, self.spec.control.size)
+        for _ in range(k):
+            next(steps)
+        return next(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +152,17 @@ class PathBundle:
 
 def _poisson_block(rate: float, span: float, t0: float, seed: int,
                    stream_id: int, n_paths: int):
-    """Times and mark-uniforms for a homogeneous stream; fixed budget.
+    """Kept events of a homogeneous stream on (t0, t0 + span]; fixed budget.
 
-    Returns (times (M, B), keep (M, B) bool, mark_uniforms (M, B)).  The
-    uniform block is (M, 2B): columns [0, B) drive inter-arrival times and
-    [B, 2B) drive marks, so each path stays positionally pure.
+    Returns (counts (M,), times (E,), mark_uniforms (E,)), the events in
+    (path, time) order.  The uniform block is (M, 2B): columns [0, B) drive
+    inter-arrival times and [B, 2B) drive marks, so each path stays
+    positionally pure.  A path keeps a prefix of its B arrivals, so its
+    events are the first ``counts[i]`` columns of its row.  The block is
+    released on return.
     """
     if rate <= 0.0 or span <= 0.0:
-        empty = np.zeros((n_paths, 0))
-        return empty, empty.astype(bool), empty
+        return np.zeros(n_paths, dtype=np.int64), np.zeros(0), np.zeros(0)
     budget = stream.event_budget(rate, span)
     u = stream.uniform_block(seed, stream_id, n_paths, 2 * budget)
     times = stream.exponential_from_uniform(u[:, :budget])
@@ -164,7 +173,7 @@ def _poisson_block(rate: float, span: float, t0: float, seed: int,
     if np.any(keep[:, -1]):
         raise RuntimeError("event budget exceeded; rate too high for the "
                            "configured window")
-    return times, keep, u[:, budget:]
+    return keep.sum(axis=1), times[keep], u[:, budget:][keep]
 
 
 def _categorical_from_uniform(u: np.ndarray,
@@ -207,13 +216,44 @@ def _segments_from_events(theta: CsrEvents, start_regimes: np.ndarray,
     return _Segments(seg_path, start, end, regime)
 
 
-def _occupation_rows(segs: _Segments, t_lo: float, t_hi: float,
-                     n_paths: int, n_controls: int) -> np.ndarray:
-    ov = np.minimum(segs.end, t_hi) - np.maximum(segs.start, t_lo)
-    m = ov > 0.0
-    flat = np.bincount(segs.path[m] * n_controls + segs.regime[m],
-                       weights=ov[m], minlength=n_paths * n_controls)
-    return flat.reshape(n_paths, n_controls)
+def _occupation_by_step(segs: _Segments, time_grid: np.ndarray,
+                        n_paths: int, n_controls: int):
+    """Yield, step by step, the (M, A) time each path spends in each regime.
+
+    The segments of a path that overlap step k are one run: from the one
+    holding t_k to the last one starting before t_{k+1}.  So each step
+    computes the overlap min(end, t_hi) - max(start, t_lo) only for its
+    runs, and sums them per (path, regime) in segment order.  The run
+    starts advance by the segment starts in (t_k, t_{k+1}], found once.
+    """
+    n_steps = time_grid.size - 1
+    key = segs.path * n_controls + segs.regime
+    later = np.flatnonzero(segs.path[1:] == segs.path[:-1]) + 1
+    cur = np.delete(np.arange(segs.path.size), later)   # each path's first
+    # segment starts after t0, by the step whose (t_k, t_{k+1}] holds them
+    b_step = np.searchsorted(time_grid, segs.start[later], side="left") - 1
+    by_step = np.argsort(b_step, kind="stable")
+    later, b_step = later[by_step], b_step[by_step]
+    bounds = np.searchsorted(b_step, np.arange(n_steps + 1))
+    for k in range(n_steps):
+        t_lo, t_hi = float(time_grid[k]), float(time_grid[k + 1])
+        starts = later[bounds[k]:bounds[k + 1]]
+        inside = starts[segs.start[starts] < t_hi]
+        runs = cur
+        if inside.size:
+            n_run = 1 + np.bincount(segs.path[inside], minlength=n_paths)
+            ends = np.cumsum(n_run)
+            runs = np.arange(ends[-1]) + np.repeat(cur - ends + n_run, n_run)
+        ov = (np.minimum(segs.end[runs], t_hi)
+              - np.maximum(segs.start[runs], t_lo))
+        # positive but for a zero-length segment; a clamped overlap adds
+        # +0.0, which leaves every sum's bits as they are
+        np.maximum(ov, 0.0, out=ov)
+        yield np.bincount(key[runs], weights=ov,
+                          minlength=n_paths * n_controls
+                          ).reshape(n_paths, n_controls)
+        if starts.size:
+            cur = cur + np.bincount(segs.path[starts], minlength=n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -378,55 +418,57 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
         core0 = (spec.initial_law.mean[None, :]
                  + np.sqrt(spec.initial_law.cov_diag)[None, :] * normals)
 
-    # --- drivers -----------------------------------------------------------
+    # --- drivers: each block is released once its events are extracted ---
+    # increments step-major, (N, M, m): one transposed copy of the drawn
+    # (or replayed) path-major block
+    brownian_buf = np.empty((n_steps, n_paths, m_brown))
     if brownian is None:
         raw = stream.normal_block(seed, stream.STREAM_BROWNIAN, n_paths,
                                   n_steps * m_brown)
-        raw *= np.sqrt(dt)
-        brownian = raw.reshape(n_paths, n_steps, m_brown)
+        np.multiply(raw.reshape(n_paths, n_steps, m_brown).transpose(1, 0, 2),
+                    np.sqrt(dt), out=brownian_buf)
+        del raw
     else:
-        brownian = np.asarray(brownian, dtype=float).reshape(
-            n_paths, n_steps, m_brown)
+        brownian_buf[...] = np.asarray(brownian, dtype=float).reshape(
+            n_paths, n_steps, m_brown).transpose(1, 0, 2)
 
     if pi_events is not None:
         _check_events(pi_events, n_paths, t0, horizon, "pi")
     else:
-        times, keep, mu = _poisson_block(jump.total_rate, span, t0, seed,
-                                         stream.STREAM_PI, n_paths)
-        z = jump.sample_marks(mu[keep]) if keep.size else np.zeros(0)
-        pi_events = CsrEvents(
-            times[keep], z,
-            np.concatenate([[0], np.cumsum(keep.sum(axis=1))]))
+        counts, times, mu = _poisson_block(jump.total_rate, span, t0, seed,
+                                           stream.STREAM_PI, n_paths)
+        z = jump.sample_marks(mu) if mu.size else np.zeros(0)
+        pi_events = CsrEvents(times, z,
+                              np.concatenate([[0], np.cumsum(counts)]))
 
-    rate0 = spec.randomization.total_mass
     theta_accept_u = None
     th_path = th_time = th_mark = None
-    if control == "randomized":
-        t_times, t_keep, t_mu = _poisson_block(
-            rate0, span, t0, seed, stream.STREAM_THETA, n_paths)
-        th_path = np.repeat(np.arange(n_paths), t_keep.sum(axis=1))
-        th_time = t_times[t_keep]
+    if control == "tilted" and tilt is None:
+        raise ValueError("tilted simulation needs an intensity control")
+    if control in ("randomized", "tilted"):
+        rate = spec.randomization.total_mass
+        if control == "tilted":
+            rate *= float(tilt.nu_max)
+        counts, th_time, t_mu = _poisson_block(
+            rate, span, t0, seed, stream.STREAM_THETA, n_paths)
+        th_path = np.repeat(np.arange(n_paths), counts)
         th_mark = _categorical_from_uniform(
-            t_mu[t_keep], spec.randomization.lambda0_weights)
-    elif control == "tilted":
-        if tilt is None:
-            raise ValueError("tilted simulation needs an intensity control")
-        nu_max = float(tilt.nu_max)
-        t_times, t_keep, t_mu = _poisson_block(
-            nu_max * rate0, span, t0, seed, stream.STREAM_THETA, n_paths)
-        th_path = np.repeat(np.arange(n_paths), t_keep.sum(axis=1))
-        th_time = t_times[t_keep]
-        th_mark = _categorical_from_uniform(
-            t_mu[t_keep], spec.randomization.lambda0_weights)
-        budget = t_times.shape[1]
-        u_acc = stream.uniform_block(seed, stream.STREAM_ACCEPT, n_paths,
-                                     budget) if budget else np.zeros((n_paths, 0))
-        theta_accept_u = u_acc[t_keep]
+            t_mu, spec.randomization.lambda0_weights)
+        if control == "randomized":
+            theta_csr = CsrEvents(th_time, th_mark,
+                                  np.concatenate([[0], np.cumsum(counts)]))
+        if control == "tilted" and rate > 0.0:
+            # acceptance uniforms of the kept proposals, a prefix of each row
+            budget = stream.event_budget(rate, span)
+            theta_accept_u = stream.uniform_block(
+                seed, stream.STREAM_ACCEPT, n_paths, budget)[
+                np.arange(budget) < counts[:, None]]
     elif control == "fixed":
         if fixed_theta is None:
             raise ValueError("fixed control needs a theta event table")
         _check_events(fixed_theta, n_paths, t0, horizon, "theta",
                       n_marks=n_controls)
+        theta_csr = fixed_theta
         th_path = fixed_theta.path_ids()
         th_time = fixed_theta.times
         th_mark = np.asarray(fixed_theta.marks, dtype=np.int64)
@@ -438,6 +480,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
 
     table = _merge_event_table(time_grid, n_paths, pi_events, th_path,
                                th_time, th_mark, theta_accept_u)
+    del th_path, th_time, th_mark, theta_accept_u
 
     # --- state arrays: step-major, so each step is one contiguous row -----
     total_dim = spec.total_dim
@@ -536,7 +579,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
             grp = np.flatnonzero(reg_k == ai)
             if grp.size:
                 sig[grp] = coeff.sigma(t_k, x_left[grp], float(a_values[ai]))
-        diffusion = np.einsum("pdm,pm->pd", sig, brownian[:, k, :])
+        diffusion = np.einsum("pdm,pm->pd", sig, brownian_buf[k])
 
         x_next = state_buf[k + 1, :, :d]
         np.add(x_left, drift, out=x_next)
@@ -555,12 +598,9 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
             state_buf[k + 1, :, d] = update_running_functional(
                 spec.augmentation, x_k[:, d], x_left[:, 0], x_next[:, 0], dt)
     regime_buf[n_steps] = cur_reg
+    table = ev_path = ev_time = ev_z = ev_mark = ev_u = None   # released
 
-    if control == "fixed":
-        theta_csr = fixed_theta
-    elif control == "randomized":
-        theta_csr = CsrEvents.from_flat(th_path, th_time, th_mark, n_paths)
-    else:
+    if control in ("tilted", "policy"):
         theta_csr = CsrEvents.from_flat(np.concatenate(acc_p),
                                         np.concatenate(acc_t),
                                         np.concatenate(acc_m), n_paths)
@@ -573,7 +613,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     return PathBundle(
         spec=spec, seed=seed, t0=t0, time_grid=time_grid,
         states=state_buf.transpose(1, 0, 2), regimes=regime_buf.T,
-        brownian_increments=brownian, pi=pi_events,
+        brownian_increments=brownian_buf.transpose(1, 0, 2), pi=pi_events,
         theta=theta_csr, running_reward=running_reward, excluded=excluded,
         control_mode=control)
 

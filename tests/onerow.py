@@ -62,6 +62,6 @@ def replay(bundle: sim.PathBundle, i: int, spec=None, n_steps=None):
 
 def poisson_events(rate, mark_law, horizon, seed):
     """(times, marks) of one path of the jump stream on (0, horizon]."""
-    times, keep, mark_u = sim._poisson_block(rate, horizon, 0.0, seed,
-                                             stream.STREAM_PI, n_paths=1)
-    return times[0][keep[0]], mark_law.sample_marks(mark_u[0][keep[0]])
+    _, times, mark_u = sim._poisson_block(rate, horizon, 0.0, seed,
+                                          stream.STREAM_PI, n_paths=1)
+    return times, mark_law.sample_marks(mark_u)

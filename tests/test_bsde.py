@@ -1,5 +1,6 @@
 """Penalized backward solvers: lattice route, regression route, ladders."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -177,7 +178,6 @@ def test_lsmc_empty_origin_cells_are_logged_not_penalized(bang_spec,
 
 
 def test_lsmc_rejects_all_excluded_paths(bang_spec, bang_bundle):
-    import dataclasses
     crippled = dataclasses.replace(
         bang_bundle, excluded=np.ones(bang_bundle.n_paths, dtype=bool))
     with pytest.raises(ValueError, match="no paths"):
@@ -185,7 +185,6 @@ def test_lsmc_rejects_all_excluded_paths(bang_spec, bang_bundle):
 
 
 def _excluding_every_seventh(bundle):
-    import dataclasses
     excluded = np.zeros(bundle.n_paths, dtype=bool)
     excluded[::7] = True
     return dataclasses.replace(bundle, excluded=excluded)
@@ -224,6 +223,72 @@ def test_lsmc_ladder_stacks_the_single_level_solves(case, bang_spec,
         assert len(stack[0].ridge_events) > 0
     if case == "excluded-paths":
         assert stack[0].n_excluded == bundle.n_excluded > 0
+
+
+def _kept_events(events, keep):
+    """An event table restricted to the kept paths, re-indexed."""
+    on = keep[events.path_ids()]
+    return sim.CsrEvents(events.times[on], events.marks[on],
+                         np.concatenate([[0],
+                                         np.cumsum(events.counts()[keep])]))
+
+
+def _assert_same_quintuples(got, want, skip=()):
+    for q, ref in zip(got, want, strict=True):
+        for f in dataclasses.fields(q):
+            if f.name not in skip:
+                a, b = getattr(q, f.name), getattr(ref, f.name)
+                if isinstance(a, np.ndarray):
+                    np.testing.assert_array_equal(a, b, err_msg=f.name)
+                else:
+                    assert a == b, f.name
+
+
+def test_lsmc_ladder_reads_kept_rows_like_a_bundle_of_only_them():
+    spec = _spec("jump-reward")
+    bundle = _excluding_every_seventh(
+        sim.simulate_bundle(spec, 6000, seed=8, n_steps=32))
+    keep = bundle.included()
+    kept_only = dataclasses.replace(
+        bundle, states=bundle.states[keep], regimes=bundle.regimes[keep],
+        brownian_increments=bundle.brownian_increments[keep],
+        pi=_kept_events(bundle.pi, keep),
+        theta=_kept_events(bundle.theta, keep),
+        running_reward=bundle.running_reward[keep],
+        excluded=np.zeros(int(keep.sum()), dtype=bool))
+    assert kept_only.pi.total < bundle.pi.total
+    levels = (1, 2, 4, 8, 16)
+    got = bsde.solve_penalized_lsmc_ladder(spec, levels, bundle)
+    want = bsde.solve_penalized_lsmc_ladder(spec, levels, kept_only)
+    _assert_same_quintuples(got, want, skip=("n_excluded",))
+    assert got[0].n_excluded == bundle.n_excluded > 0
+    assert np.any(got[0].l_mean != 0.0)
+
+
+def test_lsmc_counts_a_jump_in_the_step_whose_state_it_moves():
+    # a jump at exactly t_2 = 0.5 moves the state on (t_1, t_2], as one
+    # just before it does, so both count in step 1
+    spec = _spec("jump-reward")
+    ref = sim.simulate_bundle(spec, 600, seed=12, n_steps=4)
+    marks = spec.jump_measure.sample_marks(np.linspace(0.01, 0.99, 600))
+
+    def replay_with_jumps_at(t):
+        return sim._simulate_core(
+            spec, 600, seed=12, n_steps=4, control="fixed",
+            fixed_theta=ref.theta, start_regimes=ref.regimes[:, 0],
+            brownian=ref.brownian_increments,
+            pi_events=sim.CsrEvents(np.full(600, t), marks,
+                                    np.arange(601)))
+
+    on_node = replay_with_jumps_at(0.5)
+    before = replay_with_jumps_at(np.nextafter(0.5, 0.0))
+    assert on_node.time_grid[2] == 0.5
+    np.testing.assert_array_equal(on_node.states, before.states)
+    assert np.any(on_node.states[:, 2] != on_node.states[:, 1])
+    levels = (1, 4)
+    _assert_same_quintuples(
+        bsde.solve_penalized_lsmc_ladder(spec, levels, on_node),
+        bsde.solve_penalized_lsmc_ladder(spec, levels, before))
 
 
 def test_lsmc_ladder_rejects_a_level_below_one(bang_spec, bang_bundle):

@@ -275,6 +275,45 @@ def test_occupation_rows_partition_each_step():
         assert np.all(occ[np.arange(300), bundle.regimes[:, k]] > 0)
 
 
+def _occupation_reference(segs, time_grid, n_paths, n_controls):
+    """Per-step occupation from every segment's overlap with the step."""
+    out = []
+    for t_lo, t_hi in zip(time_grid[:-1].tolist(), time_grid[1:].tolist()):
+        ov = np.minimum(segs.end, t_hi) - np.maximum(segs.start, t_lo)
+        m = ov > 0.0
+        out.append(np.bincount(segs.path[m] * n_controls + segs.regime[m],
+                               weights=ov[m], minlength=n_paths * n_controls
+                               ).reshape(n_paths, n_controls))
+    return out
+
+
+def test_occupation_by_step_sums_each_steps_overlaps_in_segment_order():
+    spec = load("bang-drift")
+    n_controls = spec.control.size
+    # switches on grid times, four in one step back and forth, one at the
+    # horizon, and a path that never switches
+    theta = sim.CsrEvents([0.25, 0.5, 0.3, 0.31, 0.32, 0.33, 1.0],
+                          [0, 1, 0, 2, 0, 2, 1], [0, 2, 7, 7])
+    bundles = [
+        sim._simulate_core(spec, 3, seed=1, n_steps=8, control="fixed",
+                           fixed_theta=theta,
+                           start_regimes=np.array([2, 1, 0])),
+        sim.simulate_bundle(spec, 500, seed=2, n_steps=16, t0=0.3),
+        girsanov.simulate_tilted_theta(girsanov.IntensityControl.const(16.0),
+                                       spec, 3, 500, n_steps=16),
+    ]
+    for bundle in bundles:
+        segs = bundle.theta_segments()
+        got = list(sim._occupation_by_step(segs, bundle.time_grid,
+                                           bundle.n_paths, n_controls))
+        want = _occupation_reference(segs, bundle.time_grid, bundle.n_paths,
+                                     n_controls)
+        assert len(got) == bundle.n_steps
+        for occ, ref in zip(got, want):
+            np.testing.assert_array_equal(occ, ref)
+    assert bundles[2].theta.total > 20 * bundles[2].n_steps
+
+
 def test_running_reward_accumulates_f():
     """f = a: the reward integral equals the signed occupation time."""
     spec = load("jump-reward")
