@@ -9,7 +9,7 @@ The package covers one pipeline end to end:
 * ``girsanov``  -- intensity tilts of the regime-switch stream: tilt weights,
                    reweighted estimators and thinning-based tilted simulation.
 * ``bsde``      -- penalized backward schemes (grid and least-squares Monte
-                   Carlo), constraint diagnostics, ladder extrapolation.
+                   Carlo), constraint diagnostics, the penalization ladder.
 * ``dp``        -- dynamic-programming value iteration sharing the bsde
                    one-step kernel, value-equality checks, policy rollouts.
 * ``hjb``       -- Hamiltonian assembly and PDE residual certificates.

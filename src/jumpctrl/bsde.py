@@ -21,7 +21,8 @@ the dynamic-programming value.  Two independent routes are provided:
 Both routes apply T_n through one helper, :func:`_advantage`, and on
 both the one-level solvers are the ladders' one-level case.
 
-:func:`minimal_value` solves a ladder of levels and takes a limit;
+:func:`minimal_value` solves a ladder of levels and takes the largest
+level's value as the limit;
 :func:`constraint_gap` quantifies how hard the penalty is working; and
 :func:`check_randomized_dpp` replays an intermediate-horizon optimization
 against the solved field.
@@ -40,6 +41,11 @@ import numpy as np
 from . import girsanov, sim, transition
 from .problem import ProblemSpec
 from .transition import LatticeGrid
+
+#: total degree of the polynomial state features of the regression route
+LSMC_DEGREE = 2
+#: ridge added to a rank-deficient regression's normal equations
+LSMC_RIDGE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,6 @@ class LadderReport:
     monotone_ok: bool
     monotone_max_violation: float
     value_limit: float
-    extrapolation: str
     n_time_steps: int
     fingerprint: str
     kernel: str
@@ -175,24 +180,21 @@ def default_time_steps(spec: ProblemSpec, max_level: int) -> int:
 
 def solve_penalized_grid(spec: ProblemSpec, level_n: int,
                          n_time_steps: int | None = None,
-                         grid: LatticeGrid | None = None,
-                         n_state_nodes: int | None = None,
-                         seed: int = 0) -> PenalizedField:
+                         grid: LatticeGrid | None = None) -> PenalizedField:
     """One level of :func:`solve_penalized_grid_ladder` (see there)."""
-    return solve_penalized_grid_ladder(
-        spec, (level_n,), n_time_steps, grid, n_state_nodes, seed)[0]
+    return solve_penalized_grid_ladder(spec, (level_n,), n_time_steps,
+                                       grid)[0]
 
 
 def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
                                 n_time_steps: int | None = None,
-                                grid: LatticeGrid | None = None,
-                                n_state_nodes: int | None = None,
-                                seed: int = 0
+                                grid: LatticeGrid | None = None
                                 ) -> tuple[PenalizedField, ...]:
     """Backward lattice recursion, every level in one sweep.
 
     Runs on [0, horizon] with ``n_time_steps`` uniform steps (default keeps
-    the monotonicity bound with slack 2 at the largest level).
+    the monotonicity bound with slack 2 at the largest level), on ``grid``
+    (default ``transition.default_state_grid(spec)``).
     Returns one :class:`PenalizedField` per level.  The levels share the
     operators as slots of one :func:`transition.backward_sweep`, and each
     level's penalty reads that level alone, so each field is bitwise the
@@ -204,7 +206,7 @@ def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
     if n_time_steps is None:
         n_time_steps = default_time_steps(spec, max(levels))
     if grid is None:
-        grid = transition.default_state_grid(spec, n_state_nodes, seed)
+        grid = transition.default_state_grid(spec)
     dt = spec.horizon / n_time_steps
     level_dt = np.array(levels) * dt
     stability = level_dt * spec.randomization.total_mass
@@ -238,8 +240,7 @@ def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
         metadata={"solver": "grid", "level_n": n,
                   "stability": float(stability[l]),
                   "monotone_safe": bool(stability[l] <= 1.0 + 1e-12),
-                  **sweep_meta, "fingerprint": spec.fingerprint(),
-                  "seed": seed})
+                  **sweep_meta, "fingerprint": spec.fingerprint()})
         for l, n in enumerate(levels))
 
 
@@ -260,8 +261,9 @@ def _monomial_features(x: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _fit_regime(phi: np.ndarray, y: np.ndarray, ridge: float):
-    """Least squares of each row of ``y`` on ``phi``, ridge on rank loss.
+def _fit_regime(phi: np.ndarray, y: np.ndarray):
+    """Least squares of each row of ``y`` on ``phi``, ``LSMC_RIDGE`` on
+    rank loss.
 
     One SVD (numpy ``lstsq``'s rank cutoff) serves every row, each solved
     on its own.  Returns (rows, features) coefficients and the ridge flag.
@@ -269,30 +271,29 @@ def _fit_regime(phi: np.ndarray, y: np.ndarray, ridge: float):
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
     cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
     if np.count_nonzero(s > cutoff) < phi.shape[1]:
-        gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
+        gram = phi.T @ phi + LSMC_RIDGE * np.eye(phi.shape[1])
         return np.array([np.linalg.solve(gram, phi.T @ y_l)
                          for y_l in y]), True
     return np.array([vt.T @ ((u.T @ y_l) / s) for y_l in y]), False
 
 
-def solve_penalized_lsmc(spec: ProblemSpec, level_n: int, bundle,
-                         degree: int = 2,
-                         ridge: float = 1e-8) -> BsdeQuintuple:
+def solve_penalized_lsmc(spec: ProblemSpec, level_n: int,
+                         bundle) -> BsdeQuintuple:
     """One level of :func:`solve_penalized_lsmc_ladder` (see there)."""
-    return solve_penalized_lsmc_ladder(spec, (level_n,), bundle, degree,
-                                       ridge)[0]
+    return solve_penalized_lsmc_ladder(spec, (level_n,), bundle)[0]
 
 
-def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
-                                degree: int = 2, ridge: float = 1e-8
-                                ) -> tuple[BsdeQuintuple, ...]:
+def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
+                                bundle) -> tuple[BsdeQuintuple, ...]:
     """Regression Monte Carlo recursion, every level in one backward pass.
 
     ``bundle`` holds reference-measure paths; reusing one bundle across
     levels keeps ladder comparisons on common random numbers.  Each
     backward step regresses the next-step value, read at the path's
-    *current* regime, on polynomial state features per regime, then applies
-    the same penalty operator as the lattice route (:func:`_advantage`).
+    *current* regime, on the monomials of the state up to total degree
+    ``LSMC_DEGREE`` per regime (with ridge ``LSMC_RIDGE`` when a fit
+    loses rank), then applies the same penalty operator as the lattice
+    route (:func:`_advantage`).
     Evaluating the next value at the current regime (rather than the
     switched one) is what makes both routes estimate the same frozen-regime
     recursion, so their initial values are directly comparable.  The step-0
@@ -356,7 +357,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
     for k in range(n_time_steps - 1, -1, -1):
         t_k = float(time_grid[k])
         x_k, i_k = at_step(states, k), at_step(regimes, k)
-        phi = _monomial_features(x_k, degree)
+        phi = _monomial_features(x_k, LSMC_DEGREE)
         target = at_regime(v_next, i_k)                  # (L, M)
 
         # rows grouped by regime, in path order within each regime, so
@@ -372,7 +373,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
             lo, hi = (bounds[a - 1] if a else 0), bounds[a]
             if hi > lo:
                 betas[a], used_ridge = _fit_regime(
-                    phi_sorted[lo:hi], target_sorted[:, lo:hi], ridge)
+                    phi_sorted[lo:hi], target_sorted[:, lo:hi])
                 if used_ridge:
                     ridge_events.append((k, a))
             else:
@@ -380,7 +381,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
                 # previous step's fit (or a pooled fit), but keep the cell
                 # out of the advantage estimate - no data, no advantage
                 if betas_prev[a] is None and pooled is None:
-                    pooled, _ = _fit_regime(phi, target, ridge)
+                    pooled, _ = _fit_regime(phi, target)
                 betas[a] = pooled if betas_prev[a] is None else betas_prev[a]
                 carried.append((k, a))
             f_a = spec.coefficients.f(t_k, x_k[:, :spec.dim],
@@ -419,7 +420,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels, bundle,
         k_terminal=n * s_int[l], ridge_events=tuple(ridge_events),
         carried_cells=tuple(carried),
         metadata={"solver": "lsmc", "level_n": n, "dt": dt,
-                  "degree": degree,
+                  "degree": LSMC_DEGREE,
                   "stability": n * dt * spec.randomization.total_mass,
                   "fingerprint": spec.fingerprint(), "seed": bundle.seed,
                   "n_time_steps": n_time_steps})
@@ -532,34 +533,21 @@ def constraint_gap(source, bundle=None
 # Level ladder
 # ---------------------------------------------------------------------------
 
-def _aitken_limit(values) -> float:
-    v0, v1, v2 = values[-3:]
-    denom = (v2 - v1) - (v1 - v0)
-    if abs(denom) < 1e-14:
-        return float(v2)
-    return float(v2 - (v2 - v1) ** 2 / denom)
-
-
 def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
-                  solver: str = "grid", extrapolation: str = "last",
-                  n_time_steps: int | None = None,
+                  solver: str = "grid", n_time_steps: int | None = None,
                   grid: LatticeGrid | None = None, seed: int = 0,
                   n_paths: int = 50_000) -> LadderReport:
     """Ladder of penalization levels on one common time grid.
 
     The common grid keeps levels nodewise comparable (lattice route), so
     monotonicity in the level is checked exactly rather than statistically.
-    The lattice route runs on ``grid`` (default: the state grid of ``seed``).
-    ``extrapolation`` is ``last`` (largest level) or ``richardson``
-    (one Aitken step on the last three levels, needs >= 3).
+    The lattice route runs on ``grid`` (default: the state grid of
+    ``seed``); the regression route simulates ``n_paths`` reference paths
+    from ``seed``.  The limit is the largest level's value.
     """
     levels = tuple(int(n) for n in levels)
     if sorted(levels) != list(levels) or len(set(levels)) != len(levels):
         raise ValueError("levels must be strictly increasing")
-    if extrapolation not in ("last", "richardson"):
-        raise ValueError("unknown extrapolation rule")
-    if extrapolation == "richardson" and len(levels) < 3:
-        raise ValueError("need at least 3 levels for extrapolation")
     if n_time_steps is None:
         n_time_steps = default_time_steps(spec, max(levels))
     pbar = spec.regularity.growth_pbar
@@ -567,8 +555,10 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
     values, ses, spreads, ratios = [], [], [], []
     monotone_violation = 0.0
     if solver == "grid":
+        if grid is None:
+            grid = transition.default_state_grid(spec, seed=seed)
         per_level = solve_penalized_grid_ladder(
-            spec, levels, n_time_steps=n_time_steps, grid=grid, seed=seed)
+            spec, levels, n_time_steps=n_time_steps, grid=grid)
         node_norm = 1.0 + np.max(np.abs(per_level[0].grid.nodes()),
                                  axis=1) ** pbar
         for fld in per_level:
@@ -600,15 +590,13 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
     else:
         raise ValueError("solver must be 'grid' or 'lsmc'")
 
-    limit = (values[-1] if extrapolation == "last"
-             else _aitken_limit(values))
     return LadderReport(
         solver=solver, levels=levels, values=tuple(values), ses=tuple(ses),
         regime_spreads=tuple(spreads), growth_ratios=tuple(ratios),
         growth_bound=1.5 * ratios[0],
         monotone_ok=monotone_violation <= spec.tolerances["tol_monotone"],
         monotone_max_violation=float(monotone_violation),
-        value_limit=float(limit), extrapolation=extrapolation,
+        value_limit=float(values[-1]),
         n_time_steps=n_time_steps, fingerprint=spec.fingerprint(),
         kernel=per_level[-1].metadata.get("kernel", ""),
         per_level=per_level)
@@ -631,21 +619,17 @@ def _x0_norm(spec: ProblemSpec) -> float:
 
 def check_randomized_dpp(fld: PenalizedField, spec: ProblemSpec,
                          t_prime: float, n_paths: int = 20_000,
-                         seed: int = 0, se_mult: float | None = None,
-                         tol: float | None = None) -> dict:
+                         seed: int = 0) -> dict:
     """Restart-at-``t_prime`` consistency of the solved field.
 
     Simulates the controlled system to an interior time under a small
     family of intensity tilts (reference, and advantage-seeking tilts at
     two strengths built from the field itself), adds the field value at the
     reached point, and compares the best achieved gain with the field's
-    initial value.  The two agree within Monte Carlo noise plus tolerance
-    when the field is internally time-consistent.
+    initial value.  The two agree within ``se_multiplier`` standard errors
+    plus ``tol_value`` (both from ``spec.tolerances``) when the field is
+    internally time-consistent.
     """
-    if se_mult is None:
-        se_mult = spec.tolerances["se_multiplier"]
-    if tol is None:
-        tol = spec.tolerances["tol_value"]
     k_prime, t_snap = fld.snap_time(t_prime)
     if k_prime < 1 or k_prime > fld.n_steps:
         raise ValueError("t_prime must snap to an interior time node")
@@ -680,7 +664,8 @@ def check_randomized_dpp(fld: PenalizedField, spec: ProblemSpec,
     best = max(estimates, key=lambda e: e["mean"])
     v0 = fld.value_at_origin(spec)
     diff = best["mean"] - v0
-    band = se_mult * best["se"] + tol
+    band = (spec.tolerances["se_multiplier"] * best["se"]
+            + spec.tolerances["tol_value"])
     return {
         "t_prime": t_snap, "step_index": k_prime, "v0": v0,
         "best_gain": best["mean"], "best_nu": best["nu_id"],

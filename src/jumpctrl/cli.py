@@ -292,7 +292,7 @@ class _Workbench:
         if "ladder" not in self._cache:
             self._cache["ladder"] = bsde.minimal_value(
                 self.spec, levels=self.levels, solver="grid",
-                n_time_steps=self.steps, grid=self.grid(), seed=self.seed)
+                n_time_steps=self.steps, grid=self.grid())
         return self._cache["ladder"]
 
     def penalized(self, level: int):
@@ -301,8 +301,7 @@ class _Workbench:
     def dp_field(self):
         if "dp" not in self._cache:
             self._cache["dp"] = dp.solve_dp_grid(
-                self.spec, n_time_steps=self.steps, grid=self.grid(),
-                seed=self.seed)
+                self.spec, n_time_steps=self.steps, grid=self.grid())
         return self._cache["dp"]
 
     def bundle(self):
@@ -337,7 +336,7 @@ def _suite_martingale(wb: _Workbench):
                         "kappa_se": est["se"], "ok": good})
         ok = ok and good
     agree = girsanov.check_mode_agreement(
-        bundle, girsanov.IntensityControl.const(2.0), se_multiplier=se_mult)
+        bundle, girsanov.IntensityControl.const(2.0))
     ok = ok and agree["ok"]
     return ok, {"weights": weights, "mode_agreement": agree}
 
@@ -380,8 +379,7 @@ def _suite_dpp(wb: _Workbench):
 def _suite_value_equality(wb: _Workbench):
     nu = wb.argmax_tilt()
     est = girsanov.randomized_gain(wb.spec, nu, n_paths=wb.paths,
-                                   seed=wb.seed, mode="tilted",
-                                   n_steps=wb.steps)
+                                   seed=wb.seed, n_steps=wb.steps)
     res = dp.value_equality_check(wb.dp_field(), wb.ladder(), wb.spec,
                                   tilt_estimate=est)
     res["tilt_nu"] = nu.nu_id
@@ -447,8 +445,9 @@ def cmd_solve(args) -> int:
     skipped_note = {"reason": "not computed by solve; run jumpctrl verify"}
 
     if args.method == "dp":
-        fld = dp.solve_dp_grid(spec, n_time_steps=args.steps,
-                               n_state_nodes=args.nodes, seed=args.seed)
+        fld = dp.solve_dp_grid(
+            spec, n_time_steps=args.steps,
+            grid=transition.default_state_grid(spec, args.nodes, args.seed))
         write_dp_field_csv(fld, spec, out / "dp_field.csv",
                            out / "dp_field.json")
         outputs += ["dp_field.csv", "dp_field.json"]
@@ -484,7 +483,7 @@ def cmd_solve(args) -> int:
         # classical value on the same time grid and lattice keeps the
         # report apples-to-apples
         fld = dp.solve_dp_grid(spec, n_time_steps=ladder.n_time_steps,
-                               grid=grid, seed=args.seed)
+                               grid=grid)
         write_dp_field_csv(fld, spec, out / "dp_field.csv",
                            out / "dp_field.json")
         outputs += ["dp_field.csv", "dp_field.json"]
@@ -499,7 +498,7 @@ def cmd_solve(args) -> int:
                 strength=float(max(2, max(args.ladder))))
             est = girsanov.randomized_gain(
                 spec, nu, n_paths=args.paths, seed=args.seed,
-                mode="tilted", n_steps=ladder.n_time_steps)
+                n_steps=ladder.n_time_steps)
             tilt = {"nu_id": nu.nu_id, "mean": est.mean, "se": est.se}
             eq = dp.value_equality_check(fld, ladder, spec,
                                          tilt_estimate=est)

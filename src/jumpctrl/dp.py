@@ -53,25 +53,21 @@ class DpField:
     def policy_at(self, k: int, points: np.ndarray) -> np.ndarray:
         """Argmax control index at the nearest lattice node."""
         points = np.atleast_2d(points)
-        cells = []
-        for j, ax in enumerate(self.grid.axes):
-            x = np.clip(points[:, j], ax[0], ax[-1])
-            i = np.clip(np.searchsorted(ax, x, side="right") - 1,
-                        0, ax.size - 2)
-            near = i + (x - ax[i] > ax[i + 1] - x)
-            cells.append(near)
-        return self.argmax[k][tuple(cells)]
+        return self.argmax[k][tuple(
+            transition.nearest_node(ax, points[:, j])
+            for j, ax in enumerate(self.grid.axes))]
 
 
 def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
-                  grid: LatticeGrid | None = None,
-                  n_state_nodes: int | None = None,
-                  seed: int = 0) -> DpField:
-    """Backward value iteration over the control grid."""
+                  grid: LatticeGrid | None = None) -> DpField:
+    """Backward value iteration over the control grid.
+
+    Runs on ``grid``, by default ``transition.default_state_grid(spec)``.
+    """
     if n_time_steps is None:
         n_time_steps = spec.default_steps()
     if grid is None:
-        grid = transition.default_state_grid(spec, n_state_nodes, seed)
+        grid = transition.default_state_grid(spec)
     p_cnt = int(np.prod(grid.shape))
     values = np.empty((n_time_steps + 1, p_cnt))
     argmax = np.empty((n_time_steps, p_cnt), dtype=np.int64)
@@ -91,8 +87,7 @@ def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
                    values=values.reshape(n_time_steps + 1, *grid.shape),
                    argmax=argmax.reshape(n_time_steps, *grid.shape),
                    metadata={"solver": "dp", **sweep_meta,
-                             "fingerprint": spec.fingerprint(),
-                             "seed": seed})
+                             "fingerprint": spec.fingerprint()})
 
 
 def _operator_settings(fld) -> tuple:
@@ -103,19 +98,19 @@ def _operator_settings(fld) -> tuple:
 
 
 def value_equality_check(dp_field: DpField, ladder, spec: ProblemSpec,
-                         tilt_estimate=None,
-                         se_mult: float | None = None) -> dict:
+                         tilt_estimate=None) -> dict:
     """Compare the classical value with the randomized-formulation limit.
 
     ``ladder`` is the report from the penalized level ladder; the check
-    passes when the two initial values agree within the value tolerance
-    (plus Monte Carlo noise for regression ladders) and, when a tilted gain
-    estimate is supplied, that gain does not beat the classical value
-    beyond noise.  An AssertionError refuses a lattice ladder solved with
-    other operators: kernel code, ``dt``, nodes or lattice axes.
+    passes when the two initial values agree within ``tol_value`` (plus
+    ``se_multiplier`` standard errors for regression ladders) and, when a
+    tilted gain estimate is supplied, that gain does not beat the
+    classical value beyond ``se_multiplier`` standard errors; both
+    tolerances come from ``spec.tolerances``.  An AssertionError refuses a
+    lattice ladder solved with other operators: kernel code, ``dt``, nodes
+    or lattice axes.
     """
-    if se_mult is None:
-        se_mult = spec.tolerances["se_multiplier"]
+    se_mult = spec.tolerances["se_multiplier"]
     if dp_field.metadata["fingerprint"] != spec.fingerprint():
         raise ValueError("spec mismatch")
     if ladder.fingerprint != spec.fingerprint():
@@ -147,18 +142,15 @@ def value_equality_check(dp_field: DpField, ladder, spec: ProblemSpec,
 
 
 def policy_rollout(dp_field: DpField, spec: ProblemSpec, n_paths: int,
-                   seed: int, n_steps: int | None = None,
-                   se_mult: float | None = None) -> dict:
+                   seed: int) -> dict:
     """Simulate the argmax feedback policy and band-check its gain.
 
-    Near-optimality verification: the rollout gain J must not beat the
-    solved value beyond noise and must reach it up to noise plus the value
-    tolerance.
+    Near-optimality verification on the field's time grid: the rollout
+    gain J must not beat the solved value beyond ``se_multiplier``
+    standard errors and must reach it up to that noise plus ``tol_value``,
+    both read from ``spec.tolerances``.
     """
-    if se_mult is None:
-        se_mult = spec.tolerances["se_multiplier"]
-    if n_steps is None:
-        n_steps = dp_field.n_steps
+    se_mult = spec.tolerances["se_multiplier"]
     field_grid = dp_field.time_grid
     last = dp_field.n_steps - 1
 
@@ -167,7 +159,8 @@ def policy_rollout(dp_field: DpField, spec: ProblemSpec, n_paths: int,
                          0, last))
         return dp_field.policy_at(kf, states)
 
-    bundle = sim._simulate_core(spec, n_paths, seed, n_steps=n_steps,
+    bundle = sim._simulate_core(spec, n_paths, seed,
+                                n_steps=dp_field.n_steps,
                                 control="policy", policy=policy)
     keep = bundle.included()
     gains = sim.total_gain(bundle)[keep]

@@ -11,12 +11,13 @@ computed here in log space, exactly against the piecewise-constant regime
 path (event times split the integral, nothing is lost to the grid).  The
 same intensities can instead be simulated directly by thinning a dominating
 stream at rate ``nu_max * lambda0``; both routes estimate the same gains and
-the toolkit keeps them as independent code paths for cross-checks.
+the toolkit keeps them as independent code paths for cross-checks:
+:func:`randomized_gain` simulates the tilt, and :func:`check_mode_agreement`
+compares it with the reweighted reference bundle.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,14 +27,10 @@ import numpy as np
 from . import sim
 from .problem import ProblemSpec
 from .sim import PathBundle
+from .transition import nearest_node
 
-
-def _nearest_index(axis: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Index of the closest node of a sorted 1-d axis, clamped."""
-    idx = np.searchsorted(axis, vals)
-    idx = np.clip(idx, 1, axis.size - 1)
-    left_closer = (vals - axis[idx - 1]) <= (axis[idx] - vals)
-    return np.where(left_closer, idx - 1, idx).astype(np.int64)
+#: intensity multiplier of the argmax tilt's switches that do not improve
+ARGMAX_NU_MIN = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +81,13 @@ class IntensityControl:
                                 matrix=m)
 
     @staticmethod
-    def argmax_tilt(time_grid, axes, values, strength: float,
-                    nu_min: float = 0.05,
-                    nu_id: Optional[str] = None) -> "IntensityControl":
+    def argmax_tilt(time_grid, axes, values,
+                    strength: float) -> "IntensityControl":
         """Push switches toward regimes with strictly larger lattice values.
 
         ``values`` has shape (K+1, *state_shape, A); the table is built on
         the left time nodes.  nu = strength where the target regime improves
-        on the current one, nu_min otherwise.
+        on the current one, ``ARGMAX_NU_MIN`` otherwise.
         """
         values = np.asarray(values, dtype=float)
         n_controls = values.shape[-1]
@@ -99,11 +95,11 @@ class IntensityControl:
         state_shape = values.shape[1:-1]
         left = values[:-1]                       # (K, *shape, A)
         better = (left[..., None, :] > left[..., :, None] + 1e-12)
-        table = np.where(better, float(strength), float(nu_min))
+        table = np.where(better, float(strength), ARGMAX_NU_MIN)
         assert table.shape == (k_steps, *state_shape, n_controls, n_controls)
         return IntensityControl(
-            nu_id=nu_id or f"argmax-{strength:g}", kind="feedback",
-            nu_min=float(nu_min), nu_max=float(strength),
+            nu_id=f"argmax-{strength:g}", kind="feedback",
+            nu_min=ARGMAX_NU_MIN, nu_max=float(strength),
             time_grid=np.asarray(time_grid, dtype=float),
             axes=tuple(np.asarray(ax, dtype=float) for ax in axes),
             table=table)
@@ -115,7 +111,7 @@ class IntensityControl:
         k = np.clip(k, 0, self.table.shape[0] - 1)
         if k.size == 1:
             k = np.full(x.shape[0], int(k[0]))
-        cells = tuple(_nearest_index(ax, x[:, j])
+        cells = tuple(nearest_node(ax, x[:, j])
                       for j, ax in enumerate(self.axes))
         return k, cells
 
@@ -241,9 +237,8 @@ def reweighted_expectation(bundle: PathBundle, nu: IntensityControl,
 
 
 def simulate_tilted_theta(nu: IntensityControl, spec: ProblemSpec, seed: int,
-                          n_paths: int = 1, n_steps: Optional[int] = None,
-                          t0: float = 0.0,
-                          x0: Optional[np.ndarray] = None) -> PathBundle:
+                          n_paths: int,
+                          n_steps: Optional[int] = None) -> PathBundle:
     """Simulate under the tilted intensity by thinning a dominating stream.
 
     Proposals arrive at rate nu_max * lambda0(grid); each is accepted with
@@ -252,8 +247,8 @@ def simulate_tilted_theta(nu: IntensityControl, spec: ProblemSpec, seed: int,
     uniforms use a dedicated substream, so path i remains a pure function of
     (seed, i).
     """
-    return sim._simulate_core(spec, n_paths, seed, n_steps=n_steps, t0=t0,
-                              x0=x0, control="tilted", tilt=nu)
+    return sim._simulate_core(spec, n_paths, seed, n_steps=n_steps,
+                              control="tilted", tilt=nu)
 
 
 @dataclass(frozen=True)
@@ -268,12 +263,6 @@ class GainEstimate:
     seed: int
     n_excluded: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "nu_id": self.nu_id, "mode": self.mode, "mean": self.mean,
-            "se": self.se, "n_paths": self.n_paths, "seed": self.seed,
-            "n_excluded": self.n_excluded}, sort_keys=True)
-
 
 def _reweighted_gain(bundle: PathBundle,
                      nu: IntensityControl) -> GainEstimate:
@@ -284,41 +273,36 @@ def _reweighted_gain(bundle: PathBundle,
 
 
 def randomized_gain(spec: ProblemSpec, nu: IntensityControl, n_paths: int,
-                    seed: int, mode: str = "reweight",
-                    n_steps: Optional[int] = None) -> GainEstimate:
-    """Estimate E^nu[int f dt + g(X_T)] by one of the two routes."""
-    if mode == "reweight":
-        return _reweighted_gain(
-            sim.simulate_bundle(spec, n_paths, seed, n_steps=n_steps), nu)
-    if mode == "tilted":
-        bundle = simulate_tilted_theta(nu, spec, seed, n_paths=n_paths,
-                                       n_steps=n_steps)
-        keep = bundle.included()
-        if not np.any(keep):
-            raise ValueError("no paths")
-        y = gain_payoff(bundle)[keep]
-        mean = _fsum_mean(y)
-        se = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0
-        return GainEstimate(nu_id=nu.nu_id, mode=mode, mean=mean, se=se,
-                            n_paths=int(y.size), seed=seed,
-                            n_excluded=bundle.n_excluded)
-    raise ValueError(f"unknown mode {mode!r}")
+                    seed: int, n_steps: Optional[int] = None) -> GainEstimate:
+    """Estimate E^nu[int f dt + g(X_T)] on paths simulated under the tilt."""
+    bundle = simulate_tilted_theta(nu, spec, seed, n_paths, n_steps)
+    keep = bundle.included()
+    if not np.any(keep):
+        raise ValueError("no paths")
+    y = gain_payoff(bundle)[keep]
+    mean = _fsum_mean(y)
+    se = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0
+    return GainEstimate(nu_id=nu.nu_id, mode="tilted", mean=mean, se=se,
+                        n_paths=int(y.size), seed=seed,
+                        n_excluded=bundle.n_excluded)
 
 
-def check_mode_agreement(bundle: PathBundle, nu: IntensityControl,
-                         se_multiplier: float = 3.0) -> dict:
+def check_mode_agreement(bundle: PathBundle, nu: IntensityControl) -> dict:
     """Cross-check the two gain routes; they share no draws (seed offset).
 
     ``bundle`` is a reference bundle from time 0, which the reweighting
     route reads as is; the tilted route simulates as many paths on the
-    same spec and time grid from ``bundle.seed + 104729``.
+    same spec and time grid from ``bundle.seed + 104729``.  The routes
+    agree when their means differ by at most ``se_multiplier`` (from the
+    bundle's ``spec.tolerances``) combined standard errors.
     """
     if bundle.control_mode != "randomized" or bundle.t0 != 0.0:
         raise ValueError("mode agreement needs a reference bundle from t = 0")
     rw = _reweighted_gain(bundle, nu)
     ti = randomized_gain(bundle.spec, nu, bundle.n_paths, bundle.seed + 104729,
-                         "tilted", bundle.n_steps)
-    band = se_multiplier * math.hypot(rw.se, ti.se)
+                         bundle.n_steps)
+    band = (bundle.spec.tolerances["se_multiplier"]
+            * math.hypot(rw.se, ti.se))
     diff = rw.mean - ti.mean
     return {
         "nu_id": nu.nu_id,

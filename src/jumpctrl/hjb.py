@@ -26,7 +26,10 @@ from . import transition
 from .problem import ProblemSpec
 from .transition import LatticeGrid
 
+#: Gauss nodes of the mark law in the nonlocal (jump) term
 QUAD_NODES_NONLOCAL = 32
+#: share of one-step displacement mass the clamp-reach band must contain
+BAND_COVERAGE = 0.999
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +69,13 @@ class HjbResidualField:
 
 def _hamiltonian_nodes(spec: ProblemSpec, t: float, x: np.ndarray,
                        grad: np.ndarray, hess: np.ndarray,
-                       value_accessor, n_quad: int) -> np.ndarray:
+                       value_accessor) -> np.ndarray:
     """Supremand per node and control as an (N, A) matrix.
 
     ``x`` is (N, D) augmented points; ``grad``/``hess`` match.  The jump
-    integral runs against the intensity measure (rate times mark law), with
-    the first-order compensation term subtracted inside the integrand.
+    integral runs against the intensity measure (rate times mark law) on
+    ``QUAD_NODES_NONLOCAL`` mark nodes, with the first-order compensation
+    term subtracted inside the integrand.
     """
     d = spec.dim
     n = x.shape[0]
@@ -83,7 +87,7 @@ def _hamiltonian_nodes(spec: ProblemSpec, t: float, x: np.ndarray,
         if value_accessor is None:
             raise ValueError("a value accessor is required when the "
                              "problem jumps")
-        z, w = jm.gauss_nodes(n_quad)
+        z, w = jm.gauss_nodes(QUAD_NODES_NONLOCAL)
         v_here = value_accessor(x)
     for j, a_val in enumerate(spec.control.points):
         b = spec.coefficients.b(t, x_core, a_val)
@@ -228,8 +232,8 @@ def _exact_derivatives(candidate: dict, time_grid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
-                 grid: LatticeGrid | None = None, stencil: str = "auto",
-                 n_quad: int = QUAD_NODES_NONLOCAL) -> HjbResidualField:
+                 grid: LatticeGrid | None = None,
+                 stencil: str = "auto") -> HjbResidualField:
     """Residual surface of a candidate value function.
 
     Analytic candidates (dicts from the closed-form registry) use exact
@@ -311,7 +315,7 @@ def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
             accessor = _field_accessor(grid, values[k], clamp_counter)
         gk = grad_flat[k][keep]
         hk = hess_flat[k][keep]
-        ham = _hamiltonian_nodes(spec, t, xk, gk, hk, accessor, n_quad)
+        ham = _hamiltonian_nodes(spec, t, xk, gk, hk, accessor)
         lin_k = np.einsum("ni,i,ni->n", xk[:, :d], lam, gk[:, :d])
         if aug:
             # the running-integral coordinate drifts at the core state
@@ -329,7 +333,7 @@ def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
     metadata = {
         "candidate": kind, "stencil": mode, "dt": dt,
         "h": tuple(float(np.diff(ax).mean()) for ax in grid.axes),
-        "shift_clamps": int(clamp_counter[0]), "n_quad": int(n_quad),
+        "shift_clamps": int(clamp_counter[0]), "n_quad": QUAD_NODES_NONLOCAL,
         "fingerprint": spec.fingerprint(),
         "excluded_count": int(excluded.sum()),
     }
@@ -365,14 +369,14 @@ def _field_accessor(grid: LatticeGrid, values_k: np.ndarray,
 # Certificate
 # ---------------------------------------------------------------------------
 
-def _certificate_band(spec: ProblemSpec, grid: LatticeGrid, dt: float,
-                      coverage: float = 0.999) -> tuple[int, ...]:
+def _certificate_band(spec: ProblemSpec, grid: LatticeGrid,
+                      dt: float) -> tuple[int, ...]:
     """Per-axis width, in nodes, of the clamp-reach band.
 
     Values solved on a truncated lattice are polluted next to the edges:
     whatever one-step transition mass would leave the grid is clamped back,
     so the surface itself (not just the stencil) is wrong there.  The band
-    is the smallest per-axis radius containing the given coverage of
+    is the smallest per-axis radius containing ``BAND_COVERAGE`` of
     one-step displacement mass launched from the edge nodes, maxed over
     controls and both time endpoints, plus the flagged boundary node.
     """
@@ -398,17 +402,14 @@ def _certificate_band(spec: ProblemSpec, grid: LatticeGrid, dt: float,
                         wts = np.array([w for w, _ in sets])
                         order = np.argsort(disp)
                         cum = np.cumsum(wts[order])
-                        covered = np.searchsorted(cum, coverage) + 1
+                        covered = np.searchsorted(cum, BAND_COVERAGE) + 1
                         radius = max(radius,
                                      float(disp[order][:covered].max()))
         bands.append(1 + int(np.ceil(radius / h - 1e-9)))
     return tuple(bands)
 
 
-def residual_certificate(field, spec: ProblemSpec,
-                         tol_hjb: float | None = None,
-                         tol_value: float | None = None,
-                         n_quad: int = QUAD_NODES_NONLOCAL) -> dict:
+def residual_certificate(field, spec: ProblemSpec) -> dict:
     """Interior residual and terminal mismatch of a solved field.
 
     Consistency certificate on smooth regions, not a viscosity proof: it
@@ -416,19 +417,19 @@ def residual_certificate(field, spec: ProblemSpec,
     small away from the lattice truncation.  The maximum is taken outside
     the clamp-reach band, where the solver output is polluted by edge
     clamping no matter how the derivatives are formed; the reported count
-    of certified nodes makes the exclusion visible.  A field solved under
-    a different problem is evaluated anyway and fails with an order-one
-    residual.
+    of certified nodes makes the exclusion visible.  The certificate holds
+    when that maximum is at most ``tol_hjb`` and the terminal mismatch at
+    most ``tol_value``, both read from ``spec.tolerances``.  A field solved
+    under a different problem is evaluated anyway and fails with an
+    order-one residual.
     """
-    if tol_hjb is None:
-        tol_hjb = spec.tolerances["tol_hjb"]
-    if tol_value is None:
-        tol_value = spec.tolerances["tol_value"]
+    tol_hjb = spec.tolerances["tol_hjb"]
+    tol_value = spec.tolerances["tol_value"]
     fingerprint = getattr(field, "metadata", {}).get("fingerprint")
     if fingerprint is not None and fingerprint != spec.fingerprint():
         warnings.warn("certifying a field solved under a different "
                       "problem; expect order-one residuals", RuntimeWarning)
-    rf = hjb_residual(spec, field, n_quad=n_quad)
+    rf = hjb_residual(spec, field)
     bands = _certificate_band(spec, rf.grid, rf.metadata["dt"])
     certified = np.ones(rf.grid.shape, dtype=bool)
     for i, width in enumerate(bands):

@@ -23,8 +23,9 @@ import numpy as np
 
 CONFIG_SCHEMA_VERSION = 1
 
-#: Documented default tolerances.  Checks receive these as parameters (via
-#: the config); they are never hard-coded at the point of comparison.
+#: Documented default tolerances.  Every check reads them from
+#: ``spec.tolerances`` (the config's ``tolerances`` block over these
+#: defaults); no function takes a tolerance argument.
 DEFAULT_TOLERANCES = {
     "tol_value": 2e-2,        # value-equality band between solver routes
     "tol_monotone": 1e-6,     # nodewise slack for the penalization ladder

@@ -135,16 +135,6 @@ class PathBundle:
         return _segments_from_events(self.theta, self.regimes[:, 0],
                                      self.t0, float(self.time_grid[-1]))
 
-    def step_occupation(self, k: int) -> np.ndarray:
-        """(M, A) time spent in each regime during step k."""
-        if not 0 <= k < self.n_steps:
-            raise IndexError(f"step {k} is outside 0..{self.n_steps - 1}")
-        steps = _occupation_by_step(self.theta_segments(), self.time_grid,
-                                    self.n_paths, self.spec.control.size)
-        for _ in range(k):
-            next(steps)
-        return next(steps)
-
 
 # ---------------------------------------------------------------------------
 # Elementary generators
@@ -623,13 +613,13 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def simulate_bundle(spec: ProblemSpec, n_paths: int, seed: int,
-                    n_steps: Optional[int] = None, t0: float = 0.0,
-                    x0: Optional[np.ndarray] = None) -> PathBundle:
+                    n_steps: Optional[int] = None,
+                    t0: float = 0.0) -> PathBundle:
     """Simulate paths under the reference randomized dynamics."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     return _simulate_core(spec, n_paths, seed, n_steps=n_steps, t0=t0,
-                          x0=x0, control="randomized")
+                          control="randomized")
 
 
 def terminal_rewards(bundle: PathBundle) -> np.ndarray:
@@ -642,8 +632,13 @@ def total_gain(bundle: PathBundle) -> np.ndarray:
     return bundle.running_reward + terminal_rewards(bundle)
 
 
-def empirical_moment_check(bundle: PathBundle, p: float = 2.0) -> dict:
-    """Compare sup-over-grid moments against the declared constant.
+#: order of the sup-over-grid moment that ``empirical_moment_check`` bounds
+MOMENT_ORDER = 2.0
+
+
+def empirical_moment_check(bundle: PathBundle) -> dict:
+    """Compare the ``MOMENT_ORDER`` sup-over-grid moment against the
+    declared constant.
 
     Informational when no constant is declared: the report then carries the
     observed ratio and ``pass: None``.
@@ -653,13 +648,13 @@ def empirical_moment_check(bundle: PathBundle, p: float = 2.0) -> dict:
         raise ValueError("no paths")
     core = bundle.states[keep][:, :, :bundle.spec.dim]
     sup = np.linalg.norm(core, axis=2).max(axis=1)
-    observed = float(np.mean(sup ** p))
+    observed = float(np.mean(sup ** MOMENT_ORDER))
     x0 = float(np.linalg.norm(bundle.spec.initial_law.mean))
-    base = 1.0 + x0 ** p
+    base = 1.0 + x0 ** MOMENT_ORDER
     cp = bundle.spec.regularity.moment_cp
     ratio = observed / (base * cp) if cp else observed / base
     return {
-        "p": p,
+        "p": MOMENT_ORDER,
         "observed": observed,
         "bound": None if cp is None else cp * base,
         "ratio": ratio,

@@ -13,6 +13,8 @@ import math
 WIDTH = 640
 HEIGHT = 420
 MARGIN = 56
+#: paths drawn by ``render_path_fan``, the first by path index
+FAN_MAX_PATHS = 200
 
 
 def _fmt(x: float) -> str:
@@ -75,7 +77,7 @@ def _tick_labels(lo: float, hi: float, to, vertical: bool) -> list[str]:
     return out
 
 
-def render_value_ladder(rows: list[dict], title: str = "value ladder") -> str:
+def render_value_ladder(rows: list[dict]) -> str:
     """Staircase of per-level values, error bars when a column is present."""
     if not rows:
         raise ValueError("no data rows")
@@ -108,7 +110,7 @@ def render_value_ladder(rows: list[dict], title: str = "value ladder") -> str:
                         'stroke="gray" stroke-width="1"/>')
         body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" '
                     'fill="steelblue"/>')
-    return _document(body, title)
+    return _document(body, "value ladder")
 
 
 def _heat_color(u: float) -> str:
@@ -121,8 +123,7 @@ def _heat_color(u: float) -> str:
     return f"rgb({g},{g},255)"
 
 
-def render_residual_heatmap(rows: list[dict],
-                            title: str = "residual heat map") -> str:
+def render_residual_heatmap(rows: list[dict]) -> str:
     """Cells on the (time, state) product, color scale in the legend."""
     if not rows:
         raise ValueError("no data rows")
@@ -156,11 +157,10 @@ def render_residual_heatmap(rows: list[dict],
                     f'width="14" height="18" fill="{_heat_color(u)}"/>')
     body.append(f'<text x="{legend_x}" y="{MARGIN - 8}" font-size="11">'
                 f'&#177;{_fmt(vmax)}</text>')
-    return _document(body, title)
+    return _document(body, "residual heat map")
 
 
-def render_path_fan(rows: list[dict], title: str = "path fan",
-                    max_paths: int = 200) -> str:
+def render_path_fan(rows: list[dict]) -> str:
     """First state coordinate of each path over time, thin strokes."""
     if not rows:
         raise ValueError("no data rows")
@@ -168,7 +168,7 @@ def render_path_fan(rows: list[dict], title: str = "path fan",
     for r in rows:
         paths.setdefault(r["path"], []).append((float(r["t"]),
                                                 float(r["x0"])))
-    keys = sorted(paths, key=int)[:max_paths]
+    keys = sorted(paths, key=int)[:FAN_MAX_PATHS]
     ts = [t for k in keys for t, _ in paths[k]]
     vs = [v for k in keys for _, v in paths[k]]
     to_x = _scale(min(ts), max(ts), MARGIN, WIDTH - MARGIN)
@@ -182,4 +182,4 @@ def render_path_fan(rows: list[dict], title: str = "path fan",
         body.append(f'<polyline points="{pts}" fill="none" '
                     'stroke="steelblue" stroke-width="0.6" '
                     'stroke-opacity="0.55"/>')
-    return _document(body, title)
+    return _document(body, "path fan")

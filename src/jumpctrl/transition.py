@@ -41,6 +41,10 @@ _NODES_BY_COUNT = {1: 8, 2: 4, 3: 3, 4: 2}
 MAX_JUMPS_PER_STEP = 4
 #: Gauss-Hermite nodes per Brownian factor
 HERMITE_NODES = 8
+#: paths of the pilot bundle that sizes the default lattice
+PILOT_PATHS = 256
+#: half-width of the default lattice, in pilot standard deviations
+PILOT_SD = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +87,11 @@ def default_node_count(spec: ProblemSpec) -> int:
 
 
 def default_state_grid(spec: ProblemSpec, n_nodes: int | None = None,
-                       seed: int = 0, n_pilot: int = 256,
-                       sd_multiplier: float = 5.0) -> LatticeGrid:
+                       seed: int = 0) -> LatticeGrid:
     """Lattice bounds from a pilot bundle under the reference dynamics.
 
     Bounds are the running envelope of the pilot mean plus/minus
-    ``sd_multiplier`` marginal standard deviations, padded by
+    ``PILOT_SD`` marginal standard deviations, padded by
     ``max(0.5, 0.05 |x0|)`` so degenerate (deterministic) families still get
     a usable axis.  Deterministic in (spec, seed).
     """
@@ -97,19 +100,30 @@ def default_state_grid(spec: ProblemSpec, n_nodes: int | None = None,
     from . import sim  # local import: sim does not depend on this module
 
     pilot_seed = (seed * 0x9E3779B9 + 0x7F4A7C15) & 0x7FFFFFFFFFFFFFFF
-    bundle = sim.simulate_bundle(spec, n_pilot, seed=pilot_seed,
+    bundle = sim.simulate_bundle(spec, PILOT_PATHS, seed=pilot_seed,
                                  n_steps=max(16, spec.default_steps() // 4))
     states = bundle.states[bundle.included()]
     mean = states.mean(axis=0)                    # (N+1, D)
     sd = states.std(axis=0)
-    lo = (mean - sd_multiplier * sd).min(axis=0)
-    hi = (mean + sd_multiplier * sd).max(axis=0)
+    lo = (mean - PILOT_SD * sd).min(axis=0)
+    hi = (mean + PILOT_SD * sd).max(axis=0)
     x0 = np.abs(spec.initial_augmented(
         spec.initial_law.mean[None, :]))[0]
     pad = np.maximum(0.5, 0.05 * x0)
     axes = tuple(np.linspace(lo[j] - pad[j], hi[j] + pad[j], n_nodes)
                  for j in range(states.shape[2]))
     return LatticeGrid(axes=axes)
+
+
+def nearest_node(axis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the node of an increasing 1-d ``axis`` nearest each ``x``.
+
+    A point halfway between two nodes goes to the lower one, and a point
+    outside the axis goes to its end node.  Feedback tables (the DP
+    argmax policy, the argmax tilt) read their cells through this rule.
+    """
+    i = np.clip(np.searchsorted(axis, x), 1, axis.size - 1)
+    return i - ((x - axis[i - 1]) <= (axis[i] - x))
 
 
 # ---------------------------------------------------------------------------

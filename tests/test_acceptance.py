@@ -170,8 +170,7 @@ def test_criterion_6_tilt_weights_and_mode_agreement(
         spec = _spec(family)
         res = girsanov.check_mode_agreement(
             sim.simulate_bundle(spec, N_BIG, seed=17),
-            girsanov.IntensityControl.const(2.0),
-            se_multiplier=spec.tolerances["se_multiplier"])
+            girsanov.IntensityControl.const(2.0))
         agree_ok = agree_ok and res["ok"]
     announce(6, "tilt weights average to one and both gain routes agree",
              kappa_ok and agree_ok,

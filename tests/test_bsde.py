@@ -395,20 +395,9 @@ def test_ladder_bang_monotone_with_analytic_limit(bang_ladder):
                for r in bang_ladder.growth_ratios)
 
 
-def test_ladder_needs_three_levels_for_extrapolation(bang_spec):
-    with pytest.raises(ValueError, match="need at least 3 levels"):
-        bsde.minimal_value(bang_spec, levels=(1,),
-                           extrapolation="richardson")
-
-
 def test_ladder_rejects_unordered_levels(bang_spec):
     with pytest.raises(ValueError, match="increasing"):
         bsde.minimal_value(bang_spec, levels=(4, 2, 1))
-
-
-def test_aitken_limit_is_exact_on_reciprocal_errors():
-    vals = [1.0 - 1.0 / n for n in (4, 8, 16)]
-    assert bsde._aitken_limit(vals) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ladder_lsmc_solver_tracks_grid(bang_spec, bang_ladder):

@@ -262,7 +262,9 @@ def test_dp_field_csv_roundtrips_exactly(bang_cfg, tmp_path):
     loaded = cli.load_dp_field(out / "dp_field.csv")
     from jumpctrl.problem import load_problem
     spec = load_problem(json.loads(open(bang_cfg).read()))
-    fresh = dp.solve_dp_grid(spec, n_time_steps=16, n_state_nodes=41)
+    fresh = dp.solve_dp_grid(
+        spec, n_time_steps=16,
+        grid=transition.default_state_grid(spec, 41))
     # repr-formatted floats parse back to the exact same doubles
     assert np.array_equal(loaded.values, fresh.values)
     assert np.array_equal(loaded.argmax, fresh.argmax)

@@ -122,8 +122,7 @@ def test_value_equality_with_tilted_upper_estimate(bang_spec, bang_dp,
     fld = bang_ladder.last_field
     nu = girsanov.IntensityControl.argmax_tilt(
         fld.time_grid, fld.grid.axes, fld.values, strength=8.0)
-    est = girsanov.randomized_gain(bang_spec, nu, 4_000, seed=5,
-                                   mode="tilted")
+    est = girsanov.randomized_gain(bang_spec, nu, 4_000, seed=5)
     out = dp.value_equality_check(bang_dp, bang_ladder, bang_spec,
                                   tilt_estimate=est)
     assert out["tilt_bound_ok"]
@@ -152,13 +151,14 @@ def test_value_equality_rejects_kernel_drift(bang_spec, bang_dp,
         dp.value_equality_check(bang_dp, tampered, bang_spec)
 
 
-@pytest.mark.parametrize("setting", [{"n_time_steps": 32},
-                                     {"n_state_nodes": 101}],
-                         ids=["dt", "axes"])
+@pytest.mark.parametrize("setting", [
+    lambda spec: {"n_time_steps": 32},
+    lambda spec: {"grid": transition.default_state_grid(spec, 101)}],
+    ids=["dt", "axes"])
 def test_value_equality_rejects_other_operator_settings(bang_spec,
                                                         bang_ladder,
                                                         setting):
-    opts = {"n_time_steps": bang_ladder.n_time_steps, **setting}
+    opts = {"n_time_steps": bang_ladder.n_time_steps, **setting(bang_spec)}
     fld = dp.solve_dp_grid(bang_spec, **opts)
     with pytest.raises(AssertionError, match="kernels differ"):
         dp.value_equality_check(fld, bang_ladder, bang_spec)
@@ -174,7 +174,9 @@ def test_truncated_jump_mass_is_reported_and_warned():
     spec = _spec("jump-reward", parameters={"rate": 100.0},
                  control_points=[1.0], a0_index=0)
     with pytest.warns(RuntimeWarning, match="Poisson mass"):
-        fld = dp.solve_dp_grid(spec, n_time_steps=64, n_state_nodes=101)
+        fld = dp.solve_dp_grid(
+            spec, n_time_steps=64,
+            grid=transition.default_state_grid(spec, 101))
     tail = fld.metadata["truncated_jump_mass"]
     assert tail == transition.truncated_jump_mass(spec, 1 / 64)
     assert 0.02 < tail < 0.025
@@ -215,7 +217,8 @@ def test_rollout_mean_reverting_switch_self_consistent():
     # n_steps * dx^2, so the node count must grow with the step count
     # for the rollout to sit inside the noise band
     spec = _spec("ou-switch")
-    fld = dp.solve_dp_grid(spec, n_time_steps=64, n_state_nodes=401)
+    fld = dp.solve_dp_grid(spec, n_time_steps=64,
+                           grid=transition.default_state_grid(spec, 401))
     out = dp.policy_rollout(fld, spec, n_paths=20_000, seed=4)
     assert out["ok"]
     assert abs(out["j_mean"] - out["v0"]) < 5e-3

@@ -36,7 +36,7 @@ def ham_row(spec, t, x, grad, hess, accessor):
     """Supremand at one point for every control, shape (A,)."""
     return hjb._hamiltonian_nodes(spec, t, np.atleast_2d(x),
                                   np.atleast_2d(grad), np.asarray(hess)[None],
-                                  accessor, hjb.QUAD_NODES_NONLOCAL)[0]
+                                  accessor)[0]
 
 
 def test_hamiltonian_pure_drift_returns_the_drift(bang_spec):

@@ -256,7 +256,7 @@ def test_overflow_flag_and_exclude():
 def test_empirical_moment_check_reports():
     spec = load("bang-drift", regularity={"moment_cp": 8.0})
     bundle = sim.simulate_bundle(spec, 2_000, seed=2)
-    rep = sim.empirical_moment_check(bundle, p=2.0)
+    rep = sim.empirical_moment_check(bundle)
     assert rep["pass"] is True
     assert rep["observed"] <= rep["bound"]
     spec2 = load("bang-drift")
@@ -268,11 +268,14 @@ def test_occupation_rows_partition_each_step():
     spec = load("bang-drift")
     bundle = sim.simulate_bundle(spec, 300, seed=31, n_steps=16)
     dt = bundle.time_grid[1] - bundle.time_grid[0]
-    for k in (0, 7, 15):
-        occ = bundle.step_occupation(k)
+    steps = sim._occupation_by_step(bundle.theta_segments(),
+                                    bundle.time_grid, bundle.n_paths,
+                                    spec.control.size)
+    for k, occ in enumerate(steps):
         assert np.allclose(occ.sum(axis=1), dt, atol=1e-12)
         # regime at the left node owns the first slice of each step
         assert np.all(occ[np.arange(300), bundle.regimes[:, k]] > 0)
+    assert k == bundle.n_steps - 1
 
 
 def _occupation_reference(segs, time_grid, n_paths, n_controls):

@@ -102,6 +102,23 @@ def test_multilinear_monotone_in_values(bumps, s):
     assert b[0] >= a[0] - 1e-12
 
 
+def test_nearest_node_breaks_ties_low_and_clamps_outside():
+    ax = np.array([0.0, 1.0, 2.0, 4.0])
+    below, above = (np.nextafter(0.5, -1.0), np.nextafter(0.5, 1.0))
+    cases = {
+        "nodes": ([0.0, 1.0, 2.0, 4.0], [0, 1, 2, 3]),
+        "midpoints": ([0.5, 1.5, 3.0], [0, 1, 2]),
+        "one ulp off a midpoint": (
+            [below, above, np.nextafter(3.0, 0.0), np.nextafter(3.0, 4.0)],
+            [0, 1, 2, 3]),
+        "outside": ([-7.0, np.nextafter(0.0, -1.0), 4.5, 1e300],
+                    [0, 0, 3, 3]),
+    }
+    for name, (x, want) in cases.items():
+        got = transition.nearest_node(ax, np.array(x))
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # Outcome enumeration
 # ---------------------------------------------------------------------------
