@@ -133,9 +133,6 @@ class LadderReport:
     levels: tuple
     values: tuple
     ses: tuple
-    regime_spreads: tuple
-    growth_ratios: tuple
-    growth_bound: float
     monotone_ok: bool
     monotone_max_violation: float
     value_limit: float
@@ -550,25 +547,17 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
         raise ValueError("levels must be strictly increasing")
     if n_time_steps is None:
         n_time_steps = default_time_steps(spec, max(levels))
-    pbar = spec.regularity.growth_pbar
 
-    values, ses, spreads, ratios = [], [], [], []
+    values, ses = [], []
     monotone_violation = 0.0
     if solver == "grid":
         if grid is None:
             grid = transition.default_state_grid(spec, seed=seed)
         per_level = solve_penalized_grid_ladder(
             spec, levels, n_time_steps=n_time_steps, grid=grid)
-        node_norm = 1.0 + np.max(np.abs(per_level[0].grid.nodes()),
-                                 axis=1) ** pbar
         for fld in per_level:
             values.append(fld.value_at_origin(spec))
             ses.append(0.0)
-            at0 = _origin_values(fld, spec)
-            spreads.append(float(at0.max() - at0.min()))
-            flat = np.abs(fld.values.reshape(n_time_steps + 1, -1,
-                                             spec.control.size))
-            ratios.append(float((flat / node_norm[None, :, None]).max()))
         for lo, hi in zip(per_level, per_level[1:]):
             monotone_violation = max(monotone_violation,
                                      float((lo.values - hi.values).max()))
@@ -579,9 +568,6 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
         for quint in per_level:
             values.append(quint.y0)
             ses.append(quint.y0_se)
-            spreads.append(float("nan"))
-            ratios.append(float(np.max(np.abs(quint.y_mean))
-                                / (1.0 + abs(_x0_norm(spec)) ** pbar)))
             if len(values) >= 2:
                 drop = values[-2] - values[-1]
                 slack = 3.0 * math.hypot(ses[-1], ses[-2])
@@ -592,25 +578,12 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
 
     return LadderReport(
         solver=solver, levels=levels, values=tuple(values), ses=tuple(ses),
-        regime_spreads=tuple(spreads), growth_ratios=tuple(ratios),
-        growth_bound=1.5 * ratios[0],
         monotone_ok=monotone_violation <= spec.tolerances["tol_monotone"],
         monotone_max_violation=float(monotone_violation),
         value_limit=float(values[-1]),
         n_time_steps=n_time_steps, fingerprint=spec.fingerprint(),
         kernel=per_level[-1].metadata.get("kernel", ""),
         per_level=per_level)
-
-
-def _origin_values(fld: PenalizedField, spec: ProblemSpec) -> np.ndarray:
-    x0 = spec.initial_augmented(spec.initial_law.mean[None, :])
-    return np.array([fld.value_at_node(0, x0, a)[0]
-                     for a in range(spec.control.size)])
-
-
-def _x0_norm(spec: ProblemSpec) -> float:
-    x0 = spec.initial_augmented(spec.initial_law.mean[None, :])[0]
-    return float(np.max(np.abs(x0)))
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def load_dp_field(csv_path) -> dp.DpField:
                                  f"{len(coord_cols)}")
             count = 0
             for row in reader:
-                if count >= n_rows:
-                    break
+                if count == n_rows:
+                    raise ValueError(f"expected {n_rows} rows, found more")
                 coords[count] = [float(row[c]) for c in coord_cols]
                 values[count] = float(row["value"])
                 argmax[count] = int(row["argmax"])
@@ -266,10 +266,11 @@ def _ensure_out_dir(out: str) -> Path:
 # ---------------------------------------------------------------------------
 
 class _Workbench:
-    """Lazily built artifacts shared by the verify suites.
+    """Lazily built artifacts shared by ``solve`` and the verify suites.
 
     Everything is keyed off one (config, seed, overrides) triple so a
-    suite run never mixes fields from different lattices or seeds.
+    command never mixes fields from different lattices or seeds, and
+    ``solve`` and ``verify`` build each artifact the same way.
     """
 
     def __init__(self, spec, levels, steps, nodes, paths, seed):
@@ -295,6 +296,11 @@ class _Workbench:
                 n_time_steps=self.steps, grid=self.grid())
         return self._cache["ladder"]
 
+    def lsmc_ladder(self):
+        return bsde.minimal_value(
+            self.spec, levels=self.levels, solver="lsmc",
+            n_time_steps=self.steps, seed=self.seed, n_paths=self.paths)
+
     def penalized(self, level: int):
         return self.ladder().per_level[self.levels.index(level)]
 
@@ -315,6 +321,16 @@ class _Workbench:
         strength = float(max(2, max(self.levels)))
         return girsanov.IntensityControl.argmax_tilt(
             fld.time_grid, fld.grid.axes, fld.values, strength)
+
+    def tilted_value_equality(self):
+        """The value-equality check with the argmax tilt's simulated gain
+        as its bound: ``(tilt, gain estimate, check)``."""
+        nu = self.argmax_tilt()
+        est = girsanov.randomized_gain(self.spec, nu, n_paths=self.paths,
+                                       seed=self.seed, n_steps=self.steps)
+        eq = dp.value_equality_check(self.dp_field(), self.ladder(),
+                                     self.spec, tilt_estimate=est)
+        return nu, est, eq
 
 
 def _suite_martingale(wb: _Workbench):
@@ -377,14 +393,8 @@ def _suite_dpp(wb: _Workbench):
 
 
 def _suite_value_equality(wb: _Workbench):
-    nu = wb.argmax_tilt()
-    est = girsanov.randomized_gain(wb.spec, nu, n_paths=wb.paths,
-                                   seed=wb.seed, n_steps=wb.steps)
-    res = dp.value_equality_check(wb.dp_field(), wb.ladder(), wb.spec,
-                                  tilt_estimate=est)
-    res["tilt_nu"] = nu.nu_id
-    res["tilt_se"] = est.se
-    return res["ok"], res
+    nu, est, eq = wb.tilted_value_equality()
+    return eq["ok"], {**eq, "tilt_nu": nu.nu_id, "tilt_se": est.se}
 
 
 def _suite_hjb(wb: _Workbench, field_path=None):
@@ -439,40 +449,21 @@ def cmd_solve(args) -> int:
     _check_sizes(args, min_steps=2, min_paths=2)
     spec = problem.load_problem(args.config)
     out = _ensure_out_dir(args.out)
-    outputs = ["value_report.json", "manifest.json"]
+    # dp keeps the config's step count; a ladder sizes its time grid to
+    # its largest level
+    steps = (spec.default_steps() if args.steps is None
+             and args.method == "dp" else args.steps)
+    wb = _Workbench(spec, levels=args.ladder, steps=steps, nodes=args.nodes,
+                    paths=args.paths, seed=args.seed)
+    wb.grid()   # pilot simulation first, so its warnings precede the solvers'
+    outputs = ["value_report.json", "manifest.json",
+               "dp_field.csv", "dp_field.json", "residual.csv"]
     verdicts: dict = {}
     details: dict = {}
-    skipped_note = {"reason": "not computed by solve; run jumpctrl verify"}
-
-    if args.method == "dp":
-        fld = dp.solve_dp_grid(
-            spec, n_time_steps=args.steps,
-            grid=transition.default_state_grid(spec, args.nodes, args.seed))
-        write_dp_field_csv(fld, spec, out / "dp_field.csv",
-                           out / "dp_field.json")
-        outputs += ["dp_field.csv", "dp_field.json"]
-        cert = hjb.residual_certificate(fld, spec)
-        verdicts["hjb-certificate"] = _verdict(cert["ok"])
-        details["hjb-certificate"] = {
-            k: v for k, v in cert.items() if k != "residual_field"}
-        write_residual_csv(cert["residual_field"], spec,
-                           out / "residual.csv")
-        outputs.append("residual.csv")
-        report = ValueReport(
-            problem_id=_problem_id(spec),
-            family=spec.coefficients.family,
-            fingerprint=spec.fingerprint(),
-            v0_dp=fld.value_at_origin(spec),
-            levels=[], level_values=[], level_ses=[],
-            value_limit=None, tilt=None,
-            verdicts=verdicts, details=details)
-    else:
-        solver = "grid" if args.method == "penalized-grid" else "lsmc"
-        grid = transition.default_state_grid(spec, args.nodes, args.seed)
-        ladder = bsde.minimal_value(
-            spec, levels=args.ladder, solver=solver,
-            n_time_steps=args.steps, grid=grid, seed=args.seed,
-            n_paths=args.paths)
+    ladder = tilt = None
+    if args.method != "dp":
+        ladder = (wb.ladder() if args.method == "penalized-grid"
+                  else wb.lsmc_ladder())
         write_ladder_csv(ladder, out / "ladder.csv")
         outputs.append("ladder.csv")
         verdicts["monotonicity"] = _verdict(ladder.monotone_ok)
@@ -480,61 +471,48 @@ def cmd_solve(args) -> int:
             "max_violation": ladder.monotone_max_violation,
             "tol_monotone": spec.tolerances["tol_monotone"]}
 
-        # classical value on the same time grid and lattice keeps the
-        # report apples-to-apples
-        fld = dp.solve_dp_grid(spec, n_time_steps=ladder.n_time_steps,
-                               grid=grid)
-        write_dp_field_csv(fld, spec, out / "dp_field.csv",
-                           out / "dp_field.json")
-        outputs += ["dp_field.csv", "dp_field.json"]
-
-        tilt = None
-        if solver == "grid":
-            pen = ladder.last_field
-            write_penalized_field_csv(pen, spec, out / "penalized_field.csv")
-            outputs.append("penalized_field.csv")
-            nu = girsanov.IntensityControl.argmax_tilt(
-                pen.time_grid, pen.grid.axes, pen.values,
-                strength=float(max(2, max(args.ladder))))
-            est = girsanov.randomized_gain(
-                spec, nu, n_paths=args.paths, seed=args.seed,
-                n_steps=ladder.n_time_steps)
-            tilt = {"nu_id": nu.nu_id, "mean": est.mean, "se": est.se}
-            eq = dp.value_equality_check(fld, ladder, spec,
-                                         tilt_estimate=est)
-            cert = hjb.residual_certificate(pen, spec)
-        else:
-            eq = dp.value_equality_check(fld, ladder, spec)
-            cert = hjb.residual_certificate(fld, spec)
-            # the fallbacks depend on the features only: same at every level
-            quint = ladder.last_field
-            details["lsmc"] = {
-                "ridge_events": len(quint.ridge_events),
-                "carried_cells": len(quint.carried_cells),
-                "n_paths": quint.n_paths, "n_excluded": quint.n_excluded}
+    # classical value on the ladder's time grid and lattice keeps the
+    # report apples-to-apples
+    fld = wb.dp_field()
+    write_dp_field_csv(fld, spec, out / "dp_field.csv", out / "dp_field.json")
+    certified = fld
+    if args.method == "penalized-grid":
+        certified = ladder.last_field
+        write_penalized_field_csv(certified, spec,
+                                  out / "penalized_field.csv")
+        outputs.append("penalized_field.csv")
+        nu, est, eq = wb.tilted_value_equality()
+        tilt = {"nu_id": nu.nu_id, "mean": est.mean, "se": est.se}
+    elif args.method == "penalized-lsmc":
+        eq = dp.value_equality_check(fld, ladder, spec)
+        # the fallbacks depend on the features only: same at every level
+        quint = ladder.last_field
+        details["lsmc"] = {
+            "ridge_events": len(quint.ridge_events),
+            "carried_cells": len(quint.carried_cells),
+            "n_paths": quint.n_paths, "n_excluded": quint.n_excluded}
+    if ladder is not None:
         verdicts["value-equality"] = _verdict(eq["ok"])
         details["value-equality"] = eq
-        verdicts["hjb-certificate"] = _verdict(cert["ok"])
-        details["hjb-certificate"] = {
-            k: v for k, v in cert.items() if k != "residual_field"}
-        write_residual_csv(cert["residual_field"], spec,
-                           out / "residual.csv")
-        outputs.append("residual.csv")
-        details["constraint-decay"] = skipped_note
-        details["dpp"] = skipped_note
-        report = ValueReport(
-            problem_id=_problem_id(spec),
-            family=spec.coefficients.family,
-            fingerprint=spec.fingerprint(),
-            v0_dp=fld.value_at_origin(spec),
-            levels=list(ladder.levels),
-            level_values=list(ladder.values),
-            level_ses=list(ladder.ses),
-            value_limit=ladder.value_limit, tilt=tilt,
-            verdicts=verdicts, details=details)
+        details["constraint-decay"] = details["dpp"] = {
+            "reason": "not computed by solve; run jumpctrl verify"}
 
-    report.details["truncated_jump_mass"] = fld.metadata[
-        "truncated_jump_mass"]
+    cert = hjb.residual_certificate(certified, spec)
+    verdicts["hjb-certificate"] = _verdict(cert["ok"])
+    details["hjb-certificate"] = {
+        k: v for k, v in cert.items() if k != "residual_field"}
+    write_residual_csv(cert["residual_field"], spec, out / "residual.csv")
+    details["truncated_jump_mass"] = fld.metadata["truncated_jump_mass"]
+    report = ValueReport(
+        problem_id=_problem_id(spec),
+        family=spec.coefficients.family,
+        fingerprint=spec.fingerprint(),
+        v0_dp=fld.value_at_origin(spec),
+        levels=list(ladder.levels) if ladder else [],
+        level_values=list(ladder.values) if ladder else [],
+        level_ses=list(ladder.ses) if ladder else [],
+        value_limit=ladder.value_limit if ladder else None, tilt=tilt,
+        verdicts=verdicts, details=details)
     report.write(out / "value_report.json")
     manifest = RunManifest(
         command="solve", config=args.config, seed=args.seed,

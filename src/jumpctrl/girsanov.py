@@ -41,17 +41,16 @@ ARGMAX_NU_MIN = 0.05
 class IntensityControl:
     """Switch-intensity multiplier nu(t, x, a, b), bounded away from zero.
 
-    Three shapes: a constant, a regime matrix nu(a, b), or a state-feedback
-    table piecewise constant on (time step x state cell); the feedback form
-    is what the argmax tilt of a value lattice produces.
+    Two shapes: a constant, or a state-feedback table piecewise constant
+    on (time step x state cell); the feedback form is what the argmax tilt
+    of a value lattice produces.
     """
 
     nu_id: str
-    kind: str                   # "constant" | "matrix" | "feedback"
+    kind: str                   # "constant" | "feedback"
     nu_min: float
     nu_max: float
     constant: Optional[float] = None
-    matrix: Optional[np.ndarray] = None          # (A, A) indexed [a, b]
     time_grid: Optional[np.ndarray] = None       # (K+1,) feedback cells
     axes: Optional[tuple] = None                 # per state coordinate
     table: Optional[np.ndarray] = None           # (K, *shape, A, A)
@@ -59,12 +58,10 @@ class IntensityControl:
     def __post_init__(self):
         if not (0.0 < self.nu_min <= self.nu_max):
             raise ValueError("need 0 < nu_min <= nu_max")
-        for arr in (self.matrix, self.table):
-            if arr is not None:
-                lo, hi = float(np.min(arr)), float(np.max(arr))
-                if lo < self.nu_min - 1e-12 or hi > self.nu_max + 1e-12:
-                    raise ValueError("intensity values leave "
-                                     "[nu_min, nu_max]")
+        if self.table is not None:
+            lo, hi = float(np.min(self.table)), float(np.max(self.table))
+            if lo < self.nu_min - 1e-12 or hi > self.nu_max + 1e-12:
+                raise ValueError("intensity values leave [nu_min, nu_max]")
 
     # -- constructors --------------------------------------------------------
 
@@ -72,13 +69,6 @@ class IntensityControl:
     def const(value: float) -> "IntensityControl":
         return IntensityControl(nu_id=f"const-{value:g}", kind="constant",
                                 nu_min=value, nu_max=value, constant=value)
-
-    @staticmethod
-    def from_matrix(matrix, nu_id: str = "matrix") -> "IntensityControl":
-        m = np.asarray(matrix, dtype=float)
-        return IntensityControl(nu_id=nu_id, kind="matrix",
-                                nu_min=float(m.min()), nu_max=float(m.max()),
-                                matrix=m)
 
     @staticmethod
     def argmax_tilt(time_grid, axes, values,
@@ -123,8 +113,6 @@ class IntensityControl:
         b_idx = np.asarray(b_idx, dtype=np.int64)
         if self.kind == "constant":
             return np.full(x.shape[0], self.constant)
-        if self.kind == "matrix":
-            return self.matrix[a_idx, b_idx]
         k, cells = self._cells(t, x)
         return self.table[(k, *cells, a_idx, b_idx)]
 
@@ -174,17 +162,14 @@ def doleans_weights(bundle: PathBundle, nu: IntensityControl) -> np.ndarray:
         log_k += (1.0 - nu.constant) * total * (horizon - t0)
         return np.exp(log_k)
     # sum_b (1 - nu(a, b)) lambda0(b) for every source regime a, once per
-    # matrix entry or feedback cell: (A,) or (K, *shape, A)
-    deficit = ((1.0 - (nu.matrix if nu.kind == "matrix" else nu.table))
-               * weights).sum(axis=-1)
+    # feedback cell: (K, *shape, A)
+    deficit = ((1.0 - nu.table) * weights).sum(axis=-1)
     segs = sim._segments_from_events(theta, start_regimes, t0, horizon)
     n_controls = weights.size
-    cell = ()
     occupation = sim._occupation_by_step(segs, time_grid, n_paths, n_controls)
     for k, occ in enumerate(occupation):
-        if nu.kind == "feedback":
-            k_idx, cells = nu._cells(float(time_grid[k]), states[:, k, :])
-            cell = (k_idx, *cells)
+        k_idx, cells = nu._cells(float(time_grid[k]), states[:, k, :])
+        cell = (k_idx, *cells)
         for ai in range(n_controls):
             col = occ[:, ai]
             if not np.any(col > 0):
@@ -204,10 +189,6 @@ def gain_payoff(bundle: PathBundle) -> np.ndarray:
 
 def unit_payoff(bundle: PathBundle) -> np.ndarray:
     return np.ones(bundle.n_paths)
-
-
-def theta_count_payoff(bundle: PathBundle) -> np.ndarray:
-    return bundle.theta.counts().astype(float)
 
 
 def _fsum_mean(values: np.ndarray) -> float:

@@ -38,7 +38,7 @@ BAND_COVERAGE = 0.999
 
 @dataclass(frozen=True)
 class HjbResidualField:
-    """Residual surface with its derivative estimates.
+    """Residual surface of a candidate value function.
 
     ``residual`` is NaN and ``argmax`` is -1 on the excluded boundary band;
     every interior entry is finite.
@@ -48,19 +48,12 @@ class HjbResidualField:
     grid: LatticeGrid
     residual: np.ndarray           # (K, *shape)
     argmax: np.ndarray             # (K, *shape) control indices
-    v_t: np.ndarray                # (K, *shape)
-    grad: np.ndarray               # (K, *shape, D)
-    hess: np.ndarray               # (K, *shape, D, D)
     terminal_error: float          # max |v(T, .) - g| over all nodes
     excluded: np.ndarray           # (*shape,) bool, True on the band
     metadata: dict
 
     def interior_max(self) -> float:
         return float(np.abs(self.residual[:, ~self.excluded]).max())
-
-    def excluded_nodes(self) -> np.ndarray:
-        """Lattice indices of the flagged boundary band, one row per node."""
-        return np.argwhere(self.excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +332,8 @@ def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
     }
     return HjbResidualField(
         time_grid=np.asarray(time_grid[:-1], dtype=float), grid=grid,
-        residual=residual, argmax=argmax, v_t=v_t, grad=grad, hess=hess,
-        terminal_error=terminal_error, excluded=excluded,
-        metadata=metadata)
+        residual=residual, argmax=argmax, terminal_error=terminal_error,
+        excluded=excluded, metadata=metadata)
 
 
 def _analytic_accessor(candidate: dict, t: float):

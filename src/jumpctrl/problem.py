@@ -172,7 +172,7 @@ class RandomizationSpec:
 
 @dataclass(frozen=True)
 class RegularityConstants:
-    """Declared Lipschitz/growth constants used by spot checks."""
+    """Declared Lipschitz/growth constants of the coefficients."""
 
     lipschitz_l: float
     growth_pbar: float
@@ -640,55 +640,6 @@ def eval_terminal(spec: ProblemSpec, x_aug: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"terminal state must have {spec.total_dim} coordinates")
     return spec.coefficients.g(x_aug)
-
-
-def spot_check_lipschitz(spec: ProblemSpec, n_samples: int = 10_000,
-                         seed: int = 0) -> dict:
-    """Randomized difference-quotient audit of the declared constants.
-
-    Samples (t, x, x', a, z) and reports the largest observed quotient for
-    b, sigma (Frobenius), and gamma (normalized by rho_envelope).  Passes
-    iff the maximum stays within lipschitz_slack * L.
-    """
-    rng = np.random.Generator(np.random.Philox(key=[seed, 913]))
-    t = rng.random(n_samples) * spec.horizon
-    center = spec.initial_law.mean
-    x = center + 2.0 * rng.standard_normal((n_samples, spec.dim))
-    xp = center + 2.0 * rng.standard_normal((n_samples, spec.dim))
-    gap = np.linalg.norm(x - xp, axis=1)
-    keep = gap > 1e-9
-    a_idx = rng.integers(0, spec.control.size, n_samples)
-
-    c = spec.coefficients
-    worst = {"b": 0.0, "sigma": 0.0, "gamma": 0.0}
-    for ai in range(spec.control.size):
-        sel = keep & (a_idx == ai)
-        if not np.any(sel):
-            continue
-        a = float(spec.control.points[ai])
-        for name, fn in (("b", c.b), ("sigma", c.sigma)):
-            d1 = np.asarray(fn(0.0, x[sel], a), dtype=float)
-            d2 = np.asarray(fn(0.0, xp[sel], a), dtype=float)
-            # time enters no registry family; quotient in x only
-            diff = np.sqrt(((d1 - d2) ** 2).reshape(d1.shape[0], -1).sum(1))
-            worst[name] = max(worst[name], float(np.max(diff / gap[sel])))
-        if c.gamma is not None and spec.jump_measure.total_rate > 0:
-            z = spec.jump_measure.sample_marks(rng.random(int(sel.sum())))
-            g1 = c.gamma(0.0, x[sel], a, z)
-            g2 = c.gamma(0.0, xp[sel], a, z)
-            diff = np.linalg.norm(g1 - g2, axis=1)
-            rho = max(spec.jump_measure.rho_envelope, 1e-300)
-            worst["gamma"] = max(worst["gamma"],
-                                 float(np.max(diff / (rho * gap[sel]))))
-
-    max_q = max(worst.values())
-    slack = spec.tolerances["lipschitz_slack"]
-    return {
-        "max_quotient": max_q,
-        "per_coefficient": worst,
-        "bound": slack * spec.regularity.lipschitz_l,
-        "pass": bool(max_q <= slack * spec.regularity.lipschitz_l),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -632,37 +632,6 @@ def total_gain(bundle: PathBundle) -> np.ndarray:
     return bundle.running_reward + terminal_rewards(bundle)
 
 
-#: order of the sup-over-grid moment that ``empirical_moment_check`` bounds
-MOMENT_ORDER = 2.0
-
-
-def empirical_moment_check(bundle: PathBundle) -> dict:
-    """Compare the ``MOMENT_ORDER`` sup-over-grid moment against the
-    declared constant.
-
-    Informational when no constant is declared: the report then carries the
-    observed ratio and ``pass: None``.
-    """
-    keep = bundle.included()
-    if bundle.n_paths == 0 or not np.any(keep):
-        raise ValueError("no paths")
-    core = bundle.states[keep][:, :, :bundle.spec.dim]
-    sup = np.linalg.norm(core, axis=2).max(axis=1)
-    observed = float(np.mean(sup ** MOMENT_ORDER))
-    x0 = float(np.linalg.norm(bundle.spec.initial_law.mean))
-    base = 1.0 + x0 ** MOMENT_ORDER
-    cp = bundle.spec.regularity.moment_cp
-    ratio = observed / (base * cp) if cp else observed / base
-    return {
-        "p": MOMENT_ORDER,
-        "observed": observed,
-        "bound": None if cp is None else cp * base,
-        "ratio": ratio,
-        "pass": None if cp is None else bool(ratio <= 1.0),
-        "n_paths": int(keep.sum()),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Columnar export
 # ---------------------------------------------------------------------------

@@ -147,6 +147,23 @@ def test_solve_penalized_lsmc_reports_its_regression_fallbacks(bang_cfg,
                     "n_paths": 4000, "n_excluded": 0}
 
 
+def test_solve_and_verify_report_the_same_values(bang_cfg, tmp_path):
+    common = ["--paths", "2000", "--seed", "7"]
+    for method in ("penalized-grid", "penalized-lsmc"):
+        cli.main(["solve", bang_cfg, "--method", method, *common,
+                  "--out", str(tmp_path / method)])
+    cli.main(["verify", bang_cfg, "--suite", "value-equality", *common,
+              "--out", str(tmp_path / "verify")])
+    solved = _read_json(tmp_path / "penalized-grid" / "value_report.json")
+    checked = _read_json(tmp_path / "verify" / "verify_report.json")[
+        "details"]["value-equality"]
+    assert solved["v0_dp"] == checked["v_dp"]
+    assert solved["value_limit"] == checked["v_randomized"]
+    assert solved["tilt"]["mean"] == checked["tilt_gain"]
+    assert ((tmp_path / "penalized-lsmc" / "dp_field.csv").read_bytes()
+            == (tmp_path / "penalized-grid" / "dp_field.csv").read_bytes())
+
+
 def test_solve_rerun_reproduces_artifacts_byte_for_byte(bang_cfg, tmp_path):
     args = ["solve", bang_cfg, "--method", "penalized-grid",
             "--ladder", "1,4", "--steps", "32", "--paths", "1000"]
@@ -373,6 +390,28 @@ def test_verify_permuted_field_rows_are_skipped_with_reason(bang_cfg,
     assert "perm.csv" in report["details"]["hjb"]["reason"]
 
 
+def test_verify_field_with_trailing_rows_is_skipped_with_reason(bang_cfg,
+                                                               tmp_path):
+    solve_out = tmp_path / "solve"
+    cli.main(["solve", bang_cfg, "--method", "dp", "--steps", "16",
+              "--nodes", "41", "--out", str(solve_out)])
+    text = (solve_out / "dp_field.csv").read_bytes()
+    last = text.rstrip(b"\r\n").rsplit(b"\r\n", 1)[-1]
+    longer = tmp_path / "longer.csv"
+    longer.write_bytes(text + last + b"\r\ngarbage,row\r\n")
+    longer.with_suffix(".json").write_bytes(
+        (solve_out / "dp_field.json").read_bytes())
+    with pytest.raises(ValueError, match="found more"):
+        cli.load_dp_field(longer)
+    out = tmp_path / "run"
+    code = cli.main(["verify", bang_cfg, "--suite", "hjb",
+                     "--field", str(longer), "--out", str(out)])
+    assert code == 0
+    report = _read_json(out / "verify_report.json")
+    assert report["verdicts"]["hjb"] == "skipped"
+    assert "longer.csv" in report["details"]["hjb"]["reason"]
+
+
 def test_verify_certifies_a_solved_field_from_disk(bang_cfg, tmp_path):
     solve_out = tmp_path / "solve"
     cli.main(["solve", bang_cfg, "--method", "dp", "--out", str(solve_out)])
@@ -530,9 +569,7 @@ def _golden_inputs():
     residual = hjb.HjbResidualField(
         time_grid=time_grid[:-1], grid=grid,
         residual=np.where(band, np.nan, _cells((2, 3, 2))[::-1]),
-        argmax=res_argmax, v_t=np.zeros((2, 3, 2)),
-        grad=np.zeros((2, 3, 2, 2)), hess=np.zeros((2, 3, 2, 2, 2)),
-        terminal_error=0.0, excluded=band, metadata={})
+        argmax=res_argmax, terminal_error=0.0, excluded=band, metadata={})
     ladder = SimpleNamespace(levels=(1, 2, 4), values=(0.1 + 0.2, -0.0,
                                                        float("nan")),
                              ses=(1e-300, 0.0, 1.0 / 3.0))

@@ -20,6 +20,20 @@ def load(family, **over):
     return problem.load_problem(doc)
 
 
+def matrix_tilt(mat, nu_id="matrix"):
+    """A regime matrix nu(a, b) as a feedback table with one time cell and
+    one state cell."""
+    mat = np.asarray(mat, dtype=float)
+    return girsanov.IntensityControl(
+        nu_id=nu_id, kind="feedback", nu_min=float(mat.min()),
+        nu_max=float(mat.max()), time_grid=np.array([0.0, 1.0]),
+        axes=(np.zeros(1),), table=mat[None, None])
+
+
+def switch_count(bundle):
+    return bundle.theta.counts().astype(float)
+
+
 def kappa(spec, nu, times=(), marks=(), start=None, n_steps=8):
     """Tilt weight of one path with the given switches and no noise."""
     path = one_path(spec, n_steps, start=start, switches=(times, marks))
@@ -66,7 +80,7 @@ def test_doleans_matrix_single_path_manual():
     mat = np.array([[1.0, 2.0, 0.5],
                     [1.5, 1.0, 0.25],
                     [3.0, 0.75, 1.0]])
-    nu = girsanov.IntensityControl.from_matrix(mat)
+    nu = matrix_tilt(mat)
     w = kappa(spec, nu, [0.25, 0.5], [0, 1], start=2)
     third = 1.0 / 3.0
     comp = (0.25 * third * ((1 - 3.0) + (1 - 0.75) + (1 - 1.0))
@@ -78,7 +92,7 @@ def test_doleans_matrix_single_path_manual():
 
 def test_bundle_weights_agree_with_single_path():
     spec = load("bang-drift")
-    nu = girsanov.IntensityControl.from_matrix(
+    nu = matrix_tilt(
         np.array([[1.0, 0.5, 2.0], [1.0, 1.0, 1.0], [0.2, 3.0, 1.0]]))
     bundle = sim.simulate_bundle(spec, 40, seed=11, n_steps=16)
     weights = girsanov.doleans_weights(bundle, nu)
@@ -116,8 +130,7 @@ def test_reweighted_switch_count_scales_with_intensity():
     bundle = sim.simulate_bundle(spec, 30_000, seed=23)
     for c in (0.5, 2.0):
         est = girsanov.reweighted_expectation(
-            bundle, girsanov.IntensityControl.const(c),
-            girsanov.theta_count_payoff)
+            bundle, girsanov.IntensityControl.const(c), switch_count)
         target = c * spec.randomization.total_mass * spec.horizon
         assert abs(est["mean"] - target) < 3.0 * est["se"]
 
@@ -169,7 +182,7 @@ def test_tilted_feedback_suppresses_disfavored_regime():
     nu_min, nu_max = 0.1, 2.0
     mat = np.full((3, 3), nu_max)
     mat[:, 2] = nu_min                  # switching into regime 2 disfavored
-    nu = girsanov.IntensityControl.from_matrix(mat, nu_id="suppress-a2")
+    nu = matrix_tilt(mat, nu_id="suppress-a2")
     bundle = girsanov.simulate_tilted_theta(nu, spec, seed=37, n_paths=4_000)
     marks = bundle.theta.marks.astype(int)
     freq = (marks == 2).mean()
@@ -217,7 +230,7 @@ def test_strong_tilt_toward_best_regime_approaches_value():
     spec = load("bang-drift")
     mat = np.full((3, 3), 0.05)
     mat[:, 2] = 6.0                     # push hard toward a=+1
-    nu = girsanov.IntensityControl.from_matrix(mat, nu_id="push-up")
+    nu = matrix_tilt(mat, nu_id="push-up")
     est = girsanov.randomized_gain(spec, nu, 20_000, seed=47)
     assert est.mean <= oracles.BANG_VALUE_T0 + 3.0 * est.se
     assert est.mean > 0.9               # close to the optimum from below
@@ -248,6 +261,7 @@ def test_intensity_validation():
     with pytest.raises(ValueError, match="nu_min"):
         girsanov.IntensityControl.const(0.0)
     with pytest.raises(ValueError, match="leave"):
-        girsanov.IntensityControl(nu_id="bad", kind="matrix", nu_min=1.0,
-                                  nu_max=1.0, matrix=np.array([[1.0, 2.0],
-                                                               [1.0, 1.0]]))
+        girsanov.IntensityControl(
+            nu_id="bad", kind="feedback", nu_min=1.0, nu_max=1.0,
+            time_grid=np.array([0.0, 1.0]), axes=(np.zeros(1),),
+            table=np.array([[[[1.0, 2.0], [1.0, 1.0]]]]))

@@ -123,7 +123,7 @@ def test_wrong_candidate_flagged_by_terminal_error(bang_spec):
 def test_residual_field_layout(bang_spec):
     rf = hjb.hjb_residual(bang_spec, closed_form(bang_spec))
     n = rf.grid.shape[0]
-    np.testing.assert_array_equal(rf.excluded_nodes(), [[0], [n - 1]])
+    np.testing.assert_array_equal(np.argwhere(rf.excluded), [[0], [n - 1]])
     assert np.all(np.isnan(rf.residual[:, rf.excluded]))
     assert np.all(np.isfinite(rf.residual[:, ~rf.excluded]))
     assert np.all(rf.argmax[:, rf.excluded] == -1)

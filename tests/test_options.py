@@ -83,15 +83,12 @@ OPTIONS = {
     "dp.solve_dp_grid(grid=None)",
     "dp.solve_dp_grid(n_time_steps=None)",
     "dp.value_equality_check(tilt_estimate=None)",
-    "girsanov.IntensityControl.from_matrix(nu_id='matrix')",
     "girsanov.randomized_gain(n_steps=None)",
     "girsanov.simulate_tilted_theta(n_steps=None)",
     "hjb.hjb_residual(grid=None)",
     "hjb.hjb_residual(stencil='auto')",
     "hjb.hjb_residual(time_grid=None)",
     "problem.ProblemSpec.default_steps(t0=0.0)",
-    "problem.spot_check_lipschitz(n_samples=10000)",
-    "problem.spot_check_lipschitz(seed=0)",
     "sim._check_events(n_marks=None)",
     "sim._simulate_core(brownian=None)",
     "sim._simulate_core(control='randomized')",

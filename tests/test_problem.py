@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import audits
 import oracles
 from jumpctrl import problem
 
@@ -166,7 +167,7 @@ def test_initial_augmented_layouts():
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_lipschitz_spot_check_passes(family):
     spec = problem.load_problem(cfg(family))
-    report = problem.spot_check_lipschitz(spec, n_samples=10_000, seed=7)
+    report = audits.spot_check_lipschitz(spec, n_samples=10_000, seed=7)
     assert report["pass"], report
     assert report["max_quotient"] <= report["bound"]
 
@@ -174,7 +175,7 @@ def test_lipschitz_spot_check_passes(family):
 def test_lipschitz_spot_check_fails_when_underdeclared():
     spec = problem.load_problem(cfg(
         "ou-switch", regularity={"lipschitz_l": 0.5}))
-    report = problem.spot_check_lipschitz(spec, n_samples=2_000, seed=7)
+    report = audits.spot_check_lipschitz(spec, n_samples=2_000, seed=7)
     assert not report["pass"]
     assert report["max_quotient"] == pytest.approx(1.0, rel=1e-9)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import audits
 import oracles
 from onerow import one_path, path_events, poisson_events, replay
 from jumpctrl import girsanov, problem, sim, stream
@@ -250,17 +251,18 @@ def test_overflow_flag_and_exclude():
     assert bundle.n_excluded == 8
     assert np.isfinite(bundle.states).all()
     with pytest.raises(ValueError, match="no paths"):
-        sim.empirical_moment_check(bundle)
+        audits.empirical_moment_check(bundle)
 
 
 def test_empirical_moment_check_reports():
     spec = load("bang-drift", regularity={"moment_cp": 8.0})
     bundle = sim.simulate_bundle(spec, 2_000, seed=2)
-    rep = sim.empirical_moment_check(bundle)
+    rep = audits.empirical_moment_check(bundle)
     assert rep["pass"] is True
     assert rep["observed"] <= rep["bound"]
     spec2 = load("bang-drift")
-    rep2 = sim.empirical_moment_check(sim.simulate_bundle(spec2, 500, seed=2))
+    rep2 = audits.empirical_moment_check(
+        sim.simulate_bundle(spec2, 500, seed=2))
     assert rep2["pass"] is None and rep2["ratio"] > 0
 
 
