@@ -440,11 +440,11 @@ def _jump_rows_by_step(bundle, keep: np.ndarray):
 
     Returns the rows in (step, path, time) order and the (Nt+1,) offsets
     of each step's group.  A jump lands in the step whose state it moves:
-    the simulator applies a jump at t in (t_k, t_{k+1}] in step k.
+    the simulator applies a jump at t in (t_k, t_{k+1}] in step k
+    (``sim.event_steps``).
     """
     pi, n_steps = bundle.pi, bundle.n_steps
-    step = np.clip(np.searchsorted(bundle.time_grid, pi.times, side="left")
-                   - 1, 0, n_steps - 1)
+    step = sim.event_steps(bundle.time_grid, pi.times)
     path = pi.path_ids()
     on = keep[path]
     rows = (np.cumsum(keep) - 1)[path[on]]

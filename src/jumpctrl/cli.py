@@ -242,14 +242,19 @@ def write_residual_csv(res, spec, path: Path) -> None:
 
 
 def _check_sizes(args, min_steps: int, min_paths: int) -> None:
-    """Reject step and path counts too small for the command's checks.
+    """Reject sizes too small for the command's checks, before any output.
 
     The HJB certificate's second-order time derivative needs three time
-    nodes, and every Monte Carlo standard error needs two paths.
+    nodes, its space stencils need ``hjb.MIN_AXIS_NODES`` nodes per axis,
+    and every Monte Carlo standard error needs two paths.
     """
     if args.steps is not None and args.steps < min_steps:
         raise ValueError(f"--steps must be at least {min_steps}, "
                          f"got {args.steps}")
+    nodes = getattr(args, "nodes", None)
+    if nodes is not None and nodes < hjb.MIN_AXIS_NODES:
+        raise ValueError(f"--nodes must be at least {hjb.MIN_AXIS_NODES}, "
+                         f"got {nodes}")
     if args.paths < min_paths:
         raise ValueError(f"--paths must be at least {min_paths}, "
                          f"got {args.paths}")
@@ -345,11 +350,9 @@ def _suite_martingale(wb: _Workbench):
     for nu in nus:
         est = girsanov.reweighted_expectation(bundle, nu,
                                               girsanov.unit_payoff)
-        err = abs(est["mean"] - 1.0)
-        band = se_mult * est["se"] + 1e-12
-        good = bool(err <= band)
-        weights.append({"nu_id": nu.nu_id, "kappa_mean": est["mean"],
-                        "kappa_se": est["se"], "ok": good})
+        good = bool(abs(est.mean - 1.0) <= se_mult * est.se + 1e-12)
+        weights.append({"nu_id": nu.nu_id, "kappa_mean": est.mean,
+                        "kappa_se": est.se, "ok": good})
         ok = ok and good
     agree = girsanov.check_mode_agreement(
         bundle, girsanov.IntensityControl.const(2.0))
@@ -407,6 +410,10 @@ def _suite_hjb(wb: _Workbench, field_path=None):
         fld = wb.dp_field()
     cert = hjb.residual_certificate(fld, wb.spec)
     detail = {k: v for k, v in cert.items() if k != "residual_field"}
+    if field_path is not None:
+        # the loaded field was solved on its own time grid
+        detail["truncated_jump_mass"] = transition.truncated_jump_mass(
+            wb.spec, fld.metadata["dt"])
     return cert["ok"], detail
 
 

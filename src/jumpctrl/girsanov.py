@@ -7,13 +7,14 @@ path functionals by the exponential martingale
     kappa_T = exp( int_0^T sum_b (1 - nu_s(b)) lambda0(b) ds )
               * prod_{switch events} nu_{T_j}(mark_j),
 
-computed here in log space, exactly against the piecewise-constant regime
-path (event times split the integral, nothing is lost to the grid).  The
-same intensities can instead be simulated directly by thinning a dominating
-stream at rate ``nu_max * lambda0``; both routes estimate the same gains and
-the toolkit keeps them as independent code paths for cross-checks:
-:func:`randomized_gain` simulates the tilt, and :func:`check_mode_agreement`
-compares it with the reweighted reference bundle.
+computed here in log space and exact in the piecewise-constant regime
+path the bundle stores (grid regimes plus switch events).  The same
+intensities can instead be simulated directly by thinning a dominating
+stream at rate ``nu_max * lambda0``.  Both routes estimate the same gains
+as a :class:`GainEstimate` and are kept as independent code paths:
+:func:`reweighted_expectation` weights a reference bundle,
+:func:`randomized_gain` simulates the tilt, and
+:func:`check_mode_agreement` compares the two.
 """
 
 from __future__ import annotations
@@ -96,14 +97,14 @@ class IntensityControl:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _cells(self, t, x: np.ndarray):
+    def _cell(self, t, x: np.ndarray) -> tuple:
+        """Table index (time cell, *state cells) of each row of x at t."""
         k = np.searchsorted(self.time_grid, np.atleast_1d(t), side="right") - 1
         k = np.clip(k, 0, self.table.shape[0] - 1)
         if k.size == 1:
             k = np.full(x.shape[0], int(k[0]))
-        cells = tuple(nearest_node(ax, x[:, j])
-                      for j, ax in enumerate(self.axes))
-        return k, cells
+        return (k, *(nearest_node(ax, x[:, j])
+                     for j, ax in enumerate(self.axes)))
 
     def rate(self, t, x: np.ndarray, a_idx: np.ndarray,
              b_idx: np.ndarray) -> np.ndarray:
@@ -113,8 +114,7 @@ class IntensityControl:
         b_idx = np.asarray(b_idx, dtype=np.int64)
         if self.kind == "constant":
             return np.full(x.shape[0], self.constant)
-        k, cells = self._cells(t, x)
-        return self.table[(k, *cells, a_idx, b_idx)]
+        return self.table[(*self._cell(t, x), a_idx, b_idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -122,59 +122,59 @@ class IntensityControl:
 # ---------------------------------------------------------------------------
 
 def doleans_weights(bundle: PathBundle, nu: IntensityControl) -> np.ndarray:
-    """kappa_T for every path of a bundle, in log space and exact in the
-    regime path.
+    """kappa_T for every path of a bundle, in log space.
 
-    The feedback intensity is evaluated with the state frozen at the left
-    grid node of each step, matching both the thinning simulator and the
-    lattice the tilt was built from.
+    The feedback intensity is read at the left grid node of each step, as
+    by the thinning simulator and the lattice the tilt was built from.
+    With D_k(a) = sum_b (1 - nu_k(a, b)) lambda0(b) and a_k =
+    ``regimes[:, k]``, summation by parts over the regime path gives the
+    step's compensator exactly: dt D_k(a_k), plus (t_{k+1} - tau)
+    (D_k(new) - D_k(old)) for each switch at tau in the step.  A
+    policy-mode bundle changes regime without switch events: ValueError.
     """
+    if bundle.control_mode == "policy":
+        raise ValueError("tilt weights need the switch events of the regime "
+                         "path; a policy-mode bundle records none")
     time_grid, states, theta = bundle.time_grid, bundle.states, bundle.theta
-    start_regimes, t0 = bundle.regimes[:, 0], bundle.t0
     n_paths = bundle.n_paths
     weights = bundle.spec.randomization.lambda0_weights
-    total = float(weights.sum())
-    horizon = float(time_grid[-1])
     log_k = np.zeros(n_paths)
+    if nu.kind == "feedback":
+        # sum_b (1 - nu(a, b)) lambda0(b) for every source regime a, once per
+        # feedback cell: (K, *shape, A)
+        deficit = ((1.0 - nu.table) * weights).sum(axis=-1)
+        dt = np.diff(time_grid)
+        for k in range(bundle.n_steps):
+            cell = nu._cell(float(time_grid[k]), states[:, k, :])
+            log_k += dt[k] * deficit[(*cell, bundle.regimes[:, k])]
 
-    # event factor: nu at (left node, pre-switch regime, target mark)
     if theta.total:
-        ev_path = theta.path_ids()
-        ev_time = theta.times
+        ev_path, ev_time = theta.path_ids(), theta.times
         ev_mark = np.asarray(theta.marks, dtype=np.int64)
-        pre = np.empty(theta.total, dtype=np.int64)
-        pre[1:] = ev_mark[:-1]
-        counts = theta.counts()
-        firsts = theta.indptr[:-1][counts > 0]
-        pre[firsts] = np.asarray(start_regimes, dtype=np.int64)[counts > 0]
-        step = np.clip(np.searchsorted(time_grid, ev_time, side="left") - 1,
-                       0, time_grid.size - 2)
+        # pre-switch regime: the path's previous mark, or its start regime
+        pre = np.roll(ev_mark, 1)
+        has = theta.counts() > 0
+        pre[theta.indptr[:-1][has]] = bundle.regimes[has, 0]
+        step = sim.event_steps(time_grid, ev_time)
         t_left = time_grid[step]
         x_left = states[ev_path, step, :]
+        # event factor: nu at (left node, pre-switch regime, target mark)
         vals = nu.rate(t_left, x_left, pre, ev_mark)
         if np.any(vals <= 0.0):
             raise ValueError("intensity must stay positive on events")
         log_k += np.bincount(ev_path, weights=np.log(vals),
                              minlength=n_paths)
+        if nu.kind == "feedback":
+            # the switch's share of the compensator: the rest of its step
+            # at the new regime's rate instead of the old one's
+            cell = nu._cell(t_left, x_left)
+            shift = (time_grid[step + 1] - ev_time) * (
+                deficit[(*cell, ev_mark)] - deficit[(*cell, pre)])
+            log_k += np.bincount(ev_path, weights=shift, minlength=n_paths)
 
-    # compensator factor
     if nu.kind == "constant":
-        log_k += (1.0 - nu.constant) * total * (horizon - t0)
-        return np.exp(log_k)
-    # sum_b (1 - nu(a, b)) lambda0(b) for every source regime a, once per
-    # feedback cell: (K, *shape, A)
-    deficit = ((1.0 - nu.table) * weights).sum(axis=-1)
-    segs = sim._segments_from_events(theta, start_regimes, t0, horizon)
-    n_controls = weights.size
-    occupation = sim._occupation_by_step(segs, time_grid, n_paths, n_controls)
-    for k, occ in enumerate(occupation):
-        k_idx, cells = nu._cells(float(time_grid[k]), states[:, k, :])
-        cell = (k_idx, *cells)
-        for ai in range(n_controls):
-            col = occ[:, ai]
-            if not np.any(col > 0):
-                continue
-            log_k += col * deficit[(*cell, ai)]
+        log_k += ((1.0 - nu.constant) * float(weights.sum())
+                  * (float(time_grid[-1]) - bundle.t0))
     return np.exp(log_k)
 
 
@@ -182,39 +182,48 @@ def doleans_weights(bundle: PathBundle, nu: IntensityControl) -> np.ndarray:
 # Estimators
 # ---------------------------------------------------------------------------
 
-def gain_payoff(bundle: PathBundle) -> np.ndarray:
-    """Running reward plus terminal reward (the randomized gain)."""
-    return sim.total_gain(bundle)
-
-
 def unit_payoff(bundle: PathBundle) -> np.ndarray:
     return np.ones(bundle.n_paths)
 
 
-def _fsum_mean(values: np.ndarray) -> float:
-    return math.fsum(values.tolist()) / values.size
+@dataclass(frozen=True)
+class GainEstimate:
+    """One randomized-gain estimate with its provenance."""
+
+    nu_id: str
+    mode: str                   # "reweight" | "tilted"
+    mean: float
+    se: float
+    n_paths: int
+    seed: int
+    n_excluded: int = 0
+
+
+def _estimate(bundle: PathBundle, nu: IntensityControl, mode: str,
+              values: np.ndarray) -> GainEstimate:
+    """Compensated-sum mean and standard error of per-path ``values`` over
+    the bundle's kept paths."""
+    y = values[bundle.included()]
+    if not y.size:
+        raise ValueError("no paths")
+    se = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0
+    return GainEstimate(nu_id=nu.nu_id, mode=mode,
+                        mean=math.fsum(y.tolist()) / y.size, se=se,
+                        n_paths=int(y.size), seed=bundle.seed,
+                        n_excluded=bundle.n_excluded)
 
 
 def reweighted_expectation(bundle: PathBundle, nu: IntensityControl,
-                           payoff: Callable) -> dict:
+                           payoff: Callable) -> GainEstimate:
     """E^nu[payoff] estimated by tilt weights on a reference bundle.
 
-    The product reduction uses compensated summation; with nu identically 1
-    every weight is exactly 1.0 and the estimate coincides bitwise with the
+    The mean uses compensated summation; with nu identically 1 every
+    weight is exactly 1.0 and the estimate coincides bitwise with the
     unweighted sample mean.
     """
-    keep = bundle.included()
-    if not np.any(keep):
-        raise ValueError("no paths")
-    kappa = doleans_weights(bundle, nu)[keep]
-    y = np.asarray(payoff(bundle), dtype=float)[keep]
-    prod = kappa * y
-    mean = _fsum_mean(prod)
-    se = float(prod.std(ddof=1) / math.sqrt(prod.size)) if prod.size > 1 else 0.0
-    return {"mean": mean, "se": se, "n_paths": int(prod.size),
-            "nu_id": nu.nu_id, "kappa_mean": _fsum_mean(kappa),
-            "kappa_se": float(kappa.std(ddof=1) / math.sqrt(kappa.size))
-            if kappa.size > 1 else 0.0}
+    return _estimate(bundle, nu, "reweight",
+                     doleans_weights(bundle, nu)
+                     * np.asarray(payoff(bundle), dtype=float))
 
 
 def simulate_tilted_theta(nu: IntensityControl, spec: ProblemSpec, seed: int,
@@ -232,40 +241,11 @@ def simulate_tilted_theta(nu: IntensityControl, spec: ProblemSpec, seed: int,
                               control="tilted", tilt=nu)
 
 
-@dataclass(frozen=True)
-class GainEstimate:
-    """One randomized-gain estimate with its provenance."""
-
-    nu_id: str
-    mode: str                   # "reweight" | "tilted"
-    mean: float
-    se: float
-    n_paths: int
-    seed: int
-    n_excluded: int = 0
-
-
-def _reweighted_gain(bundle: PathBundle,
-                     nu: IntensityControl) -> GainEstimate:
-    est = reweighted_expectation(bundle, nu, gain_payoff)
-    return GainEstimate(nu_id=nu.nu_id, mode="reweight", mean=est["mean"],
-                        se=est["se"], n_paths=est["n_paths"],
-                        seed=bundle.seed, n_excluded=bundle.n_excluded)
-
-
 def randomized_gain(spec: ProblemSpec, nu: IntensityControl, n_paths: int,
                     seed: int, n_steps: Optional[int] = None) -> GainEstimate:
     """Estimate E^nu[int f dt + g(X_T)] on paths simulated under the tilt."""
     bundle = simulate_tilted_theta(nu, spec, seed, n_paths, n_steps)
-    keep = bundle.included()
-    if not np.any(keep):
-        raise ValueError("no paths")
-    y = gain_payoff(bundle)[keep]
-    mean = _fsum_mean(y)
-    se = float(y.std(ddof=1) / math.sqrt(y.size)) if y.size > 1 else 0.0
-    return GainEstimate(nu_id=nu.nu_id, mode="tilted", mean=mean, se=se,
-                        n_paths=int(y.size), seed=seed,
-                        n_excluded=bundle.n_excluded)
+    return _estimate(bundle, nu, "tilted", sim.total_gain(bundle))
 
 
 def check_mode_agreement(bundle: PathBundle, nu: IntensityControl) -> dict:
@@ -279,7 +259,7 @@ def check_mode_agreement(bundle: PathBundle, nu: IntensityControl) -> dict:
     """
     if bundle.control_mode != "randomized" or bundle.t0 != 0.0:
         raise ValueError("mode agreement needs a reference bundle from t = 0")
-    rw = _reweighted_gain(bundle, nu)
+    rw = reweighted_expectation(bundle, nu, sim.total_gain)
     ti = randomized_gain(bundle.spec, nu, bundle.n_paths, bundle.seed + 104729,
                          bundle.n_steps)
     band = (bundle.spec.tolerances["se_multiplier"]

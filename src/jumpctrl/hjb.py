@@ -30,6 +30,8 @@ from .transition import LatticeGrid
 QUAD_NODES_NONLOCAL = 32
 #: share of one-step displacement mass the clamp-reach band must contain
 BAND_COVERAGE = 0.999
+#: nodes per axis that the second-order space stencils need
+MIN_AXIS_NODES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +112,9 @@ def _hamiltonian_nodes(spec: ProblemSpec, t: float, x: np.ndarray,
 
 def _axis_step(axis: np.ndarray) -> float:
     steps = np.diff(axis)
-    if axis.size < 5:
-        raise ValueError("stencils need at least 5 nodes per axis")
+    if axis.size < MIN_AXIS_NODES:
+        raise ValueError(f"stencils need at least {MIN_AXIS_NODES} nodes "
+                         f"per axis")
     if steps.max() - steps.min() > 1e-9 * steps.mean():
         raise ValueError("stencils need uniformly spaced axes")
     return float(steps.mean())

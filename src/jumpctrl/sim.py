@@ -23,7 +23,9 @@ drawn (or replayed) block.  A bundle exposes the three as ``(M, N+1, D)``,
 each path array once.  Consumers that sweep time (regression, constraint
 diagnostics) transpose back and read contiguous rows in place.  The
 random-number blocks behind the events are released as soon as their kept
-events are extracted.  Jump and switch events are merged once per
+events are extracted.  An event at t in (t_k, t_{k+1}] belongs to step k
+(``event_steps``), so ``regimes[:, k]`` is the regime held from t_k to
+the step's first switch.  Jump and switch events are merged once per
 simulation into one table ordered by (step, slot, kind, path), where the
 slot is an event's rank within its (step, path) group and switches come
 before jumps of the same slot; each step then walks its (slot, kind) runs
@@ -127,14 +129,6 @@ class PathBundle:
     def terminal_states(self) -> np.ndarray:
         return self.states[:, -1, :]
 
-    def theta_segments(self):
-        """(path, start, end, regime) flat arrays of the regime path."""
-        if self.control_mode == "policy":
-            raise ValueError("segments are only defined for event-driven "
-                             "regime paths, not per-step policies")
-        return _segments_from_events(self.theta, self.regimes[:, 0],
-                                     self.t0, float(self.time_grid[-1]))
-
 
 # ---------------------------------------------------------------------------
 # Elementary generators
@@ -173,82 +167,16 @@ def _categorical_from_uniform(u: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Regime-path bookkeeping
-# ---------------------------------------------------------------------------
-
-class _Segments:
-    __slots__ = ("path", "start", "end", "regime")
-
-    def __init__(self, path, start, end, regime):
-        self.path, self.start, self.end, self.regime = path, start, end, regime
-
-
-def _segments_from_events(theta: CsrEvents, start_regimes: np.ndarray,
-                          t0: float, horizon: float) -> _Segments:
-    """Flat constant-regime segments [(start, end) x regime] per path."""
-    m = theta.n_paths
-    counts = theta.counts()
-    total = theta.total
-    n_seg = m + total
-    seg_path = np.repeat(np.arange(m), counts + 1)
-    start = np.empty(n_seg)
-    end = np.empty(n_seg)
-    regime = np.empty(n_seg, dtype=np.int64)
-    block_start = theta.indptr[:-1] + np.arange(m)
-    ev_rows = np.repeat(np.arange(m), counts)
-    ev_slots = np.arange(total) + ev_rows + 1
-    start[block_start] = t0
-    start[ev_slots] = theta.times
-    regime[block_start] = start_regimes
-    regime[ev_slots] = theta.marks.astype(np.int64)
-    end[:-1] = start[1:]
-    end[block_start + counts] = horizon
-    return _Segments(seg_path, start, end, regime)
-
-
-def _occupation_by_step(segs: _Segments, time_grid: np.ndarray,
-                        n_paths: int, n_controls: int):
-    """Yield, step by step, the (M, A) time each path spends in each regime.
-
-    The segments of a path that overlap step k are one run: from the one
-    holding t_k to the last one starting before t_{k+1}.  So each step
-    computes the overlap min(end, t_hi) - max(start, t_lo) only for its
-    runs, and sums them per (path, regime) in segment order.  The run
-    starts advance by the segment starts in (t_k, t_{k+1}], found once.
-    """
-    n_steps = time_grid.size - 1
-    key = segs.path * n_controls + segs.regime
-    later = np.flatnonzero(segs.path[1:] == segs.path[:-1]) + 1
-    cur = np.delete(np.arange(segs.path.size), later)   # each path's first
-    # segment starts after t0, by the step whose (t_k, t_{k+1}] holds them
-    b_step = np.searchsorted(time_grid, segs.start[later], side="left") - 1
-    by_step = np.argsort(b_step, kind="stable")
-    later, b_step = later[by_step], b_step[by_step]
-    bounds = np.searchsorted(b_step, np.arange(n_steps + 1))
-    for k in range(n_steps):
-        t_lo, t_hi = float(time_grid[k]), float(time_grid[k + 1])
-        starts = later[bounds[k]:bounds[k + 1]]
-        inside = starts[segs.start[starts] < t_hi]
-        runs = cur
-        if inside.size:
-            n_run = 1 + np.bincount(segs.path[inside], minlength=n_paths)
-            ends = np.cumsum(n_run)
-            runs = np.arange(ends[-1]) + np.repeat(cur - ends + n_run, n_run)
-        ov = (np.minimum(segs.end[runs], t_hi)
-              - np.maximum(segs.start[runs], t_lo))
-        # positive but for a zero-length segment; a clamped overlap adds
-        # +0.0, which leaves every sum's bits as they are
-        np.maximum(ov, 0.0, out=ov)
-        yield np.bincount(key[runs], weights=ov,
-                          minlength=n_paths * n_controls
-                          ).reshape(n_paths, n_controls)
-        if starts.size:
-            cur = cur + np.bincount(segs.path[starts], minlength=n_paths)
-
-
-# ---------------------------------------------------------------------------
 # Core integrator
 # ---------------------------------------------------------------------------
+
+def event_steps(time_grid: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The step owning each event: t in (t_k, t_{k+1}] belongs to step k,
+    clipped to [0, N-1].  The integrator, the regression ladder and the
+    tilt weights all place events by this rule."""
+    return np.clip(np.searchsorted(time_grid, times, side="left") - 1,
+                   0, time_grid.size - 2)
+
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """Stable argsort of nonnegative integer keys, as a radix sort when
@@ -294,8 +222,7 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
     time = np.concatenate(parts_time)
     kind = np.concatenate(parts_kind)
 
-    step = np.clip(np.searchsorted(time_grid, time, side="left") - 1,
-                   0, n_steps - 1)
+    step = event_steps(time_grid, time)
     # order by (step, path, time): stable sorts by step (a radix sort on a
     # small integer type) and then by group, and a time sort inside the few
     # groups left out of time order (the sources come in (path, time)

@@ -132,6 +132,37 @@ def constant_tilt_weight(c: float, total_rate: float, horizon: float,
     return math.exp((1.0 - c) * total_rate * horizon) * c ** n_events
 
 
+def tilt_weight(table, cell_times, axes, lambda0, time_grid, states,
+                start: int, times, marks) -> float:
+    """Doleans-Dade weight of one path under a feedback tilt table.
+
+    ``table`` is nu on (time cell, *state cells, from, to); ``states``
+    the path's (N+1, D) grid states and ``times``/``marks`` its switches
+    from regime ``start``.  A plain loop over the path's regime segments,
+    split at the grid times: on step k the tilt is read at the left node,
+    in the time cell of t_k (a cell holds its left end) and at the nearest
+    node of each axis, ties to the lower node.
+    """
+    def rate(cell, a):
+        return sum((1.0 - table[cell + (a, b)]) * lam
+                   for b, lam in enumerate(lambda0))
+
+    log_w, regime, j = 0.0, int(start), 0
+    for k in range(len(time_grid) - 1):
+        t_lo, t_hi = float(time_grid[k]), float(time_grid[k + 1])
+        k_cell = sum(1 for c in cell_times[1:-1] if c <= t_lo)
+        cell = (k_cell, *(int(np.argmin(np.abs(np.asarray(ax) - x)))
+                          for ax, x in zip(axes, states[k])))
+        s = t_lo
+        while j < len(times) and times[j] <= t_hi:
+            log_w += (times[j] - s) * rate(cell, regime)
+            log_w += math.log(table[cell + (regime, int(marks[j]))])
+            regime, s = int(marks[j]), float(times[j])
+            j += 1
+        log_w += (t_hi - s) * rate(cell, regime)
+    return math.exp(log_w)
+
+
 def poisson_mean_var(rate: float, horizon: float) -> tuple[float, float]:
     """Mean and variance of the event count on [0, horizon]."""
     return rate * horizon, rate * horizon

@@ -161,10 +161,10 @@ def test_criterion_6_tilt_weights_and_mode_agreement(
     for nu in nus:
         est = girsanov.reweighted_expectation(bang_bundle_big, nu,
                                               girsanov.unit_payoff)
-        err = abs(est["mean"] - 1.0)
-        kappa_ok = kappa_ok and err <= se_mult * est["se"] + 1e-12
-        if est["se"] > 0.0:
-            worst_pull = max(worst_pull, err / est["se"])
+        err = abs(est.mean - 1.0)
+        kappa_ok = kappa_ok and err <= se_mult * est.se + 1e-12
+        if est.se > 0.0:
+            worst_pull = max(worst_pull, err / est.se)
     agree_ok = True
     for family in FAMILIES:
         spec = _spec(family)

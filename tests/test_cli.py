@@ -188,6 +188,10 @@ def test_solve_unknown_method_exits_2(bang_cfg, tmp_path):
      "--steps must be at least 2"),
     (["verify", "--suite", "martingale", "--paths", "1"],
      "--paths must be at least 2"),
+    (["solve", "--method", "dp", "--nodes", "4"],
+     "--nodes must be at least 5"),
+    (["verify", "--suite", "martingale", "--nodes", "4"],
+     "--nodes must be at least 5"),
 ])
 def test_degenerate_sizes_exit_2_without_traceback(bang_cfg, tmp_path,
                                                    capsys, argv, minimum):
@@ -197,6 +201,7 @@ def test_degenerate_sizes_exit_2_without_traceback(bang_cfg, tmp_path,
     err = capsys.readouterr().err
     assert minimum in err
     assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_solve_reports_truncated_jump_mass(tmp_path):
@@ -221,6 +226,25 @@ def test_verify_reports_truncated_jump_mass(tmp_path):
     spec = problem.load_problem(cfg)
     assert tail == transition.truncated_jump_mass(spec, 1 / 64)
     assert 0.02 < tail < 0.025
+
+
+def test_verify_field_reports_the_fields_truncated_mass(tmp_path):
+    cfg = _write_cfg(tmp_path / "jump.json", "jump-reward")
+    spec = problem.load_problem(cfg)
+    solve_out, out = tmp_path / "solve", tmp_path / "verify"
+    assert cli.main(["solve", cfg, "--method", "dp", "--steps", "16",
+                     "--nodes", "21", "--out", str(solve_out)]) == 0
+    cli.main(["verify", cfg, "--suite", "hjb", "--nodes", "21",
+              "--field", str(solve_out / "dp_field.csv"),
+              "--out", str(out)])
+    details = _read_json(out / "verify_report.json")["details"]
+    assert details["hjb"]["truncated_jump_mass"] == _read_json(
+        solve_out / "value_report.json")["details"]["truncated_jump_mass"]
+    assert details["hjb"]["truncated_jump_mass"] == (
+        transition.truncated_jump_mass(spec, 1 / 16))
+    # the top-level figure stays the workbench's own time step
+    assert details["truncated_jump_mass"] == transition.truncated_jump_mass(
+        spec, 1 / 64)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -11,7 +11,7 @@ from scipy import stats
 
 import oracles
 from onerow import one_path, path_events, replay
-from jumpctrl import girsanov, problem, sim
+from jumpctrl import bsde, girsanov, problem, sim
 
 
 def load(family, **over):
@@ -101,6 +101,64 @@ def test_bundle_weights_agree_with_single_path():
         assert weights[i] == pytest.approx(w, rel=1e-12)
 
 
+def _argmax_tilt(family, strength):
+    spec = load(family)
+    fld = bsde.solve_penalized_grid(spec, 16, n_time_steps=16)
+    return spec, girsanov.IntensityControl.argmax_tilt(
+        fld.time_grid, fld.grid.axes, fld.values, strength)
+
+
+def _oracle_weights(bundle, nu):
+    lambda0 = bundle.spec.randomization.lambda0_weights
+    return np.array([
+        oracles.tilt_weight(nu.table, nu.time_grid, nu.axes, lambda0,
+                            bundle.time_grid, bundle.states[i],
+                            bundle.regimes[i, 0],
+                            *path_events(bundle.theta, i))
+        for i in range(bundle.n_paths)])
+
+
+@pytest.mark.filterwarnings("ignore:state grid missed")
+def test_feedback_weights_match_segment_oracle():
+    spec, bang = _argmax_tilt("bang-drift", 16.0)
+    _, lookback = _argmax_tilt("lookback-integral", 4.0)
+    assert len(lookback.axes) == 2
+    # switches on grid times, four in one step back and forth, one at the
+    # horizon, and a path that never switches
+    theta = sim.CsrEvents([0.25, 0.5, 0.3, 0.31, 0.32, 0.33, 1.0],
+                          [0, 1, 0, 2, 0, 2, 1], [0, 2, 7, 7])
+    fixed = sim._simulate_core(spec, 3, seed=1, n_steps=8, control="fixed",
+                               fixed_theta=theta,
+                               start_regimes=np.array([2, 1, 0]))
+    tilted = girsanov.simulate_tilted_theta(
+        girsanov.IntensityControl.const(16.0), spec, 3, 200, n_steps=16)
+    cases = [
+        (sim.simulate_bundle(spec, 300, seed=3, n_steps=16), bang),
+        (sim.simulate_bundle(load("lookback-integral"), 300, seed=4,
+                             n_steps=16), lookback),
+        (tilted, bang),
+        (sim.simulate_bundle(spec, 300, seed=2, n_steps=16, t0=0.3), bang),
+        (fixed, bang),
+        (fixed, matrix_tilt([[1.0, 2.0, 0.5], [1.5, 1.0, 0.25],
+                             [3.0, 0.75, 1.0]])),
+    ]
+    for bundle, nu in cases:
+        np.testing.assert_allclose(girsanov.doleans_weights(bundle, nu),
+                                   _oracle_weights(bundle, nu), rtol=1e-12)
+    assert tilted.theta.total > 10 * tilted.n_paths
+
+
+def test_policy_bundle_has_no_tilt_weight():
+    """A per-step policy changes regime without switch events."""
+    spec = load("bang-drift")
+    bundle = sim._simulate_core(
+        spec, 4, seed=1, n_steps=8, control="policy",
+        policy=lambda k, t, x: np.full(x.shape[0], k % 3))
+    assert bundle.theta.total == 0 and np.ptp(bundle.regimes) > 0
+    with pytest.raises(ValueError, match="policy"):
+        girsanov.doleans_weights(bundle, girsanov.IntensityControl.const(2.0))
+
+
 @pytest.mark.parametrize("c", [0.5, 2.0])
 def test_kappa_mean_is_one(c):
     spec = load("bang-drift")
@@ -118,11 +176,12 @@ def test_kappa_mean_is_one(c):
 def test_reweight_unit_intensity_matches_unweighted_exactly():
     spec = load("jump-reward")
     bundle = sim.simulate_bundle(spec, 5_000, seed=19)
-    est = girsanov.reweighted_expectation(
-        bundle, girsanov.IntensityControl.const(1.0), girsanov.gain_payoff)
-    plain = girsanov.gain_payoff(bundle)[bundle.included()]
-    assert est["mean"] == math.fsum(plain.tolist()) / plain.size
-    assert est["kappa_mean"] == 1.0
+    unit = girsanov.IntensityControl.const(1.0)
+    est = girsanov.reweighted_expectation(bundle, unit, sim.total_gain)
+    plain = sim.total_gain(bundle)[bundle.included()]
+    assert est.mean == math.fsum(plain.tolist()) / plain.size
+    assert (est.mode, est.n_paths, est.seed) == ("reweight", plain.size, 19)
+    assert np.all(girsanov.doleans_weights(bundle, unit) == 1.0)
 
 
 def test_reweighted_switch_count_scales_with_intensity():
@@ -132,7 +191,7 @@ def test_reweighted_switch_count_scales_with_intensity():
         est = girsanov.reweighted_expectation(
             bundle, girsanov.IntensityControl.const(c), switch_count)
         target = c * spec.randomization.total_mass * spec.horizon
-        assert abs(est["mean"] - target) < 3.0 * est["se"]
+        assert abs(est.mean - target) < 3.0 * est.se
 
 
 def test_reweighted_expectation_no_paths():
@@ -141,8 +200,7 @@ def test_reweighted_expectation_no_paths():
     bundle.excluded[:] = True
     with pytest.raises(ValueError, match="no paths"):
         girsanov.reweighted_expectation(
-            bundle, girsanov.IntensityControl.const(1.0),
-            girsanov.gain_payoff)
+            bundle, girsanov.IntensityControl.const(1.0), sim.total_gain)
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,10 @@ def test_fixed_switches_retain_noop_events():
     spec = load("bang-drift")
     switches = ([0.3, 0.7], [2, 2])
     path = one_path(spec, 8, switches=switches)
-    segs = path.theta_segments()
-    assert np.array_equal(segs.start, [0.0, 0.3, 0.7])
-    assert np.array_equal(segs.regime, [2, 2, 2])
-    # a0 is index 2 for this family; t = 0.1 lies in step 0 of 8
-    assert path.regimes[0, 0] == 2
+    assert np.array_equal(path.theta.times, [0.3, 0.7])
+    assert np.array_equal(path.theta.marks, [2, 2])
+    # a0 is index 2 for this family, and the switches to 2 keep it there
+    assert np.all(path.regimes[0] == 2)
     spec_mid = load("bang-drift", a0_index=1)
     path_mid = one_path(spec_mid, 8, switches=switches)
     assert path_mid.regimes[0, 0] == 1
@@ -266,69 +265,28 @@ def test_empirical_moment_check_reports():
     assert rep2["pass"] is None and rep2["ratio"] > 0
 
 
-def test_occupation_rows_partition_each_step():
-    spec = load("bang-drift")
-    bundle = sim.simulate_bundle(spec, 300, seed=31, n_steps=16)
-    dt = bundle.time_grid[1] - bundle.time_grid[0]
-    steps = sim._occupation_by_step(bundle.theta_segments(),
-                                    bundle.time_grid, bundle.n_paths,
-                                    spec.control.size)
-    for k, occ in enumerate(steps):
-        assert np.allclose(occ.sum(axis=1), dt, atol=1e-12)
-        # regime at the left node owns the first slice of each step
-        assert np.all(occ[np.arange(300), bundle.regimes[:, k]] > 0)
-    assert k == bundle.n_steps - 1
-
-
-def _occupation_reference(segs, time_grid, n_paths, n_controls):
-    """Per-step occupation from every segment's overlap with the step."""
-    out = []
-    for t_lo, t_hi in zip(time_grid[:-1].tolist(), time_grid[1:].tolist()):
-        ov = np.minimum(segs.end, t_hi) - np.maximum(segs.start, t_lo)
-        m = ov > 0.0
-        out.append(np.bincount(segs.path[m] * n_controls + segs.regime[m],
-                               weights=ov[m], minlength=n_paths * n_controls
-                               ).reshape(n_paths, n_controls))
-    return out
-
-
-def test_occupation_by_step_sums_each_steps_overlaps_in_segment_order():
-    spec = load("bang-drift")
-    n_controls = spec.control.size
-    # switches on grid times, four in one step back and forth, one at the
-    # horizon, and a path that never switches
-    theta = sim.CsrEvents([0.25, 0.5, 0.3, 0.31, 0.32, 0.33, 1.0],
-                          [0, 1, 0, 2, 0, 2, 1], [0, 2, 7, 7])
-    bundles = [
-        sim._simulate_core(spec, 3, seed=1, n_steps=8, control="fixed",
-                           fixed_theta=theta,
-                           start_regimes=np.array([2, 1, 0])),
-        sim.simulate_bundle(spec, 500, seed=2, n_steps=16, t0=0.3),
-        girsanov.simulate_tilted_theta(girsanov.IntensityControl.const(16.0),
-                                       spec, 3, 500, n_steps=16),
-    ]
-    for bundle in bundles:
-        segs = bundle.theta_segments()
-        got = list(sim._occupation_by_step(segs, bundle.time_grid,
-                                           bundle.n_paths, n_controls))
-        want = _occupation_reference(segs, bundle.time_grid, bundle.n_paths,
-                                     n_controls)
-        assert len(got) == bundle.n_steps
-        for occ, ref in zip(got, want):
-            np.testing.assert_array_equal(occ, ref)
-    assert bundles[2].theta.total > 20 * bundles[2].n_steps
-
-
 def test_running_reward_accumulates_f():
     """f = a: the reward integral equals the signed occupation time."""
     spec = load("jump-reward")
     bundle = sim.simulate_bundle(spec, 200, seed=37, n_steps=32)
-    segs = bundle.theta_segments()
-    expected = np.zeros(200)
     a_vals = spec.control.points
-    np.add.at(expected, segs.path,
-              (segs.end - segs.start) * a_vals[segs.regime])
+    expected = np.zeros(200)
+    for i in range(200):
+        times, marks = path_events(bundle.theta, i)
+        starts = [0.0, *times]
+        ends = [*times, spec.horizon]
+        regimes = [bundle.regimes[i, 0], *marks]
+        expected[i] = sum((e - s) * a_vals[int(a)]
+                          for s, e, a in zip(starts, ends, regimes))
     assert np.allclose(bundle.running_reward, expected, atol=1e-12)
+
+
+def test_event_steps_own_the_left_open_step():
+    """An event at t in (t_k, t_{k+1}] belongs to step k."""
+    grid = np.linspace(0.0, 1.0, 9)
+    times = np.array([1e-12, grid[1], grid[1] + 1e-12, grid[5], 1.0])
+    np.testing.assert_array_equal(sim.event_steps(grid, times),
+                                  [0, 0, 1, 4, 7])
 
 
 def test_regime_frequencies_match_lambda0():
