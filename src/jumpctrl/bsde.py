@@ -19,7 +19,9 @@ the dynamic-programming value.  Two independent routes are provided:
   over one path bundle), which never touches that kernel.
 
 Both routes apply T_n through one helper, :func:`_advantage`, and on
-both the one-level solvers are the ladders' one-level case.
+both the one-level solvers are the ladders' one-level case.  The lattice
+route stacks it over every control; the regression route reads it, like
+the jump term of the penalized BSDE, only at the regime each path holds.
 
 :func:`minimal_value` solves a ladder of levels and takes the largest
 level's value as the limit;
@@ -151,20 +153,22 @@ class LadderReport:
 # Lattice route
 # ---------------------------------------------------------------------------
 
-def _advantage(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_b (u[b] - u[a])^+ * weights[b]`` for every control ``a``.
+def _advantage(u: np.ndarray, own, weights: np.ndarray) -> np.ndarray:
+    """``sum_b (u[b] - own)^+ * weights[b]``, summed over ``b`` ascending.
 
-    ``u`` is control-major, ``(A, ...)``, and so is the result; the penalty
-    operator of the module docstring is ``u + n * dt * _advantage(u, w)``,
-    shared by both routes.  Controls of zero weight add nothing.
+    ``u`` is control-major, ``(A, ...)``, and ``own``, shaped like
+    ``u[0]``, is the value of the regime held; the penalty operator of the
+    module docstring at that regime is ``own + n * dt * _advantage(u, own,
+    w)``, shared by both routes.  Controls of zero weight add nothing, and
+    the held regime's own term adds an exact 0.0.
     """
-    adv = np.zeros_like(u)
-    gap = np.empty_like(u[0])
-    for a, b in itertools.permutations(range(u.shape[0]), 2):
+    adv = np.zeros_like(own)
+    gap = np.empty_like(own)
+    for b in range(u.shape[0]):
         if weights[b] != 0.0:
-            np.maximum(np.subtract(u[b], u[a], out=gap), 0.0, out=gap)
+            np.maximum(np.subtract(u[b], own, out=gap), 0.0, out=gap)
             gap *= weights[b]
-            adv[a] += gap
+            adv += gap
     return adv
 
 
@@ -222,7 +226,8 @@ def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
     def penalize(k, u):
         # u is (A, P, L); the stores are (L, P, A) per step
         continuation[:, k] = u.T
-        v = u + level_dt * _advantage(u, weights)
+        adv = np.stack([_advantage(u, u_a, weights) for u_a in u])
+        v = u + level_dt * adv
         values[:, k] = v.T
         return v
 
@@ -290,7 +295,10 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     *current* regime, on the monomials of the state up to total degree
     ``LSMC_DEGREE`` per regime (with ridge ``LSMC_RIDGE`` when a fit
     loses rank), then applies the same penalty operator as the lattice
-    route (:func:`_advantage`).
+    route (:func:`_advantage`) at the regime the path holds.  The value at
+    step k is penalized at i_k for the step's estimates, and at i_{k-1} as
+    step k-1's target; the two differ only on the paths that switch, so
+    only those are penalized a second time.
     Evaluating the next value at the current regime (rather than the
     switched one) is what makes both routes estimate the same frozen-regime
     recursion, so their initial values are directly comparable.  The step-0
@@ -309,8 +317,8 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     The bundle is read in place: each step takes its rows from the
     bundle's step-major state, regime and increment buffers (gathering the
     kept rows when paths were excluded), and its jump counts from the
-    ``pi`` events of that step.  Working memory is a few (L, A, M) value
-    stacks and one index per jump event.
+    ``pi`` events of that step.  Working memory is one (L, A, M) stack of
+    continuation values, a few (L, M) rows and one index per jump event.
     """
     levels = [int(n) for n in levels]
     if not levels or min(levels) < 1:
@@ -335,28 +343,29 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     if rate > 0.0:
         jump_rows, jump_bounds = _jump_rows_by_step(bundle, keep)
 
-    # value stack at the next node: v[l, b, i] = v^{n_l}(t_{k+1}, X_{i,k+1}, b)
+    # regression targets: target[l, i] = v^{n_l}(t_{k+1}, X_{i,k+1}, i_k)
     g_terminal = spec.coefficients.g(at_step(states, n_time_steps))
-    v_next = np.tile(g_terminal, (n_levels, n_controls, 1))
-    tilde = np.empty_like(v_next)
+    target = np.tile(g_terminal, (n_levels, 1))
+    tilde = np.empty((n_levels, n_controls, m_used))
+    controls = tilde.transpose(1, 0, 2)     # control-major view
     y_mean = np.full((n_levels, n_time_steps + 1), g_terminal.mean())
     z_mean = np.zeros((n_levels, n_time_steps, spec.brownian_dim))
     l_mean = np.zeros((n_levels, n_time_steps))
     r_pos_mean = np.zeros((n_levels, n_time_steps))
     s_int = np.zeros((n_levels, m_used))
     ridge_events, carried, betas_prev = [], [], [None] * n_controls
+    rows = np.arange(m_used)
 
-    def at_regime(v, regime):
-        # v[l, regime[i], i] for every level l and path i, as (L, M)
-        return np.take(v.reshape(n_levels, -1),
-                       regime * m_used + np.arange(m_used), axis=1)
+    def at_regime(regime, cols):
+        # tilde[l, regime[j], cols[j]] for every level l, as (L, len(cols))
+        return np.take(tilde.reshape(n_levels, -1), regime * m_used + cols,
+                       axis=1)
 
+    i_k = at_step(regimes, n_time_steps - 1)
     for k in range(n_time_steps - 1, -1, -1):
         t_k = float(time_grid[k])
-        x_k, i_k = at_step(states, k), at_step(regimes, k)
+        x_k = at_step(states, k)
         phi = _monomial_features(x_k, LSMC_DEGREE)
-        target = at_regime(v_next, i_k)                  # (L, M)
-
         # rows grouped by regime, in path order within each regime, so
         # every slice is the least-squares problem a boolean mask selects
         order = np.argsort(i_k.astype(regime_dtype), kind="stable")
@@ -381,33 +390,43 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
                     pooled, _ = _fit_regime(phi, target)
                 betas[a] = pooled if betas_prev[a] is None else betas_prev[a]
                 carried.append((k, a))
-            f_a = spec.coefficients.f(t_k, x_k[:, :spec.dim],
-                                      float(spec.control.points[a]))
+            f_dt = spec.coefficients.f(t_k, x_k[:, :spec.dim],
+                                       float(spec.control.points[a])) * dt
             for l in range(n_levels):
-                tilde[l, a] = phi @ betas[a][l] + f_a * dt
+                np.matmul(phi, betas[a][l], out=tilde[l, a])
+                tilde[l, a] += f_dt
 
-        adv = _advantage(tilde.transpose(1, 0, 2),
-                         weights * (counts > 0)).transpose(1, 0, 2)
-        r_pos = at_regime(adv, i_k)
-        # v = tilde + n dt adv, into the spent next-step stack
-        np.multiply(level_dt[:, None, None], adv, out=v_next)
-        v_next += tilde
-        del adv     # freed before the next step builds its own
+        # the penalty at the regime each path holds; a cell with no rows
+        # has no advantage estimate
+        w_k = weights * (counts > 0)
+        own = at_regime(i_k, rows)
+        r_pos = _advantage(controls, own, w_k)
+        v_own = level_dt[:, None] * r_pos
+        v_own += own
         s_int += dt * r_pos
         r_pos_mean[:, k] = r_pos.mean(axis=1)
-        y_mean[:, k] = at_regime(v_next, i_k).mean(axis=1)
+        y_mean[:, k] = v_own.mean(axis=1)
         z_mean[:, k] = (target @ at_step(brownian, k)) / m_used / dt
         if rate > 0.0:
             dn = (np.bincount(jump_rows[jump_bounds[k]:jump_bounds[k + 1]],
                               minlength=m_used) - rate * dt)
             l_mean[:, k] = (target @ dn) / m_used / (rate * dt)
         betas_prev = betas
+        if k:
+            # the next targets read the value at the regime of step k-1,
+            # which differs from i_k only on the paths that switch
+            i_prev = at_step(regimes, k - 1)
+            moved = np.flatnonzero(i_prev != i_k)
+            own = at_regime(i_prev[moved], moved)
+            adv = _advantage(np.take(controls, moved, axis=2), own, w_k)
+            v_own[:, moved] = level_dt[:, None] * adv + own
+            target, i_k = v_own, i_prev
 
     # the loop ends at step 0, so ``target`` holds the step-0 targets
     y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
     k_mean = np.zeros((n_levels, n_time_steps + 1))
     k_mean[:, 1:] = np.cumsum(level_dt[:, None] * r_pos_mean, axis=1)
-    y0 = at_regime(v_next, at_step(regimes, 0)).mean(axis=1)
+    y0 = y_mean[:, 0]
     return tuple(BsdeQuintuple(
         level_n=n, time_grid=time_grid, y0=float(y0[l]),
         y0_se=float(y0_se[l]), n_paths=m_used,

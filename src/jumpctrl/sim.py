@@ -573,17 +573,39 @@ def write_csv_columns(csv_path, header, columns) -> None:
     A float cell is the ``repr`` of the Python float, the shortest text that
     parses back to the same double; an integer cell is the Python int's.
     Rows are formatted and written ``CSV_CHUNK_ROWS`` at a time, so the text
-    held in memory does not grow with the file.
+    held in memory does not grow with the file.  Within a chunk each
+    distinct value of a column is formatted once (``_chunk_cells``).
+    Raises ``ValueError`` unless there is one header name per column, at
+    least one column, and every column has the same length.
     """
+    columns = [np.asarray(col) for col in columns]
+    if not columns:
+        raise ValueError("CSV needs at least one column")
+    if len(header) != len(columns):
+        raise ValueError(f"CSV header names {len(header)} columns, "
+                         f"{len(columns)} given")
     n_rows = len(columns[0])
     if any(len(col) != n_rows for col in columns):
         raise ValueError("CSV columns must have equal lengths")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            cells = [map(repr, col[lo:lo + CSV_CHUNK_ROWS].tolist())
+            cells = [_chunk_cells(col[lo:lo + CSV_CHUNK_ROWS])
                      for col in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _chunk_cells(col: np.ndarray) -> list:
+    """The ``repr`` text of each cell, each distinct value formatted once.
+
+    Values are keyed by their bit pattern, so ``-0.0`` and ``0.0`` keep
+    their own text.
+    """
+    keys, rows = np.unique(col.view(f"u{col.dtype.itemsize}"),
+                           return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(col.dtype).tolist())),
+                     dtype=object)
+    return texts[rows].tolist()
 
 
 def _state_columns(spec: ProblemSpec) -> list:

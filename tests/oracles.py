@@ -9,6 +9,7 @@ test_oracles.py, so they cannot drift silently.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -206,3 +207,134 @@ def ou_second_moment(x0: float, target: float, reversion: float,
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += h
     return float(y[1])
+
+
+# ---------------------------------------------------------------------------
+# Regression Monte Carlo ladder, full value stacks.
+# ---------------------------------------------------------------------------
+
+def _lsmc_fit(phi, y, ridge):
+    """Least squares of each row of ``y`` on ``phi`` through one SVD,
+    ``ridge`` on the normal equations when the SVD loses rank."""
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(phi.shape) * s[0]
+    if np.count_nonzero(s > cutoff) < phi.shape[1]:
+        gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
+        return np.array([np.linalg.solve(gram, phi.T @ y_l)
+                         for y_l in y]), True
+    return np.array([vt.T @ ((u.T @ y_l) / s) for y_l in y]), False
+
+
+def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
+                           ridge: float = 1e-8) -> list:
+    """The penalized regression recursion with every value at every control.
+
+    Each backward step fits the next value, read at the path's current
+    regime, on the state monomials per regime (a regime with no rows keeps
+    the previous step's fit, or a fit on all rows, and gets no weight in
+    the advantage), builds the (levels, controls, paths) stacks of the
+    continuation and of the advantage sum_{b != a} (u_b - u_a)^+ w_b over
+    every ordered pair (a, b), and only then reads the held regime's
+    entries.  Written against the bundle's arrays alone; returns one dict
+    of quintuple fields per level.
+    """
+    keep = ~bundle.excluded
+    m_used = int(keep.sum())
+    states = np.ascontiguousarray(bundle.states[keep].transpose(1, 0, 2))
+    regimes = np.ascontiguousarray(bundle.regimes[keep].T)
+    brownian = np.ascontiguousarray(
+        bundle.brownian_increments[keep].transpose(1, 0, 2))
+    time_grid = bundle.time_grid
+    n_steps = time_grid.size - 1
+    dt = float(time_grid[1] - time_grid[0])
+    weights = spec.randomization.lambda0_weights
+    n_controls, n_levels = spec.control.size, len(levels)
+    level_dt = np.array(levels) * dt
+    rate = spec.jump_measure.total_rate
+    # kept row and step of each jump; t in (t_k, t_{k+1}] is step k
+    paths = np.repeat(np.arange(bundle.n_paths), np.diff(bundle.pi.indptr))
+    on = keep[paths]
+    jump_row = (np.cumsum(keep) - 1)[paths[on]]
+    jump_step = np.clip(np.searchsorted(time_grid, bundle.pi.times[on],
+                                        side="left") - 1, 0, n_steps - 1)
+    rows = np.arange(m_used)
+
+    def at_regime(v, regime):
+        return np.take(v.reshape(n_levels, -1), regime * m_used + rows,
+                       axis=1)
+
+    g_terminal = spec.coefficients.g(states[n_steps])
+    v_next = np.tile(g_terminal, (n_levels, n_controls, 1))
+    tilde = np.empty_like(v_next)
+    y_mean = np.full((n_levels, n_steps + 1), g_terminal.mean())
+    z_mean = np.zeros((n_levels, n_steps, spec.brownian_dim))
+    l_mean = np.zeros((n_levels, n_steps))
+    r_pos_mean = np.zeros((n_levels, n_steps))
+    s_int = np.zeros((n_levels, m_used))
+    ridge_events, carried, betas_prev = [], [], [None] * n_controls
+    for k in range(n_steps - 1, -1, -1):
+        x_k, i_k = states[k], regimes[k]
+        cols = [np.ones(m_used)]
+        for deg in range(1, degree + 1):
+            for combo in itertools.combinations_with_replacement(
+                    range(x_k.shape[1]), deg):
+                col = np.ones(m_used)
+                for j in combo:
+                    col = col * x_k[:, j]
+                cols.append(col)
+        phi = np.column_stack(cols)
+        target = at_regime(v_next, i_k)
+        betas, pooled, present = [None] * n_controls, None, []
+        for a in range(n_controls):
+            mask = i_k == a
+            present.append(bool(mask.any()))
+            if present[a]:
+                betas[a], used_ridge = _lsmc_fit(
+                    phi[mask], [y_l[mask] for y_l in target], ridge)
+                if used_ridge:
+                    ridge_events.append((k, a))
+            else:
+                if betas_prev[a] is None and pooled is None:
+                    pooled, _ = _lsmc_fit(phi, target, ridge)
+                betas[a] = pooled if betas_prev[a] is None else betas_prev[a]
+                carried.append((k, a))
+            f_a = spec.coefficients.f(float(time_grid[k]),
+                                      x_k[:, :spec.dim],
+                                      float(spec.control.points[a]))
+            for l in range(n_levels):
+                tilde[l, a] = phi @ betas[a][l] + f_a * dt
+        w = weights * np.array(present)
+        adv = np.zeros_like(tilde)
+        for a, b in itertools.permutations(range(n_controls), 2):
+            if w[b] != 0.0:
+                adv[:, a] += np.maximum(tilde[:, b] - tilde[:, a], 0.0) * w[b]
+        v_next = level_dt[:, None, None] * adv + tilde
+        r_pos = at_regime(adv, i_k)
+        s_int += dt * r_pos
+        r_pos_mean[:, k] = r_pos.mean(axis=1)
+        y_mean[:, k] = at_regime(v_next, i_k).mean(axis=1)
+        z_mean[:, k] = (target @ brownian[k]) / m_used / dt
+        if rate > 0.0:
+            dn = (np.bincount(jump_row[jump_step == k], minlength=m_used)
+                  - rate * dt)
+            l_mean[:, k] = (target @ dn) / m_used / (rate * dt)
+        betas_prev = betas
+
+    y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
+    k_mean = np.zeros((n_levels, n_steps + 1))
+    k_mean[:, 1:] = np.cumsum(level_dt[:, None] * r_pos_mean, axis=1)
+    y0 = at_regime(v_next, regimes[0]).mean(axis=1)
+    return [dict(
+        level_n=n, time_grid=time_grid, y0=float(y0[l]),
+        y0_se=float(y0_se[l]), n_paths=m_used,
+        n_excluded=int(bundle.excluded.sum()), y_mean=y_mean[l],
+        z_mean=z_mean[l], l_mean=l_mean[l], k_mean=k_mean[l],
+        r_pos_mean=r_pos_mean[l], constraint_integral=s_int[l],
+        k_terminal=n * s_int[l], ridge_events=tuple(ridge_events),
+        carried_cells=tuple(carried),
+        metadata={"solver": "lsmc", "level_n": n, "dt": dt,
+                  "degree": degree,
+                  "stability": n * dt * spec.randomization.total_mass,
+                  "fingerprint": spec.fingerprint(), "seed": bundle.seed,
+                  "n_time_steps": n_steps})
+        for l, n in enumerate(levels)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from jumpctrl import bsde, sim, transition
+from jumpctrl import bsde, girsanov, sim, transition
 from jumpctrl.problem import closed_form, load_problem
 from jumpctrl.transition import LatticeGrid
 
@@ -289,6 +289,54 @@ def test_lsmc_counts_a_jump_in_the_step_whose_state_it_moves():
     _assert_same_quintuples(
         bsde.solve_penalized_lsmc_ladder(spec, levels, on_node),
         bsde.solve_penalized_lsmc_ladder(spec, levels, before))
+
+
+def _oracle_case(case, bang_spec, bang_bundle):
+    if case == "bang-drift":
+        return bang_spec, bang_bundle
+    if case == "excluded-paths":
+        return bang_spec, _excluding_every_seventh(bang_bundle)
+    if case == "carried-cells":
+        # few paths from the worst regime: the others stay empty for
+        # several early steps, while the first switchers gain on them
+        spec = _spec("bang-drift", a0_index=0)
+        return spec, sim.simulate_bundle(spec, 12, seed=2, n_steps=32)
+    spec = _spec("jump-reward")
+    if case == "tilted-const16":
+        return spec, girsanov.simulate_tilted_theta(
+            girsanov.IntensityControl.const(16.0), spec, 3, 3000,
+            n_steps=32)
+    return spec, sim.simulate_bundle(spec, 8000, seed=6, n_steps=64)
+
+
+@pytest.mark.parametrize("case", ["bang-drift", "jump-reward",
+                                  "excluded-paths", "carried-cells",
+                                  "tilted-const16"])
+def test_lsmc_ladder_is_bitwise_the_full_stack_recursion(case, bang_spec,
+                                                         bang_bundle):
+    spec, bundle = _oracle_case(case, bang_spec, bang_bundle)
+    levels = (1, 2, 4, 8, 16)
+    got = bsde.solve_penalized_lsmc_ladder(spec, levels, bundle)
+    want = oracles.lsmc_ladder_full_stack(spec, levels, bundle)
+    for q, ref in zip(got, want, strict=True):
+        assert {f.name for f in dataclasses.fields(q)} == set(ref)
+        for name, b in ref.items():
+            a = getattr(q, name)
+            if isinstance(b, np.ndarray):
+                # signed zeros included
+                assert np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            else:
+                assert a == b, name
+    regimes = bundle.regimes[bundle.included()]
+    moved = np.mean(regimes[:, 1:] != regimes[:, :-1])
+    if case == "carried-cells":
+        assert {k for k, _ in got[0].carried_cells} >= {0, 1, 2, 3}
+    if case == "tilted-const16":
+        # a quarter of the targets come from the switched-path branch
+        assert moved > 0.2
+    else:
+        assert moved < 0.1
 
 
 def test_lsmc_ladder_rejects_a_level_below_one(bang_spec, bang_bundle):

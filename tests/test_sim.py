@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import audits
 import oracles
@@ -313,6 +316,62 @@ def test_write_bundle_csv_roundtrip(tmp_path):
     meta = json.loads(side.read_text())
     assert meta["schema_version"] == sim.CSV_SCHEMA
     assert meta["n_paths"] == 3
+
+
+def _naive_csv(header, columns) -> bytes:
+    """The writer's contract, one cell at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(col[i].item()) for col in columns)
+              for i in range(len(columns[0]))]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+_FEW_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300,
+               0.1 + 0.2, 0.015625)
+
+
+@st.composite
+def _csv_columns(draw):
+    n_rows = draw(st.integers(0, 40))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["few", "many", "int"]),
+                              min_size=1, max_size=4)):
+        if kind == "int":
+            values = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                   min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=np.int64))
+            continue
+        elem = (st.sampled_from(_FEW_FLOATS) if kind == "few"
+                else st.floats(allow_nan=True, allow_infinity=True))
+        values = draw(st.lists(elem, min_size=n_rows, max_size=n_rows))
+        # a strided view, as the writers pass rows of transposed arrays
+        columns.append(np.repeat(np.array(values, dtype=float), 2)[::2])
+    return columns
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(columns=_csv_columns(),
+       chunk_rows=st.sampled_from([5, sim.CSV_CHUNK_ROWS]))
+def test_csv_writer_matches_a_per_cell_repr_writer(tmp_path_factory,
+                                                   columns, chunk_rows):
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "cols.csv"
+    with mock.patch.object(sim, "CSV_CHUNK_ROWS", chunk_rows):
+        sim.write_csv_columns(path, header, columns)
+    assert path.read_bytes() == _naive_csv(header, columns)
+
+
+def test_csv_writer_rejects_a_header_of_another_width(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="header"):
+        sim.write_csv_columns(path, ["a", "b"],
+                              [np.zeros(2), np.ones(2), np.arange(2)])
+    assert not path.exists()
+
+
+def test_csv_writer_rejects_an_empty_column_list(tmp_path):
+    with pytest.raises(ValueError, match="at least one column"):
+        sim.write_csv_columns(tmp_path / "none.csv", [], [])
 
 
 # ---------------------------------------------------------------------------
