@@ -172,6 +172,14 @@ def _advantage(u: np.ndarray, own, weights: np.ndarray) -> np.ndarray:
     return adv
 
 
+def _checked_levels(levels) -> list:
+    """The levels as ints; ValueError unless there is one and all are >= 1."""
+    levels = [int(n) for n in levels]
+    if not levels or min(levels) < 1:
+        raise ValueError("penalization level must be >= 1")
+    return levels
+
+
 def default_time_steps(spec: ProblemSpec, max_level: int) -> int:
     """Common grid fine enough for the integrator and the stability bound."""
     mass = spec.randomization.total_mass
@@ -201,9 +209,7 @@ def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
     level's penalty reads that level alone, so each field is bitwise the
     one-level solve.
     """
-    levels = [int(n) for n in levels]
-    if not levels or min(levels) < 1:
-        raise ValueError("penalization level must be >= 1")
+    levels = _checked_levels(levels)
     if n_time_steps is None:
         n_time_steps = default_time_steps(spec, max(levels))
     if grid is None:
@@ -320,9 +326,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     ``pi`` events of that step.  Working memory is one (L, A, M) stack of
     continuation values, a few (L, M) rows and one index per jump event.
     """
-    levels = [int(n) for n in levels]
-    if not levels or min(levels) < 1:
-        raise ValueError("penalization level must be >= 1")
+    levels = _checked_levels(levels)
     keep = bundle.included()
     m_used = int(keep.sum())
     if m_used == 0:
@@ -494,12 +498,7 @@ def constraint_gap(source, bundle=None
     each equal to that field's own call.
     """
     if isinstance(source, BsdeQuintuple):
-        s = source.constraint_integral
-        n = s.size
-        return ConstraintReport(
-            level_n=source.level_n, phi=float(s.mean() ** 2),
-            k_ratio=float((s ** 2).mean()), mean_integral=float(s.mean()),
-            se_integral=float(s.std(ddof=1) / math.sqrt(n)), n_paths=n)
+        return _constraint_report(source.level_n, source.constraint_integral)
     many = isinstance(source, (list, tuple))
     fields = tuple(source) if many else (source,)
     if not fields or not all(isinstance(f, PenalizedField) for f in fields):
@@ -511,9 +510,7 @@ def constraint_gap(source, bundle=None
     for fld in fields:
         if spec.fingerprint() != fld.metadata["fingerprint"]:
             raise ValueError("spec mismatch between solver artifacts")
-        if (bundle.n_steps != fld.n_steps
-                or not np.allclose(bundle.time_grid, fld.time_grid,
-                                   rtol=0.0, atol=1e-12 * spec.horizon)):
+        if not np.array_equal(bundle.time_grid, fld.time_grid):
             raise ValueError("the bundle's time grid is not the field's")
         if not all(np.array_equal(a, b) for a, b in zip(fld.grid.axes, axes)):
             raise ValueError("the fields do not share one lattice")
@@ -537,12 +534,18 @@ def constraint_gap(source, bundle=None
             own = cont[rows, i_k]
             dt = float(fld.time_grid[1] - fld.time_grid[0])
             s[l] += dt * (np.maximum(cont - own[:, None], 0.0) @ weights)
-    reports = tuple(ConstraintReport(
-        level_n=fld.level_n, phi=float(s_l.mean() ** 2),
-        k_ratio=float((s_l ** 2).mean()), mean_integral=float(s_l.mean()),
-        se_integral=float(s_l.std(ddof=1) / math.sqrt(m_used)),
-        n_paths=m_used) for fld, s_l in zip(fields, s))
+    reports = tuple(_constraint_report(fld.level_n, s_l)
+                    for fld, s_l in zip(fields, s))
     return reports if many else reports[0]
+
+
+def _constraint_report(level_n: int, s: np.ndarray) -> ConstraintReport:
+    """The report of one level from its pathwise constraint integrals."""
+    return ConstraintReport(
+        level_n=level_n, phi=float(s.mean() ** 2),
+        k_ratio=float((s ** 2).mean()), mean_integral=float(s.mean()),
+        se_integral=float(s.std(ddof=1) / math.sqrt(s.size)),
+        n_paths=s.size)
 
 
 # ---------------------------------------------------------------------------

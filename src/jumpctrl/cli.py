@@ -65,28 +65,23 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(payload: dict, path: Path) -> None:
+def _write_json(payload, path: Path) -> None:
+    """Write a dict or dataclass as indented JSON with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written next to every command's artifacts."""
-
-    command: str
-    config: str | None
-    seed: int
-    overrides: dict
-    out_dir: str
-    tool_version: str
-    wall_clock_s: float
-    verdicts: dict
-    outputs: list
-
-    def write(self, path: Path) -> None:
-        _write_json(dataclasses.asdict(self), path)
+def _write_manifest(path: Path, t0: float, command: str,
+                    config: str | None, seed: int, overrides: dict,
+                    verdicts: dict, outputs: list) -> None:
+    """Write the provenance record of a command started at ``t0``
+    (``time.perf_counter``) to ``path``, in its ``out_dir``."""
+    _write_json({"command": command, "config": config, "seed": seed,
+                 "overrides": overrides, "out_dir": str(path.parent),
+                 "tool_version": __version__,
+                 "wall_clock_s": round(time.perf_counter() - t0, 3),
+                 "verdicts": verdicts, "outputs": outputs}, path)
 
 
 @dataclass
@@ -108,9 +103,6 @@ class ValueReport:
     def __post_init__(self):
         for key in VERDICT_KEYS:
             self.verdicts.setdefault(key, "skipped")
-
-    def write(self, path: Path) -> None:
-        _write_json(dataclasses.asdict(self), path)
 
 
 def _problem_id(spec) -> str:
@@ -401,6 +393,9 @@ def _suite_value_equality(wb: _Workbench):
 
 
 def _suite_hjb(wb: _Workbench, field_path=None):
+    reason = hjb.unavailable_reason(wb.spec)
+    if reason is not None:
+        return None, {"reason": reason}
     if field_path is not None:
         try:
             fld = load_dp_field(field_path)
@@ -439,13 +434,9 @@ def cmd_simulate(args) -> int:
     out = _ensure_out_dir(args.out)
     sim.write_bundle_csv(bundle, str(out / "paths.csv"),
                          str(out / "paths.json"))
-    manifest = RunManifest(
-        command="simulate", config=args.config, seed=args.seed,
-        overrides={"paths": args.paths, "steps": args.steps},
-        out_dir=str(out), tool_version=__version__,
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-        verdicts={}, outputs=["paths.csv", "paths.json", "manifest.json"])
-    manifest.write(out / "manifest.json")
+    _write_manifest(out / "manifest.json", t0, "simulate", args.config,
+                    args.seed, {"paths": args.paths, "steps": args.steps},
+                    {}, ["paths.csv", "paths.json", "manifest.json"])
     print(f"wrote {bundle.n_paths} paths x {bundle.n_steps} steps "
           f"({bundle.n_excluded} excluded) to {out}")
     return 0
@@ -464,7 +455,7 @@ def cmd_solve(args) -> int:
                     paths=args.paths, seed=args.seed)
     wb.grid()   # pilot simulation first, so its warnings precede the solvers'
     outputs = ["value_report.json", "manifest.json",
-               "dp_field.csv", "dp_field.json", "residual.csv"]
+               "dp_field.csv", "dp_field.json"]
     verdicts: dict = {}
     details: dict = {}
     ladder = tilt = None
@@ -504,11 +495,17 @@ def cmd_solve(args) -> int:
         details["constraint-decay"] = details["dpp"] = {
             "reason": "not computed by solve; run jumpctrl verify"}
 
-    cert = hjb.residual_certificate(certified, spec)
-    verdicts["hjb-certificate"] = _verdict(cert["ok"])
-    details["hjb-certificate"] = {
-        k: v for k, v in cert.items() if k != "residual_field"}
-    write_residual_csv(cert["residual_field"], spec, out / "residual.csv")
+    reason = hjb.unavailable_reason(spec)
+    if reason is None:
+        cert = hjb.residual_certificate(certified, spec)
+        verdicts["hjb-certificate"] = _verdict(cert["ok"])
+        details["hjb-certificate"] = {
+            k: v for k, v in cert.items() if k != "residual_field"}
+        write_residual_csv(cert["residual_field"], spec,
+                           out / "residual.csv")
+        outputs.append("residual.csv")
+    else:
+        details["hjb-certificate"] = {"reason": reason}
     details["truncated_jump_mass"] = fld.metadata["truncated_jump_mass"]
     report = ValueReport(
         problem_id=_problem_id(spec),
@@ -520,16 +517,13 @@ def cmd_solve(args) -> int:
         level_ses=list(ladder.ses) if ladder else [],
         value_limit=ladder.value_limit if ladder else None, tilt=tilt,
         verdicts=verdicts, details=details)
-    report.write(out / "value_report.json")
-    manifest = RunManifest(
-        command="solve", config=args.config, seed=args.seed,
-        overrides={"method": args.method, "ladder": list(args.ladder),
-                   "steps": args.steps, "nodes": args.nodes,
-                   "paths": args.paths},
-        out_dir=str(out), tool_version=__version__,
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-        verdicts=report.verdicts, outputs=sorted(outputs))
-    manifest.write(out / "manifest.json")
+    _write_json(report, out / "value_report.json")
+    _write_manifest(out / "manifest.json", t0, "solve", args.config,
+                    args.seed,
+                    {"method": args.method, "ladder": list(args.ladder),
+                     "steps": args.steps, "nodes": args.nodes,
+                     "paths": args.paths},
+                    report.verdicts, sorted(outputs))
 
     v0 = "-" if report.v0_dp is None else repr(float(report.v0_dp))
     lim = ("-" if report.value_limit is None
@@ -573,16 +567,12 @@ def cmd_verify(args) -> int:
         "tolerances": spec.tolerances,
         "verdicts": verdicts, "details": details,
     }, out / "verify_report.json")
-    manifest = RunManifest(
-        command="verify", config=args.config, seed=args.seed,
-        overrides={"suite": args.suite, "levels": list(args.levels),
-                   "steps": args.steps, "nodes": args.nodes,
-                   "paths": args.paths, "field": args.field},
-        out_dir=str(out), tool_version=__version__,
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-        verdicts=verdicts,
-        outputs=["verify_report.json", "manifest.json"])
-    manifest.write(out / "manifest.json")
+    _write_manifest(out / "manifest.json", t0, "verify", args.config,
+                    args.seed,
+                    {"suite": args.suite, "levels": list(args.levels),
+                     "steps": args.steps, "nodes": args.nodes,
+                     "paths": args.paths, "field": args.field},
+                    verdicts, ["verify_report.json", "manifest.json"])
     return 1 if "fail" in verdicts.values() else 0
 
 
@@ -614,14 +604,9 @@ def cmd_plot(args) -> int:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")
-    manifest = RunManifest(
-        command="plot", config=None, seed=0,
-        overrides={"input": args.input, "kind": args.kind},
-        out_dir=str(out.parent), tool_version=__version__,
-        wall_clock_s=round(time.perf_counter() - t0, 3),
-        verdicts={},
-        outputs=[out.name, out.name + ".manifest.json"])
-    manifest.write(out.with_name(out.name + ".manifest.json"))
+    _write_manifest(out.with_name(out.name + ".manifest.json"), t0,
+                    "plot", None, 0, {"input": args.input, "kind": args.kind},
+                    {}, [out.name, out.name + ".manifest.json"])
     print(f"wrote {out}")
     return 0
 

@@ -151,13 +151,9 @@ def policy_rollout(dp_field: DpField, spec: ProblemSpec, n_paths: int,
     both read from ``spec.tolerances``.
     """
     se_mult = spec.tolerances["se_multiplier"]
-    field_grid = dp_field.time_grid
-    last = dp_field.n_steps - 1
 
     def policy(k: int, t_k: float, states: np.ndarray) -> np.ndarray:
-        kf = int(np.clip(np.searchsorted(field_grid, t_k + 1e-12) - 1,
-                         0, last))
-        return dp_field.policy_at(kf, states)
+        return dp_field.policy_at(k, states)
 
     bundle = sim._simulate_core(spec, n_paths, seed,
                                 n_steps=dp_field.n_steps,

@@ -77,8 +77,7 @@ def _hamiltonian_nodes(spec: ProblemSpec, t: float, x: np.ndarray,
     x_core = x[:, :d]
     out = np.empty((n, spec.control.size))
     jm = spec.jump_measure
-    has_jumps = jm.total_rate > 0.0 and spec.coefficients.gamma is not None
-    if has_jumps:
+    if spec.has_jumps:
         if value_accessor is None:
             raise ValueError("a value accessor is required when the "
                              "problem jumps")
@@ -90,7 +89,7 @@ def _hamiltonian_nodes(spec: ProblemSpec, t: float, x: np.ndarray,
         f = spec.coefficients.f(t, x_core, a_val)
         diff = 0.5 * np.einsum("nim,njm,nij->n", sig, sig, hess[:, :d, :d])
         ham = diff + np.einsum("ni,ni->n", b, grad[:, :d]) + f
-        if has_jumps:
+        if spec.has_jumps:
             q = z.size
             x_rep = np.repeat(x, q, axis=0)
             z_rep = np.tile(z, n)
@@ -227,6 +226,16 @@ def _exact_derivatives(candidate: dict, time_grid: np.ndarray,
 # Residual field
 # ---------------------------------------------------------------------------
 
+def unavailable_reason(spec: ProblemSpec) -> str | None:
+    """Why :func:`hjb_residual` has no equation for ``spec``, or None."""
+    if spec.augmentation == "running-supremum":
+        return ("running-supremum augmentation has no smooth generator; "
+                "residuals unavailable")
+    if spec.augmentation != "none" and spec.dim != 1:
+        return "augmented residuals support scalar core state only"
+    return None
+
+
 def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
                  grid: LatticeGrid | None = None,
                  stencil: str = "auto") -> HjbResidualField:
@@ -240,20 +249,16 @@ def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
     terminal mismatch max |v(T,.) - g| is reported separately because the
     interior operator says nothing about the boundary condition.
     """
-    if spec.augmentation == "running-supremum":
-        raise ValueError("running-supremum augmentation has no smooth "
-                         "generator; residuals unavailable")
-    if spec.augmentation != "none" and spec.dim != 1:
-        raise ValueError("augmented residuals support scalar core state "
-                         "only")
+    reason = unavailable_reason(spec)
+    if reason is not None:
+        raise ValueError(reason)
     kind = _classify(candidate)
     if stencil not in ("auto", "exact", "central"):
         raise ValueError("stencil must be 'auto', 'exact' or 'central'")
 
     if kind == "analytic":
         if time_grid is None:
-            time_grid = np.linspace(0.0, spec.horizon,
-                                    spec.default_steps() + 1)
+            time_grid = spec.time_grid(spec.default_steps())
         else:
             time_grid = np.asarray(time_grid, dtype=float)
         if grid is None:

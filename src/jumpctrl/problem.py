@@ -22,6 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 CONFIG_SCHEMA_VERSION = 1
+#: Gauss nodes of the mark law in the jump compensator (``mean_jump``)
+COMPENSATOR_NODES = 32
 
 #: Documented default tolerances.  Every check reads them from
 #: ``spec.tolerances`` (the config's ``tolerances`` block over these
@@ -282,9 +284,29 @@ class ProblemSpec:
         """exp(dt * A) on the diagonal; contraction since eigenvalues <= 0."""
         return np.exp(dt * self.a_eigenvalues)
 
-    def default_steps(self, t0: float = 0.0) -> int:
-        return max(1, int(math.ceil(self.steps_per_unit_time
-                                    * (self.horizon - t0))))
+    @property
+    def has_jumps(self) -> bool:
+        """Whether the state jumps: a positive rate and a jump map."""
+        return (self.jump_measure.total_rate > 0.0
+                and self.coefficients.gamma is not None)
+
+    def default_steps(self) -> int:
+        return max(1, int(math.ceil(self.steps_per_unit_time * self.horizon)))
+
+    def time_grid(self, n_steps: int) -> np.ndarray:
+        """The one time grid of paths, lattice sweeps and residuals:
+        ``n_steps`` uniform steps from t = 0 to the horizon."""
+        return self.horizon * np.arange(n_steps + 1) / n_steps
+
+    def mean_jump(self, t: float, x: np.ndarray, a: float) -> np.ndarray:
+        """(P, d) sum_z w_z gamma(t, x, a, z) on ``COMPENSATOR_NODES`` mark
+        nodes: the jump compensator per unit of ``total_rate``."""
+        n = x.shape[0]
+        z_nodes, z_weights = self.jump_measure.gauss_nodes(COMPENSATOR_NODES)
+        comp = np.zeros((n, self.dim))
+        for zi, zw in zip(z_nodes, z_weights):
+            comp += zw * self.coefficients.gamma(t, x, a, np.full(n, zi))
+        return comp
 
     def initial_augmented(self, x0: np.ndarray) -> np.ndarray:
         """Append the initial value of the running functional, if any."""

@@ -32,12 +32,14 @@ before jumps of the same slot; each step then walks its (slot, kind) runs
 as contiguous slices, each holding a path at most once.
 
 Every simulation is a ``PathBundle`` from ``_simulate_core``; one path is
-a 1-row bundle.  Its replay form is the one deterministic entry
+a 1-row bundle.  Every bundle starts at t = 0 from the spec's initial law
+and steps on ``spec.time_grid(N)``, the grid of the lattice solvers too.
+Its replay form is the one deterministic entry
 point: ``_simulate_core(spec, M, seed, control="fixed", fixed_theta=...,
 start_regimes=..., brownian=..., pi_events=...)`` replays given switch
 events, (M, N, m) Brownian increments and jump events instead of drawing
 them.  Event tables from outside must increase strictly inside
-``(t0, horizon]`` on each path, and switch marks must be indices on the
+``(0, horizon]`` on each path, and switch marks must be indices on the
 control grid; otherwise it raises ``ValueError``.
 """
 
@@ -100,8 +102,7 @@ class PathBundle:
 
     spec: ProblemSpec
     seed: int
-    t0: float
-    time_grid: np.ndarray           # (N+1,)
+    time_grid: np.ndarray           # (N+1,) spec.time_grid(N)
     states: np.ndarray              # (M, N+1, total_dim)
     regimes: np.ndarray             # (M, N+1) right-continuous control index
     brownian_increments: np.ndarray  # (M, N, m), a step-major buffer's view
@@ -134,9 +135,9 @@ class PathBundle:
 # Elementary generators
 # ---------------------------------------------------------------------------
 
-def _poisson_block(rate: float, span: float, t0: float, seed: int,
-                   stream_id: int, n_paths: int):
-    """Kept events of a homogeneous stream on (t0, t0 + span]; fixed budget.
+def _poisson_block(rate: float, span: float, seed: int, stream_id: int,
+                   n_paths: int):
+    """Kept events of a homogeneous stream on (0, span]; fixed budget.
 
     Returns (counts (M,), times (E,), mark_uniforms (E,)), the events in
     (path, time) order.  The uniform block is (M, 2B): columns [0, B) drive
@@ -152,8 +153,7 @@ def _poisson_block(rate: float, span: float, t0: float, seed: int,
     times = stream.exponential_from_uniform(u[:, :budget])
     times /= rate
     np.cumsum(times, axis=1, out=times)
-    times += t0
-    keep = times <= t0 + span
+    keep = times <= span
     if np.any(keep[:, -1]):
         raise RuntimeError("event budget exceeded; rate too high for the "
                            "configured window")
@@ -271,10 +271,10 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
     }
 
 
-def _check_events(events: CsrEvents, n_paths: int, t0: float,
-                  horizon: float, name: str, n_marks=None) -> None:
+def _check_events(events: CsrEvents, n_paths: int, horizon: float,
+                  name: str, n_marks=None) -> None:
     """Reject an outside event table: on each path the times must increase
-    strictly inside (t0, horizon]; with ``n_marks`` the marks must index a
+    strictly inside (0, horizon]; with ``n_marks`` the marks must index a
     grid of that many points."""
     t, marks, starts = events.times, events.marks, events.indptr[:-1]
     if (marks.shape != t.shape or events.n_paths != n_paths
@@ -283,18 +283,17 @@ def _check_events(events: CsrEvents, n_paths: int, t0: float,
                          f"{n_paths} paths")
     later = np.ones(t.size, dtype=bool)
     later[starts[starts < t.size]] = False
-    if not (np.all((t > t0) & (t <= horizon))
+    if not (np.all((t > 0.0) & (t <= horizon))
             and np.all(np.diff(t)[later[1:]] > 0.0)):
         raise ValueError(f"{name} event times must increase strictly inside "
-                         f"(t0, horizon] on each path")
+                         f"(0, horizon] on each path")
     if n_marks is not None and not np.all(
             (marks == np.floor(marks)) & (marks >= 0) & (marks < n_marks)):
         raise ValueError(f"{name} marks must be indices on the control grid")
 
 
 def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
-                   n_steps: Optional[int] = None, t0: float = 0.0,
-                   x0: Optional[np.ndarray] = None,
+                   n_steps: Optional[int] = None,
                    control: str = "randomized",
                    tilt=None,
                    policy: Optional[Callable] = None,
@@ -312,12 +311,9 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     """
     horizon = spec.horizon
     if n_steps is None:
-        n_steps = spec.default_steps(t0)
-    span = horizon - t0
-    if span <= 0:
-        raise ValueError("t0 must lie strictly before the horizon")
-    time_grid = t0 + span * np.arange(n_steps + 1) / n_steps
-    dt = span / n_steps
+        n_steps = spec.default_steps()
+    time_grid = spec.time_grid(n_steps)
+    dt = horizon / n_steps
     d, m_brown = spec.dim, spec.brownian_dim
     n_controls = spec.control.size
     a_values = spec.control.points
@@ -325,10 +321,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     jump = spec.jump_measure
 
     # --- initial states ----------------------------------------------------
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float).reshape(1, d)
-        core0 = np.repeat(x0, n_paths, axis=0)
-    elif spec.initial_law.kind == "point":
+    if spec.initial_law.kind == "point":
         core0 = np.repeat(spec.initial_law.mean[None, :], n_paths, axis=0)
     else:
         normals = stream.normal_block(seed, stream.STREAM_INIT, n_paths, d)
@@ -350,9 +343,9 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
             n_paths, n_steps, m_brown).transpose(1, 0, 2)
 
     if pi_events is not None:
-        _check_events(pi_events, n_paths, t0, horizon, "pi")
+        _check_events(pi_events, n_paths, horizon, "pi")
     else:
-        counts, times, mu = _poisson_block(jump.total_rate, span, t0, seed,
+        counts, times, mu = _poisson_block(jump.total_rate, horizon, seed,
                                            stream.STREAM_PI, n_paths)
         z = jump.sample_marks(mu) if mu.size else np.zeros(0)
         pi_events = CsrEvents(times, z,
@@ -367,7 +360,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
         if control == "tilted":
             rate *= float(tilt.nu_max)
         counts, th_time, t_mu = _poisson_block(
-            rate, span, t0, seed, stream.STREAM_THETA, n_paths)
+            rate, horizon, seed, stream.STREAM_THETA, n_paths)
         th_path = np.repeat(np.arange(n_paths), counts)
         th_mark = _categorical_from_uniform(
             t_mu, spec.randomization.lambda0_weights)
@@ -376,14 +369,14 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                                   np.concatenate([[0], np.cumsum(counts)]))
         if control == "tilted" and rate > 0.0:
             # acceptance uniforms of the kept proposals, a prefix of each row
-            budget = stream.event_budget(rate, span)
+            budget = stream.event_budget(rate, horizon)
             theta_accept_u = stream.uniform_block(
                 seed, stream.STREAM_ACCEPT, n_paths, budget)[
                 np.arange(budget) < counts[:, None]]
     elif control == "fixed":
         if fixed_theta is None:
             raise ValueError("fixed control needs a theta event table")
-        _check_events(fixed_theta, n_paths, t0, horizon, "theta",
+        _check_events(fixed_theta, n_paths, horizon, "theta",
                       n_marks=n_controls)
         theta_csr = fixed_theta
         th_path = fixed_theta.path_ids()
@@ -415,9 +408,6 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     acc_t, acc_m = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
 
     decay = spec.decay_factor(dt)[None, :]
-    has_jumps = jump.total_rate > 0.0 and coeff.gamma is not None
-    if has_jumps:
-        z_nodes, z_weights = jump.gauss_nodes(32)
     rows = np.arange(n_paths)
     # per-step working arrays, allocated once
     occ = np.empty((n_paths, n_controls))
@@ -463,7 +453,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                 occ[p, cur_reg[p]] += et - last_switch[p]
                 cur_reg[p] = mk
                 last_switch[p] = et
-            elif has_jumps:
+            elif spec.has_jumps:
                 # gamma at the left node, pre-switch regime
                 pre, zz = cur_reg[p], ev_z[lo:hi]
                 for ai in range(n_controls):
@@ -484,12 +474,9 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
             a_val = float(a_values[ai])
             drift += coeff.b(t_k, x_left, a_val) * w[:, None]
             running_reward += coeff.f(t_k, x_left, a_val) * w
-            if has_jumps:
-                comp = np.zeros((n_paths, d))
-                for zi, zw in zip(z_nodes, z_weights):
-                    comp += zw * coeff.gamma(t_k, x_left, a_val,
-                                             np.full(n_paths, zi))
-                drift -= jump.total_rate * comp * w[:, None]
+            if spec.has_jumps:
+                drift -= (jump.total_rate * spec.mean_jump(t_k, x_left, a_val)
+                          * w[:, None])
 
         reg_k = regime_buf[k]
         for ai in range(n_controls):
@@ -528,7 +515,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                       RuntimeWarning)
 
     return PathBundle(
-        spec=spec, seed=seed, t0=t0, time_grid=time_grid,
+        spec=spec, seed=seed, time_grid=time_grid,
         states=state_buf.transpose(1, 0, 2), regimes=regime_buf.T,
         brownian_increments=brownian_buf.transpose(1, 0, 2), pi=pi_events,
         theta=theta_csr, running_reward=running_reward, excluded=excluded,
@@ -540,12 +527,11 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def simulate_bundle(spec: ProblemSpec, n_paths: int, seed: int,
-                    n_steps: Optional[int] = None,
-                    t0: float = 0.0) -> PathBundle:
+                    n_steps: Optional[int] = None) -> PathBundle:
     """Simulate paths under the reference randomized dynamics."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
-    return _simulate_core(spec, n_paths, seed, n_steps=n_steps, t0=t0,
+    return _simulate_core(spec, n_paths, seed, n_steps=n_steps,
                           control="randomized")
 
 
@@ -639,7 +625,7 @@ def write_bundle_csv(bundle: PathBundle, csv_path: str,
             "control_mode": bundle.control_mode,
             "n_paths": bundle.n_paths,
             "n_steps": bundle.n_steps,
-            "t0": bundle.t0,
+            "t0": 0.0,
             "horizon": float(bundle.time_grid[-1]),
             "n_excluded": bundle.n_excluded,
         }

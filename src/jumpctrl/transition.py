@@ -18,8 +18,9 @@ cross-checks can assert that no second kernel crept in.
 The conditional expectation over one step combines a Gauss-Hermite rule for
 the Brownian factor with a truncated-Poisson enumeration of jump outcomes
 (per-jump marks from the atom list or a small Gauss rule).  Every jump in a
-step displaces by gamma evaluated at the step's left node, exactly as the
-path integrator does.  The Brownian rule has ``HERMITE_NODES`` nodes per
+step displaces by gamma evaluated at the step's left node, and the drift
+carries the compensator ``ProblemSpec.mean_jump``, exactly as the path
+integrator does.  The Brownian rule has ``HERMITE_NODES`` nodes per
 factor; every registry family has one factor.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, update_running_functional
+from .problem import COMPENSATOR_NODES, ProblemSpec, update_running_functional
 
 #: per-jump quadrature nodes for continuous mark laws, by jump count
 _NODES_BY_COUNT = {1: 8, 2: 4, 3: 3, 4: 2}
@@ -207,18 +208,13 @@ def _poisson_truncated(rate_dt: float, k_max: int) -> np.ndarray:
     return p / p.sum()
 
 
-def _has_jumps(spec: ProblemSpec) -> bool:
-    return (spec.jump_measure.total_rate > 0.0
-            and spec.coefficients.gamma is not None)
-
-
 def truncated_jump_mass(spec: ProblemSpec, dt: float) -> float:
     """Poisson mass of more than ``MAX_JUMPS_PER_STEP`` jumps in one step.
 
     The one-step kernel drops this mass and renormalizes the rest, so a
     solve over N steps misplaces about N times this much probability.
     """
-    if not _has_jumps(spec):
+    if not spec.has_jumps:
         return 0.0
     pk = _poisson_pmf(spec.jump_measure.total_rate * dt, MAX_JUMPS_PER_STEP)
     return max(0.0, 1.0 - math.fsum(pk))
@@ -227,7 +223,7 @@ def truncated_jump_mass(spec: ProblemSpec, dt: float) -> float:
 def _jump_outcomes(spec: ProblemSpec, dt: float):
     """[(probability, marks tuple)] outcomes of the step's jump factor."""
     jump = spec.jump_measure
-    if not _has_jumps(spec):
+    if not spec.has_jumps:
         return [(1.0, ())]
     pk = _poisson_truncated(jump.total_rate * dt, MAX_JUMPS_PER_STEP)
     atoms = jump.atoms()
@@ -264,13 +260,9 @@ def one_step_points(spec: ProblemSpec, t: float, dt: float, a_index: int,
     decay = spec.decay_factor(dt)[None, :]
 
     drift = coeff.b(t, core, a_val) * dt
-    jump = spec.jump_measure
-    if _has_jumps(spec):
-        z_nodes, z_weights = jump.gauss_nodes(32)
-        comp = np.zeros((p_cnt, d))
-        for zi, zw in zip(z_nodes, z_weights):
-            comp += zw * coeff.gamma(t, core, a_val, np.full(p_cnt, zi))
-        drift = drift - jump.total_rate * dt * comp
+    if spec.has_jumps:
+        drift = drift - (spec.jump_measure.total_rate * dt
+                         * spec.mean_jump(t, core, a_val))
 
     sig = np.asarray(coeff.sigma(t, core, a_val))    # (P, d, m)
     sig_norm = float(np.max(np.abs(sig))) if sig.size else 0.0
@@ -377,11 +369,11 @@ def _code_bytes(obj) -> bytes:
 def kernel_checksum() -> str:
     """Hash of the kernel path shared by the backward solvers: each
     kernel function's bytecode and literals, and the quadrature constants."""
-    blobs = [repr((HERMITE_NODES, MAX_JUMPS_PER_STEP,
+    blobs = [repr((HERMITE_NODES, MAX_JUMPS_PER_STEP, COMPENSATOR_NODES,
                    sorted(_NODES_BY_COUNT.items()))).encode()]
     for fn in (_stencil, multilinear, _poisson_pmf, _poisson_truncated,
-               _jump_outcomes, _hermite_nodes, one_step_points,
-               assemble_operator, expect_next):
+               _jump_outcomes, _hermite_nodes, ProblemSpec.mean_jump,
+               one_step_points, assemble_operator, expect_next):
         blobs.append(_code_bytes(fn.__code__))
     return hashlib.sha256(b"\0".join(blobs)).hexdigest()[:16]
 
@@ -405,7 +397,7 @@ def backward_sweep(spec: ProblemSpec, grid: LatticeGrid, n_time_steps: int,
     mass, or when the Poisson mass dropped over all steps exceeds
     ``tol_value``.
     """
-    time_grid = np.linspace(0.0, spec.horizon, n_time_steps + 1)
+    time_grid = spec.time_grid(n_time_steps)
     dt = spec.horizon / n_time_steps
     nodes = grid.nodes()
     core = nodes[:, :spec.dim]

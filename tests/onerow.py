@@ -5,9 +5,12 @@ the simulator's replay entry point, or ``sim._poisson_block``, the stream
 every bundle draws its events from.
 """
 
+import dataclasses
+
 import numpy as np
 
 from jumpctrl import sim, stream
+from jumpctrl.problem import InitialLaw
 
 
 def events(times=(), marks=()) -> sim.CsrEvents:
@@ -28,15 +31,19 @@ def one_path(spec, n_steps, start=None, switches=((), ()), brownian=None,
     1-row bundle.
 
     ``start`` is the initial regime (default: the reference regime),
-    ``switches`` and ``jumps`` are (times, marks) pairs, and ``brownian``
-    the (n_steps, brownian_dim) increments (default: all zero).
+    ``switches`` and ``jumps`` are (times, marks) pairs, ``brownian``
+    the (n_steps, brownian_dim) increments (default: all zero), and ``x0``
+    the start point (default: the spec's initial law).
     """
     if start is None:
         start = spec.randomization.a0_index
     if brownian is None:
         brownian = np.zeros((n_steps, spec.brownian_dim))
+    if x0 is not None:
+        spec = dataclasses.replace(spec, initial_law=InitialLaw(
+            kind="point", mean=np.asarray(x0, dtype=float)))
     return sim._simulate_core(
-        spec, 1, seed=0, n_steps=n_steps, x0=x0, control="fixed",
+        spec, 1, seed=0, n_steps=n_steps, control="fixed",
         fixed_theta=events(*switches), start_regimes=np.array([start]),
         brownian=np.asarray(brownian, dtype=float)[None],
         pi_events=events(*jumps))
@@ -62,6 +69,6 @@ def replay(bundle: sim.PathBundle, i: int, spec=None, n_steps=None):
 
 def poisson_events(rate, mark_law, horizon, seed):
     """(times, marks) of one path of the jump stream on (0, horizon]."""
-    _, times, mark_u = sim._poisson_block(rate, horizon, 0.0, seed,
+    _, times, mark_u = sim._poisson_block(rate, horizon, seed,
                                           stream.STREAM_PI, n_paths=1)
     return times, mark_law.sample_marks(mark_u)

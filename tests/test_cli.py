@@ -247,6 +247,33 @@ def test_verify_field_reports_the_fields_truncated_mass(tmp_path):
         spec, 1 / 64)
 
 
+def test_running_supremum_reports_the_hjb_certificate_skipped(tmp_path):
+    # a legal config whose value equation has no smooth generator: the
+    # certificate is skipped with the reason, the rest is reported
+    cfg = _write_cfg(tmp_path / "sup.json", "lookback-integral",
+                     augmentation="running-supremum")
+    sizes = ["--steps", "8", "--nodes", "9", "--paths", "200"]
+    solve_out, verify_out = tmp_path / "solve", tmp_path / "verify"
+    code = cli.main(["solve", cfg, "--method", "penalized-grid",
+                     "--ladder", "1,2", *sizes, "--out", str(solve_out)])
+    report = _read_json(solve_out / "value_report.json")
+    assert code == (1 if "fail" in report["verdicts"].values() else 0)
+    assert report["verdicts"]["hjb-certificate"] == "skipped"
+    assert ("running-supremum" in
+            report["details"]["hjb-certificate"]["reason"])
+    outputs = _read_json(solve_out / "manifest.json")["outputs"]
+    assert "residual.csv" not in outputs
+    assert sorted(p.name for p in solve_out.iterdir()) == outputs
+
+    code = cli.main(["verify", cfg, "--levels", "1,2", *sizes,
+                     "--out", str(verify_out)])
+    report = _read_json(verify_out / "verify_report.json")
+    assert code == (1 if "fail" in report["verdicts"].values() else 0)
+    assert sorted(report["verdicts"]) == sorted(cli.SUITES)
+    assert report["verdicts"]["hjb"] == "skipped"
+    assert "running-supremum" in report["details"]["hjb"]["reason"]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(family=st.sampled_from(sorted(problem.FAMILIES)),
        command=st.sampled_from(["penalized-grid", "penalized-lsmc", "dp",
@@ -599,7 +626,7 @@ def _golden_inputs():
                              ses=(1e-300, 0.0, 1.0 / 3.0))
     empty = sim.CsrEvents(np.zeros(0), np.zeros(0), np.zeros(3, dtype=int))
     bundle = sim.PathBundle(
-        spec=spec, seed=0, t0=0.0, time_grid=time_grid,
+        spec=spec, seed=0, time_grid=time_grid,
         states=_cells((2, 3, 2)), regimes=np.array([[1, 0, 0], [1, 1, 0]]),
         brownian_increments=np.zeros((2, 2, 1)), pi=empty, theta=empty,
         running_reward=np.zeros(2),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from jumpctrl import bsde, dp, girsanov, transition
+from jumpctrl import bsde, dp, girsanov, sim, transition
 from jumpctrl.problem import closed_form, load_problem
 from jumpctrl.transition import LatticeGrid
 
@@ -227,3 +227,19 @@ def test_rollout_mean_reverting_switch_self_consistent():
 def test_rollout_rejects_empty_path_set(bang_spec, bang_dp):
     with pytest.raises(ValueError, match="no paths"):
         dp.policy_rollout(bang_dp, bang_spec, n_paths=0, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:state grid missed")
+@pytest.mark.parametrize("horizon", [1.0, 0.7])
+def test_paths_and_lattice_fields_step_on_one_time_grid(horizon):
+    # one float per node, so tables built on a field's grid are read at the
+    # bundle's step without a tolerance
+    spec = _spec("uncontrolled-decay", horizon=horizon)
+    grid = LatticeGrid(axes=(np.array([0.0, 2.0]),))
+    for n in range(1, 201):
+        want = sim.simulate_bundle(spec, 1, seed=0, n_steps=n).time_grid
+        assert np.array_equal(spec.time_grid(n), want), n
+        for fld in (bsde.solve_penalized_grid(spec, 1, n_time_steps=n,
+                                              grid=grid),
+                    dp.solve_dp_grid(spec, n_time_steps=n, grid=grid)):
+            assert np.array_equal(fld.time_grid, want), n

@@ -88,7 +88,6 @@ OPTIONS = {
     "hjb.hjb_residual(grid=None)",
     "hjb.hjb_residual(stencil='auto')",
     "hjb.hjb_residual(time_grid=None)",
-    "problem.ProblemSpec.default_steps(t0=0.0)",
     "sim._check_events(n_marks=None)",
     "sim._simulate_core(brownian=None)",
     "sim._simulate_core(control='randomized')",
@@ -97,11 +96,8 @@ OPTIONS = {
     "sim._simulate_core(pi_events=None)",
     "sim._simulate_core(policy=None)",
     "sim._simulate_core(start_regimes=None)",
-    "sim._simulate_core(t0=0.0)",
     "sim._simulate_core(tilt=None)",
-    "sim._simulate_core(x0=None)",
     "sim.simulate_bundle(n_steps=None)",
-    "sim.simulate_bundle(t0=0.0)",
     "sim.write_bundle_csv(sidecar_path=None)",
     "transition.default_state_grid(n_nodes=None)",
     "transition.default_state_grid(seed=0)",

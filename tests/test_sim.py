@@ -84,7 +84,7 @@ def test_event_budget_overflow_raises(monkeypatch):
     # the honest budget is unreachable by design; shrink it to test the guard
     monkeypatch.setattr(sim.stream, "event_budget", lambda r, s: 3)
     with pytest.raises(RuntimeError, match="event budget exceeded"):
-        sim._poisson_block(50.0, 1.0, 0.0, 0, stream.STREAM_PI, 4)
+        sim._poisson_block(50.0, 1.0, 0, stream.STREAM_PI, 4)
 
 
 # ---------------------------------------------------------------------------
