@@ -420,6 +420,135 @@ _SUITE_FNS = {
     "value-equality": _suite_value_equality,
 }
 
+#: The suites that read the ladder and the DP field but never the
+#: reference bundle.  When a selection also holds a suite that reads the
+#: bundle, these run in a forked worker while the parent simulates it.
+WORKER_SUITES = ("dpp", "value-equality")
+#: prctl(2) option that signals a child when its parent dies (Linux)
+_PR_SET_PDEATHSIG = 1
+
+
+def _run_suite(wb: _Workbench, name: str, field_path):
+    if name == "hjb":
+        return _suite_hjb(wb, field_path)
+    return _SUITE_FNS[name](wb)
+
+
+def _rewarn(message, category, filename: str, lineno: int) -> None:
+    """Issue a warning recorded in the worker as if it were raised here at
+    its origin: through this process's filters and the once-per-location
+    registry of the module it came from."""
+    import warnings
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        warnings.warn_explicit(
+            message, category, filename, lineno, module.__name__,
+            vars(module).setdefault("__warningregistry__", {}))
+
+
+class _Worker:
+    """The suites ``names`` running in a forked child of this process.
+
+    The child runs them in order until one raises, and pickles back
+    through a pipe, per suite run, every warning it raised (unfiltered)
+    and its ``(ok, detail)`` or exception.  ``outcome(name)`` waits for the
+    child the first time it is called, then replays that suite's warnings
+    here and returns its result or raises its exception, so the parent
+    reports every suite in suite order as an in-process run would.
+    ``close()`` kills a child whose results were never read, and reaps it.
+    The modules of this path are imported where used, so the module's own
+    imports stay the ones every command needs.
+    """
+
+    def __init__(self, wb: _Workbench, names):
+        import os
+        self.names = tuple(names)
+        # the child inherits unwritten buffers and must not write them too
+        sys.stdout.flush()
+        sys.stderr.flush()
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_fd)
+            self._serve(wb, write_fd, parent)
+        os.close(write_fd)
+        self._pipe = os.fdopen(read_fd, "rb")
+        self._results = None
+
+    def _serve(self, wb: _Workbench, fd: int, parent: int) -> None:
+        """The child's whole life; never returns.  It leaves through
+        ``os._exit``, so no buffered output or exit hook of the parent
+        process runs twice."""
+        import ctypes
+        import os
+        import pickle
+        import signal
+        import warnings
+        code = 1
+        try:
+            if sys.platform.startswith("linux"):
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+                prctl.restype = ctypes.c_int
+                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != parent:      # the parent died before prctl
+                return
+            results = []
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for name in self.names:
+                    try:
+                        outcome = _run_suite(wb, name, None)
+                    except Exception as exc:
+                        outcome = exc
+                    results.append((name, [(w.message, w.category,
+                                            w.filename, w.lineno)
+                                           for w in caught], outcome))
+                    del caught[:]
+                    if isinstance(outcome, Exception):
+                        break
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(results, fh)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def outcome(self, name: str):
+        import os
+        import pickle
+        if self._results is None:
+            with self._pipe:
+                data = self._pipe.read()
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            # the worker exits 0 only once the whole pickle is written
+            if status != 0:
+                raise ChildProcessError(
+                    f"the worker running the {', '.join(self.names)} "
+                    f"suites ended without a result (exit code "
+                    f"{os.waitstatus_to_exitcode(status)})")
+            self._results = {suite: (caught, outcome) for
+                             suite, caught, outcome in pickle.loads(data)}
+        caught, outcome = self._results[name]
+        for warning in caught:
+            _rewarn(*warning)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def close(self) -> None:
+        import os
+        import signal
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
 
 # ---------------------------------------------------------------------------
 # Commands
@@ -536,25 +665,39 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import os
     t0 = time.perf_counter()
     _check_sizes(args, min_steps=2, min_paths=2)
     spec = problem.load_problem(args.config)
     wb = _Workbench(spec, levels=args.levels, steps=args.steps,
                     nodes=args.nodes, paths=args.paths, seed=args.seed)
     chosen = SUITES if args.suite == "all" else (args.suite,)
+    in_worker = [name for name in chosen if name in WORKER_SUITES]
+    worker = None
+    if in_worker and len(in_worker) < len(chosen):
+        # what both lanes read, built once before they part
+        wb.grid()
+        wb.ladder()
+        wb.dp_field()
+        if hasattr(os, "fork"):
+            worker = _Worker(wb, in_worker)
     verdicts: dict = {}
     details: dict = {}
-    for name in chosen:
-        if name == "hjb":
-            ok, detail = _suite_hjb(wb, args.field)
-        else:
-            ok, detail = _SUITE_FNS[name](wb)
-        verdicts[name] = _verdict(ok)
-        details[name] = detail
-        note = ""
-        if verdicts[name] == "skipped" and "reason" in detail:
-            note = f"  ({detail['reason']})"
-        print(f"{name:<16} {verdicts[name]}{note}")
+    try:
+        for name in chosen:
+            if worker is not None and name in worker.names:
+                ok, detail = worker.outcome(name)
+            else:
+                ok, detail = _run_suite(wb, name, args.field)
+            verdicts[name] = _verdict(ok)
+            details[name] = detail
+            note = ""
+            if verdicts[name] == "skipped" and "reason" in detail:
+                note = f"  ({detail['reason']})"
+            print(f"{name:<16} {verdicts[name]}{note}")
+    finally:
+        if worker is not None:
+            worker.close()
     details["truncated_jump_mass"] = transition.truncated_jump_mass(
         spec, spec.horizon / wb.steps)
 

@@ -98,9 +98,13 @@ class IntensityControl:
     # -- evaluation ----------------------------------------------------------
 
     def _cell(self, t, x: np.ndarray) -> tuple:
-        """Table index (time cell, *state cells) of each row of x at t."""
-        k = np.searchsorted(self.time_grid, np.atleast_1d(t), side="right") - 1
-        k = np.clip(k, 0, self.table.shape[0] - 1)
+        """Table index (time cell, *state cells) of each row of x at t.
+
+        Callers pass left grid nodes; the nearest-node rule reads node k's
+        row even from a grid whose floats miss the table's by an ulp (the
+        restart check's cut grid at odd step counts)."""
+        k = np.minimum(nearest_node(self.time_grid, np.atleast_1d(t)),
+                       self.table.shape[0] - 1)
         if k.size == 1:
             k = np.full(x.shape[0], int(k[0]))
         return (k, *(nearest_node(ax, x[:, j])

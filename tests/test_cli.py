@@ -4,7 +4,12 @@ import csv
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -373,14 +378,17 @@ def test_verify_builds_its_lattice_once(decay_cfg, tmp_path, monkeypatch):
 
 def test_verify_simulates_each_bundle_once(decay_cfg, tmp_path,
                                            monkeypatch):
-    # pilot grid, reference bundle, tilted mode-agreement route, three dpp
-    # tilts and the value-equality tilt; the reference bundle serves the
-    # martingale, mode-agreement and constraint suites
-    calls = []
+    # the parent simulates the pilot grid, the reference bundle and the
+    # tilted mode-agreement route, and the reference bundle serves the
+    # martingale, mode-agreement and constraint suites; the worker
+    # simulates the three dpp tilts and the value-equality tilt
+    log = tmp_path / "simulations.txt"
     core = sim._simulate_core
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("control", "randomized"))
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} "
+                     f"{kwargs.get('control', 'randomized')}\n")
         return core(*args, **kwargs)
 
     monkeypatch.setattr(sim, "_simulate_core", counted)
@@ -388,8 +396,108 @@ def test_verify_simulates_each_bundle_once(decay_cfg, tmp_path,
                      "--levels", "1,2,4", "--paths", "2000",
                      "--out", str(tmp_path / "run")])
     assert code == 0
+    calls = [line.split() for line in log.read_text().splitlines()]
     assert len(calls) == 7
-    assert calls.count("randomized") == 2
+    assert [kind for _, kind in calls].count("randomized") == 2
+    parent = str(os.getpid())
+    assert [kind for pid, kind in calls if pid == parent] == [
+        "randomized", "randomized", "tilted"]
+    assert [kind for pid, kind in calls if pid != parent] == ["tilted"] * 4
+    assert len({pid for pid, _ in calls}) == 2
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_run(argv, out, capsys):
+    """(exit code, stdout, verify_report.json bytes) of one verify run."""
+    code = cli.main([*argv, "--out", str(out)])
+    _assert_no_child_left()
+    return code, capsys.readouterr().out, (
+        out / "verify_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("family, expected", [
+    ("bang-drift", 0), ("jump-reward", 0), ("ou-switch", 1)])
+def test_verify_worker_reports_what_the_in_process_run_reports(
+        family, expected, tmp_path, capsys, monkeypatch):
+    cfg = _write_cfg(tmp_path / "cfg.json", family)
+    argv = ["verify", cfg, "--suite", "all", "--paths", "1000",
+            "--seed", "7"]
+    forked = _verify_run(argv, tmp_path / "forked", capsys)
+    monkeypatch.delattr(os, "fork")
+    in_process = _verify_run(argv, tmp_path / "in-process", capsys)
+    assert forked == in_process
+    assert forked[0] == expected
+    assert [line.split()[0] for line in forked[1].splitlines()] == list(
+        cli.SUITES)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_verify_raises_a_worker_suites_error_after_the_earlier_lines(
+        decay_cfg, tmp_path, capsys, monkeypatch, fork):
+    def broken(*args, **kwargs):
+        raise ValueError("restart check broke")
+
+    monkeypatch.setattr(bsde, "check_randomized_dpp", broken)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    out = tmp_path / "run"
+    code = cli.main(["verify", decay_cfg, "--suite", "all",
+                     "--levels", "1,2,4", "--paths", "500",
+                     "--out", str(out)])
+    assert code == 2
+    _assert_no_child_left()
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == [
+        "martingale", "monotone", "constraint"]
+    assert "error: restart check broke" in captured.err
+    assert not out.exists()
+
+
+def test_verify_kills_the_worker_when_a_parent_suite_raises(
+        decay_cfg, tmp_path, capsys, monkeypatch):
+    # the martingale suite precedes every worker suite, so its error is the
+    # run's: the worker, stuck in the dpp suite, is killed, not awaited
+    def broken(wb):
+        raise ValueError("martingale check broke")
+
+    monkeypatch.setitem(cli._SUITE_FNS, "martingale", broken)
+    monkeypatch.setattr(bsde, "check_randomized_dpp",
+                        lambda *args, **kwargs: time.sleep(60))
+    out = tmp_path / "run"
+    start = time.monotonic()
+    code = cli.main(["verify", decay_cfg, "--suite", "all",
+                     "--levels", "1,2,4", "--paths", "500",
+                     "--out", str(out)])
+    assert time.monotonic() - start < 30
+    assert code == 2
+    _assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: martingale check broke" in captured.err
+    assert not out.exists()
+
+
+def test_verify_fails_when_the_worker_dies_without_a_result(
+        decay_cfg, tmp_path, capsys, monkeypatch):
+    # runs in the forked worker only: the in-process route is not taken
+    monkeypatch.setattr(bsde, "check_randomized_dpp",
+                        lambda *args, **kwargs: os._exit(3))
+    out = tmp_path / "run"
+    code = cli.main(["verify", decay_cfg, "--suite", "all",
+                     "--levels", "1,2,4", "--paths", "500",
+                     "--out", str(out)])
+    assert code == 2
+    _assert_no_child_left()
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == [
+        "martingale", "monotone", "constraint"]
+    assert "the dpp, value-equality suites ended without a result" in (
+        captured.err)
+    assert not out.exists()
 
 
 def test_verify_value_equality_passes_on_bang(bang_cfg, tmp_path):
@@ -497,6 +605,130 @@ def test_verify_martingale_reports_all_four_tilts(bang_cfg, tmp_path):
     assert ids[:3] == ["const-0.5", "const-1", "const-2"]
     assert ids[3].startswith("argmax-")
     assert detail["mode_agreement"]["ok"]
+
+
+#: Runs ``verify`` with suites of both lanes raising warnings, one message
+#: shared across the lanes and one repeated within a suite; argv[1] says
+#: whether the worker's suites run in a forked worker or in-process.
+_WARNING_DRIVER = """\
+import os
+import sys
+import warnings
+
+from jumpctrl import cli
+
+
+def warning(run, messages):
+    def suite(*args):
+        for message in messages:
+            warnings.warn(message, RuntimeWarning)
+        return run(*args)
+    return suite
+
+
+for name, messages in (("martingale", ("shared", "martingale")),
+                       ("dpp", ("shared", "dpp", "dpp")),
+                       ("value-equality", ("value-equality",))):
+    cli._SUITE_FNS[name] = warning(cli._SUITE_FNS[name], messages)
+cli._suite_hjb = warning(cli._suite_hjb, ("hjb", "shared"))
+if sys.argv[1] == "in-process":
+    del os.fork
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("action, expected", [
+    # the default action shows a message once per location
+    ("default", ["shared", "martingale", "dpp", "value-equality", "hjb"]),
+    ("always", ["shared", "martingale", "shared", "dpp", "dpp",
+                "value-equality", "hjb", "shared"]),
+])
+def test_verify_worker_warnings_show_as_in_process(decay_cfg, tmp_path,
+                                                   action, expected):
+    driver = tmp_path / "driver.py"
+    driver.write_text(_WARNING_DRIVER, encoding="utf-8")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    runs = {}
+    for lane in ("forked", "in-process"):
+        # unbuffered, one stream: warnings and verdict lines interleave
+        # in the order they were written
+        runs[lane] = subprocess.run(
+            [sys.executable, "-u", "-W", f"{action}::RuntimeWarning",
+             str(driver), lane, "verify", decay_cfg, "--suite", "all",
+             "--levels", "1,2,4", "--paths", "500",
+             "--out", str(tmp_path / lane)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            check=False)
+    assert runs["forked"].returncode == runs["in-process"].returncode == 0
+    assert runs["forked"].stdout == runs["in-process"].stdout
+    lines = runs["forked"].stdout.decode().splitlines()
+    shown = [line.split("RuntimeWarning: ")[1] for line in lines
+             if "RuntimeWarning: " in line]
+    assert shown == expected
+    # in suite order: each suite's warnings precede its verdict line
+    assert lines.index("dpp              pass") > max(
+        i for i, line in enumerate(lines) if line.endswith(": dpp"))
+
+
+def _alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+#: Runs ``verify`` with a dpp suite that would keep the worker for a minute.
+_STUCK_DPP_DRIVER = """\
+import sys
+import time
+
+from jumpctrl import bsde, cli
+
+bsde.check_randomized_dpp = lambda *args, **kwargs: time.sleep(60)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs Linux /proc/<pid>/task/<pid>/children")
+def test_a_killed_verify_takes_its_worker_along(decay_cfg, tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _STUCK_DPP_DRIVER, "verify", decay_cfg,
+         "--suite", "all", "--levels", "1,2,4", "--paths", "500",
+         "--out", str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    worker = None
+    try:
+        deadline = time.monotonic() + 60.0
+        while (worker is None and proc.poll() is None
+               and time.monotonic() < deadline):
+            try:
+                pids = children.read_text(encoding="utf-8").split()
+            except OSError:
+                break
+            if pids:
+                worker = int(pids[0])
+            else:
+                time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert worker is not None, "verify ended before it forked its worker"
+    try:
+        deadline = time.monotonic() + 2.0
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(worker)
+    finally:
+        if _alive(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------

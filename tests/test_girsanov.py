@@ -334,3 +334,23 @@ def test_argmax_tilt_reads_the_row_of_the_bundles_step(n_steps):
     for k in range(n_steps):
         rows = nu._cell(bundle.time_grid[k], bundle.states[:, k, :])[0]
         assert np.all(rows == k), k
+
+
+@pytest.mark.parametrize("n_steps", [64, 80, 81, 99, 100])
+def test_restart_check_cut_bundle_reads_the_row_of_its_step(n_steps):
+    # check_randomized_dpp simulates to the snapped half-horizon node on
+    # the cut spec's own grid, whose floats can miss the field's by an ulp
+    spec = load("bang-drift")
+    grid = LatticeGrid(axes=(np.linspace(-2.0, 3.0, 5),))
+    n_controls = spec.control.size
+    fld = bsde.PenalizedField(
+        level_n=4, time_grid=spec.time_grid(n_steps), grid=grid,
+        values=np.zeros((n_steps + 1, 5, n_controls)),
+        continuation=np.zeros((n_steps, 5, n_controls)), metadata={})
+    nu = girsanov.IntensityControl.argmax_tilt(
+        fld.time_grid, fld.grid.axes, fld.values, 4.0)
+    k_cut, t_cut = fld.snap_time(spec.horizon / 2.0)
+    cut_grid = dataclasses.replace(spec, horizon=t_cut).time_grid(k_cut)
+    rows = [int(nu._cell(cut_grid[k], np.zeros((1, 1)))[0][0])
+            for k in range(k_cut)]
+    assert rows == list(range(k_cut))
