@@ -361,19 +361,20 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     rows = np.arange(m_used)
 
     def at_regime(regime, cols):
-        # tilde[l, regime[j], cols[j]] for every level l, as (L, len(cols))
-        return np.take(tilde.reshape(n_levels, -1), regime * m_used + cols,
-                       axis=1)
+        # tilde[l, regime[j], cols[j]] for every level l, as (L, len(cols));
+        # the regime path may be one byte wide, so widen before the index
+        return np.take(tilde.reshape(n_levels, -1),
+                       regime.astype(np.intp) * m_used + cols, axis=1)
 
-    i_k = at_step(regimes, n_time_steps - 1)
-    for k in range(n_time_steps - 1, -1, -1):
+    def fit_step(k, i_k, counts, target, betas_prev):
+        # fills ``tilde`` at step k and returns each regime's coefficients;
+        # the features, the regime sort and the sorted copies die on return
         t_k = float(time_grid[k])
         x_k = at_step(states, k)
         phi = _monomial_features(x_k, LSMC_DEGREE)
         # rows grouped by regime, in path order within each regime, so
         # every slice is the least-squares problem a boolean mask selects
         order = np.argsort(i_k.astype(regime_dtype), kind="stable")
-        counts = np.bincount(i_k, minlength=n_controls)
         bounds = np.cumsum(counts)
         phi_sorted = np.take(phi, order, axis=0)
         target_sorted = np.take(target, order, axis=1)
@@ -399,6 +400,12 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
             for l in range(n_levels):
                 np.matmul(phi, betas[a][l], out=tilde[l, a])
                 tilde[l, a] += f_dt
+        return betas
+
+    i_k = at_step(regimes, n_time_steps - 1)
+    for k in range(n_time_steps - 1, -1, -1):
+        counts = np.bincount(i_k, minlength=n_controls)
+        betas = fit_step(k, i_k, counts, target, betas_prev)
 
         # the penalty at the regime each path holds; a cell with no rows
         # has no advantage estimate
@@ -407,8 +414,10 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
         r_pos = _advantage(controls, own, w_k)
         v_own = level_dt[:, None] * r_pos
         v_own += own
+        del own
         s_int += dt * r_pos
         r_pos_mean[:, k] = r_pos.mean(axis=1)
+        del r_pos
         y_mean[:, k] = v_own.mean(axis=1)
         z_mean[:, k] = (target @ at_step(brownian, k)) / m_used / dt
         if rate > 0.0:
@@ -424,6 +433,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
             own = at_regime(i_prev[moved], moved)
             adv = _advantage(np.take(controls, moved, axis=2), own, w_k)
             v_own[:, moved] = level_dt[:, None] * adv + own
+            del own, adv
             target, i_k = v_own, i_prev
 
     # the loop ends at step 0, so ``target`` holds the step-0 targets

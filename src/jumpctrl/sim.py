@@ -20,12 +20,16 @@ and an (N+1, M) regime buffer one contiguous row per step, and reads the
 Brownian increments from an (N, M, m) buffer, one transposed copy of the
 drawn (or replayed) block.  A bundle exposes the three as ``(M, N+1, D)``,
 ``(M, N+1)`` and ``(M, N, m)`` transposed views, never copied, so it holds
-each path array once.  Consumers that sweep time (regression, constraint
-diagnostics) transpose back and read contiguous rows in place.  The
-random-number blocks behind the events are released as soon as their kept
-events are extracted.  An event at t in (t_k, t_{k+1}] belongs to step k
-(``event_steps``), so ``regimes[:, k]`` is the regime held from t_k to
-the step's first switch.  Jump and switch events are merged once per
+each path array once.  The regime buffer holds control indices at the
+narrowest exact width, ``np.min_scalar_type(A - 1)`` for A controls (one
+byte, ``uint8``, for every registry grid); a reader doing index arithmetic
+on it widens first, and every reader accepts any integer width.  Consumers
+that sweep time (regression, constraint diagnostics) transpose back and
+read contiguous rows in place.  The random-number blocks behind the events
+are released as soon as their kept events are extracted.  An event at t
+in (t_k, t_{k+1}] belongs to step k (``event_steps``), so
+``regimes[:, k]`` is the regime held from t_k to the step's first
+switch.  Jump and switch events are merged once per
 simulation into one table ordered by (step, slot, kind, path), where the
 slot is an event's rank within its (step, path) group and switches come
 before jumps of the same slot; each step then walks its (slot, kind) runs
@@ -40,7 +44,8 @@ start_regimes=..., brownian=..., pi_events=...)`` replays given switch
 events, (M, N, m) Brownian increments and jump events instead of drawing
 them.  Event tables from outside must increase strictly inside
 ``(0, horizon]`` on each path, and switch marks must be indices on the
-control grid; otherwise it raises ``ValueError``.
+control grid; otherwise it raises ``ValueError``.  So do start regimes
+and policy outputs that are not integers in [0, A).
 """
 
 from __future__ import annotations
@@ -104,7 +109,8 @@ class PathBundle:
     seed: int
     time_grid: np.ndarray           # (N+1,) spec.time_grid(N)
     states: np.ndarray              # (M, N+1, total_dim)
-    regimes: np.ndarray             # (M, N+1) right-continuous control index
+    regimes: np.ndarray             # (M, N+1) right-continuous control index,
+                                    # dtype np.min_scalar_type(A - 1)
     brownian_increments: np.ndarray  # (M, N, m), a step-major buffer's view
     pi: CsrEvents                   # state-jump events (marks = z values)
     theta: CsrEvents                # regime-switch events (marks = indices)
@@ -292,6 +298,19 @@ def _check_events(events: CsrEvents, n_paths: int, horizon: float,
         raise ValueError(f"{name} marks must be indices on the control grid")
 
 
+def _regime_indices(values, n_paths: int, n_controls: int,
+                    name: str) -> np.ndarray:
+    """``values`` as an (M,) int64 copy; ValueError unless each is an
+    integer in [0, n_controls)."""
+    arr = np.asarray(values)
+    if not (arr.shape == (n_paths,) and arr.dtype.kind in "iuf"
+            and np.all((arr == np.floor(arr)) & (arr >= 0)
+                       & (arr < n_controls))):
+        raise ValueError(f"{name} must be {n_paths} indices on the control "
+                         f"grid of {n_controls} points")
+    return arr.astype(np.int64)
+
+
 def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                    n_steps: Optional[int] = None,
                    control: str = "randomized",
@@ -396,12 +415,14 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     total_dim = spec.total_dim
     state_buf = np.zeros((n_steps + 1, n_paths, total_dim))
     state_buf[0] = spec.initial_augmented(core0)
-    regime_buf = np.zeros((n_steps + 1, n_paths), dtype=np.int64)
+    regime_buf = np.zeros((n_steps + 1, n_paths),
+                          dtype=np.min_scalar_type(n_controls - 1))
     if start_regimes is None:
         cur_reg = np.full(n_paths, spec.randomization.a0_index,
                           dtype=np.int64)
     else:
-        cur_reg = np.asarray(start_regimes, dtype=np.int64).copy()
+        cur_reg = _regime_indices(start_regimes, n_paths, n_controls,
+                                  "start regimes")
     excluded = np.zeros(n_paths, dtype=bool)
     running_reward = np.zeros(n_paths)
     acc_p = [np.zeros(0, dtype=np.int64)]
@@ -429,7 +450,8 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
         x_k = state_buf[k]
         x_left = x_k[:, :d]
         if control == "policy":
-            cur_reg = np.asarray(policy(k, t_k, x_k), dtype=np.int64)
+            cur_reg = _regime_indices(policy(k, t_k, x_k), n_paths,
+                                      n_controls, "policy outputs")
         regime_buf[k] = cur_reg
 
         occ.fill(0.0)

@@ -241,7 +241,8 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
     keep = ~bundle.excluded
     m_used = int(keep.sum())
     states = np.ascontiguousarray(bundle.states[keep].transpose(1, 0, 2))
-    regimes = np.ascontiguousarray(bundle.regimes[keep].T)
+    # int64, as the index arithmetic of ``at_regime`` needs
+    regimes = np.ascontiguousarray(bundle.regimes[keep].T, dtype=np.int64)
     brownian = np.ascontiguousarray(
         bundle.brownian_increments[keep].transpose(1, 0, 2))
     time_grid = bundle.time_grid

@@ -2,10 +2,11 @@
 route, measured with ``tracemalloc`` (which sees numpy's buffers).
 
 The bound is a multiple of the bytes of a bundle's own path arrays
-(states, regimes and Brownian increments).  Simulation may add the event
-table and one step's working arrays, not copies of the path arrays or
-random-number blocks kept past their use; the regression pass may add one
-(levels, controls, paths) continuation stack and per-path rows, not
+(states, regimes and Brownian increments), with the regime path counted
+at 8 bytes per entry although it is stored in one.  Simulation may add the
+event table and one step's working arrays, not copies of the path arrays
+or random-number blocks kept past their use; the regression pass may add
+one (levels, controls, paths) continuation stack and per-path rows, not
 step-major copies of the bundle or full value and advantage stacks.
 """
 
@@ -21,7 +22,7 @@ PATHS, STEPS = 20_000, 64
 
 
 def _path_bytes(bundle) -> int:
-    return (bundle.states.nbytes + bundle.regimes.nbytes
+    return (bundle.states.nbytes + 8 * bundle.regimes.size
             + bundle.brownian_increments.nbytes)
 
 
@@ -51,6 +52,7 @@ def test_simulation_peak_is_near_the_path_arrays(spec, mode):
                                                      n_steps=STEPS)
     bundle, peak = _traced(run)
     assert bundle.pi.total > 0 and bundle.theta.total > 0
+    assert bundle.regimes.itemsize == 1
     assert peak <= 1.3 * _path_bytes(bundle)
 
 
@@ -58,7 +60,7 @@ def test_lsmc_ladder_reads_the_bundle_in_place(spec):
     bundle = sim.simulate_bundle(spec, PATHS, seed=5, n_steps=STEPS)
     _, peak = _traced(lambda: bsde.solve_penalized_lsmc_ladder(
         spec, (1, 2, 4, 8, 16), bundle))
-    assert peak <= 0.4 * _path_bytes(bundle)
+    assert peak <= 0.33 * _path_bytes(bundle)
 
 
 def test_increments_are_stored_step_major(spec):

@@ -105,6 +105,42 @@ def test_fixed_switches_retain_noop_events():
     assert path_mid.regimes[0, 7] == 2        # t = 0.875 > 0.7
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 1.5])
+@pytest.mark.parametrize("mode", ["fixed", "policy"])
+def test_out_of_range_regimes_are_rejected(mode, bad):
+    """Start regimes and policy outputs must be integers in [0, A): a
+    narrow regime buffer would store -1 as 255, and a policy's -1 would
+    index the last control."""
+    spec = load("bang-drift")
+    regimes = np.array([bad, 0, 1, 2])
+    if mode == "fixed":
+        run = lambda: sim._simulate_core(
+            spec, 4, 1, n_steps=8, control="fixed",
+            fixed_theta=sim.CsrEvents([], [], np.zeros(5, dtype=np.int64)),
+            start_regimes=regimes)
+    else:
+        run = lambda: sim._simulate_core(
+            spec, 4, 1, n_steps=8, control="policy",
+            policy=lambda k, t, x: regimes if k == 3 else np.zeros(4, int))
+    with pytest.raises(ValueError, match="control grid"):
+        run()
+
+
+def test_regime_width_follows_the_control_grid():
+    """The regime buffer is the narrowest exact width: uint8 up to 256
+    controls, uint16 beyond, and it stores the top index exactly."""
+    for n_controls, width in ((2, np.uint8), (256, np.uint8),
+                              (257, np.uint16)):
+        spec = load("bang-drift",
+                    control_points=np.linspace(-1.0, 1.0, n_controls).tolist())
+        top = np.full(3, n_controls - 1)
+        bundle = sim._simulate_core(
+            spec, 3, 1, n_steps=2, control="policy",
+            policy=lambda k, t, x: top)
+        assert bundle.regimes.dtype == width
+        assert np.all(bundle.regimes == n_controls - 1)
+
+
 def test_fixed_control_rejects_non_index_marks():
     spec = load("bang-drift")
     with pytest.raises(ValueError, match="theta"):
@@ -361,6 +397,17 @@ def test_csv_writer_matches_a_per_cell_repr_writer(tmp_path_factory,
     assert path.read_bytes() == _naive_csv(header, columns)
 
 
+def test_csv_writer_text_does_not_depend_on_integer_width(tmp_path):
+    values = np.array([0, 1, 2, 255, 7, 0])
+    texts = []
+    for dtype in (np.uint8, np.uint16, np.int64):
+        path = tmp_path / f"{np.dtype(dtype).name}.csv"
+        sim.write_csv_columns(path, ["regime"], [values.astype(dtype)])
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1] == texts[2] == b"regime\r\n" + b"".join(
+        b"%d\r\n" % v for v in values)
+
+
 def test_csv_writer_rejects_a_header_of_another_width(tmp_path):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match="header"):
@@ -436,8 +483,11 @@ def _golden_bundle(spec, mode):
 
 
 def _bundle_hash(bundle) -> str:
+    """The regime path is hashed widened to int64, so a digest records its
+    values and not the width it is stored at."""
     h = hashlib.sha256()
-    for arr in (bundle.states, bundle.regimes, bundle.brownian_increments,
+    for arr in (bundle.states, bundle.regimes.astype(np.int64),
+                bundle.brownian_increments,
                 bundle.running_reward, bundle.excluded,
                 bundle.theta.times, bundle.theta.marks, bundle.theta.indptr,
                 bundle.pi.times, bundle.pi.marks, bundle.pi.indptr):
@@ -501,7 +551,12 @@ def test_bundles_match_golden_hashes():
     """Every simulation mode on every family reproduces recorded bytes:
     states, regimes, increments, rewards, exclusions and both event
     tables.  A refactor of the integrator must leave these unchanged."""
-    got = {}
+    got, widths = {}, {}
     for key, family, over, mode in _golden_cases():
-        got[key] = _bundle_hash(_golden_bundle(load(family, **over), mode))
+        spec = load(family, **over)
+        bundle = _golden_bundle(spec, mode)
+        got[key] = _bundle_hash(bundle)
+        widths[key] = (bundle.regimes.dtype,
+                       np.min_scalar_type(spec.control.size - 1))
     assert got == GOLDEN_HASHES
+    assert all(have == want for have, want in widths.values()), widths
