@@ -91,10 +91,12 @@ class BsdeQuintuple:
     """Regression Monte Carlo solution summary at one level.
 
     ``y0``/``y0_se`` estimate the value at the initial point; the per-node
-    means trace the value, the martingale integrands, the nonnegative
-    constraint charge and its accumulated compensator along the reference
-    paths.  ``k_terminal`` keeps the pathwise terminal compensator so the
-    constraint report can form second moments.
+    means trace the value, the jump integrand, the nonnegative constraint
+    charge and its accumulated compensator along the reference paths.
+    ``k_terminal`` keeps the pathwise terminal compensator so the
+    constraint report can form second moments.  There is no estimate of
+    the Brownian integrand Z: no report, suite or check reads one, and it
+    would need the bundle to keep its Brownian increments (see ``sim``).
     """
 
     level_n: int
@@ -104,7 +106,6 @@ class BsdeQuintuple:
     n_paths: int
     n_excluded: int
     y_mean: np.ndarray             # (Nt+1,)
-    z_mean: np.ndarray             # (Nt, m)
     l_mean: np.ndarray             # (Nt,)
     k_mean: np.ndarray             # (Nt+1,) nondecreasing
     r_pos_mean: np.ndarray         # (Nt,) mean of sum_b (R)^+ lambda0_b
@@ -212,6 +213,7 @@ def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
     levels = _checked_levels(levels)
     if n_time_steps is None:
         n_time_steps = default_time_steps(spec, max(levels))
+    time_grid = spec.time_grid(n_time_steps)   # checks the step count
     if grid is None:
         grid = transition.default_state_grid(spec)
     dt = spec.horizon / n_time_steps
@@ -237,7 +239,7 @@ def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
         values[:, k] = v.T
         return v
 
-    time_grid, terminal, sweep_meta = transition.backward_sweep(
+    _, terminal, sweep_meta = transition.backward_sweep(
         spec, grid, n_time_steps, len(levels), penalize)
     values[:, -1] = terminal[:, None]
     shape = (*grid.shape, n_controls)
@@ -315,14 +317,14 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     regression targets depend on the level, so the pass carries the levels
     on a leading axis and does the rest once per step: the features, the
     grouping of paths by regime, the factorization of each (step, regime)
-    fit with its rank and ridge decision, the running reward and the
-    increments.  Each level's arithmetic reads that level alone, so its
+    fit with its rank and ridge decision, the running reward and the jump
+    counts.  Each level's arithmetic reads that level alone, so its
     result does not depend on the other levels; ``ridge_events`` and
     ``carried_cells`` depend on the features only and are shared.
 
     The bundle is read in place: each step takes its rows from the
-    bundle's step-major state, regime and increment buffers (gathering the
-    kept rows when paths were excluded), and its jump counts from the
+    bundle's step-major state and regime buffers (gathering the kept rows
+    when paths were excluded), and its jump counts from the
     ``pi`` events of that step.  Working memory is one (L, A, M) stack of
     continuation values, a few (L, M) rows and one index per jump event.
     """
@@ -334,7 +336,6 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     # the bundle's step-major buffers, as views
     states = bundle.states.transpose(1, 0, 2)
     regimes = bundle.regimes.T
-    brownian = bundle.brownian_increments.transpose(1, 0, 2)
     at_step = _kept_rows_reader(keep)
     n_time_steps, time_grid = bundle.n_steps, bundle.time_grid
     dt = float(time_grid[1] - time_grid[0])
@@ -353,7 +354,6 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     tilde = np.empty((n_levels, n_controls, m_used))
     controls = tilde.transpose(1, 0, 2)     # control-major view
     y_mean = np.full((n_levels, n_time_steps + 1), g_terminal.mean())
-    z_mean = np.zeros((n_levels, n_time_steps, spec.brownian_dim))
     l_mean = np.zeros((n_levels, n_time_steps))
     r_pos_mean = np.zeros((n_levels, n_time_steps))
     s_int = np.zeros((n_levels, m_used))
@@ -419,7 +419,6 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
         r_pos_mean[:, k] = r_pos.mean(axis=1)
         del r_pos
         y_mean[:, k] = v_own.mean(axis=1)
-        z_mean[:, k] = (target @ at_step(brownian, k)) / m_used / dt
         if rate > 0.0:
             dn = (np.bincount(jump_rows[jump_bounds[k]:jump_bounds[k + 1]],
                               minlength=m_used) - rate * dt)
@@ -445,10 +444,9 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
         level_n=n, time_grid=time_grid, y0=float(y0[l]),
         y0_se=float(y0_se[l]), n_paths=m_used,
         n_excluded=int(bundle.n_excluded), y_mean=y_mean[l],
-        z_mean=z_mean[l], l_mean=l_mean[l], k_mean=k_mean[l],
-        r_pos_mean=r_pos_mean[l], constraint_integral=s_int[l],
-        k_terminal=n * s_int[l], ridge_events=tuple(ridge_events),
-        carried_cells=tuple(carried),
+        l_mean=l_mean[l], k_mean=k_mean[l], r_pos_mean=r_pos_mean[l],
+        constraint_integral=s_int[l], k_terminal=n * s_int[l],
+        ridge_events=tuple(ridge_events), carried_cells=tuple(carried),
         metadata={"solver": "lsmc", "level_n": n, "dt": dt,
                   "degree": LSMC_DEGREE,
                   "stability": n * dt * spec.randomization.total_mass,

@@ -295,7 +295,11 @@ class ProblemSpec:
 
     def time_grid(self, n_steps: int) -> np.ndarray:
         """The one time grid of paths, lattice sweeps and residuals:
-        ``n_steps`` uniform steps from t = 0 to the horizon."""
+        ``n_steps`` uniform steps from t = 0 to the horizon.  Raises
+        ``ValueError`` unless ``n_steps`` is an integer >= 1."""
+        if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+            raise ValueError(f"the step count must be an integer >= 1, "
+                             f"got {n_steps!r}")
         return self.horizon * np.arange(n_steps + 1) / n_steps
 
     def mean_jump(self, t: float, x: np.ndarray, a: float) -> np.ndarray:

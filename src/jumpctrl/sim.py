@@ -16,20 +16,26 @@ regime schedules.  Everything is reproducible: path ``i`` of a bundle is a
 pure function of ``(master seed, i)``.
 
 Storage is step-major: the integrator writes an (N+1, M, D) state buffer
-and an (N+1, M) regime buffer one contiguous row per step, and reads the
-Brownian increments from an (N, M, m) buffer, one transposed copy of the
-drawn (or replayed) block.  A bundle exposes the three as ``(M, N+1, D)``,
-``(M, N+1)`` and ``(M, N, m)`` transposed views, never copied, so it holds
-each path array once.  The regime buffer holds control indices at the
-narrowest exact width, ``np.min_scalar_type(A - 1)`` for A controls (one
-byte, ``uint8``, for every registry grid); a reader doing index arithmetic
-on it widens first, and every reader accepts any integer width.  Consumers
-that sweep time (regression, constraint diagnostics) transpose back and
-read contiguous rows in place.  The random-number blocks behind the events
-are released as soon as their kept events are extracted.  An event at t
-in (t_k, t_{k+1}] belongs to step k (``event_steps``), so
-``regimes[:, k]`` is the regime held from t_k to the step's first
-switch.  Jump and switch events are merged once per
+and an (N+1, M) regime buffer one contiguous row per step.  A bundle
+exposes the two as ``(M, N+1, D)`` and ``(M, N+1)`` transposed views,
+never copied, so it holds each path array once.  The regime buffer holds
+control indices at the narrowest exact width, ``np.min_scalar_type(A -
+1)`` for A controls (one byte, ``uint8``, for every registry grid); a
+reader doing index arithmetic on it widens first, and every reader
+accepts any integer width.  Consumers that sweep time (regression,
+constraint diagnostics) transpose back and read contiguous rows in place.
+
+The Brownian increments are the integrator's own step buffer: an
+(N, M, m) transposed copy of the drawn (or replayed) block, read one row
+per step and freed when the step loop ends, so a bundle does not keep
+them.  Nothing downstream reads them: the regression ladder reports
+values, not an estimate of the Brownian integrand Z.  Drawn increments
+are recoverable bit for bit, since row i of the ``STREAM_BROWNIAN`` block
+is a pure function of ``(seed, i, N m)``.  The random-number blocks
+behind the events are released as soon as their kept events are
+extracted.  An event at t in (t_k, t_{k+1}] belongs to step k
+(``event_steps``), so ``regimes[:, k]`` is the regime held from t_k to
+the step's first switch.  Jump and switch events are merged once per
 simulation into one table ordered by (step, slot, kind, path), where the
 slot is an event's rank within its (step, path) group and switches come
 before jumps of the same slot; each step then walks its (slot, kind) runs
@@ -111,7 +117,6 @@ class PathBundle:
     states: np.ndarray              # (M, N+1, total_dim)
     regimes: np.ndarray             # (M, N+1) right-continuous control index,
                                     # dtype np.min_scalar_type(A - 1)
-    brownian_increments: np.ndarray  # (M, N, m), a step-major buffer's view
     pi: CsrEvents                   # state-jump events (marks = z values)
     theta: CsrEvents                # regime-switch events (marks = indices)
     running_reward: np.ndarray      # (M,) integral of f along each path
@@ -349,7 +354,7 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
 
     # --- drivers: each block is released once its events are extracted ---
     # increments step-major, (N, M, m): one transposed copy of the drawn
-    # (or replayed) path-major block
+    # (or replayed) path-major block, freed after the step loop
     brownian_buf = np.empty((n_steps, n_paths, m_brown))
     if brownian is None:
         raw = stream.normal_block(seed, stream.STREAM_BROWNIAN, n_paths,
@@ -524,7 +529,8 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
             state_buf[k + 1, :, d] = update_running_functional(
                 spec.augmentation, x_k[:, d], x_left[:, 0], x_next[:, 0], dt)
     regime_buf[n_steps] = cur_reg
-    table = ev_path = ev_time = ev_z = ev_mark = ev_u = None   # released
+    # released: the event table and the step buffer of increments
+    table = ev_path = ev_time = ev_z = ev_mark = ev_u = brownian_buf = None
 
     if control in ("tilted", "policy"):
         theta_csr = CsrEvents.from_flat(np.concatenate(acc_p),
@@ -539,9 +545,8 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     return PathBundle(
         spec=spec, seed=seed, time_grid=time_grid,
         states=state_buf.transpose(1, 0, 2), regimes=regime_buf.T,
-        brownian_increments=brownian_buf.transpose(1, 0, 2), pi=pi_events,
-        theta=theta_csr, running_reward=running_reward, excluded=excluded,
-        control_mode=control)
+        pi=pi_events, theta=theta_csr, running_reward=running_reward,
+        excluded=excluded, control_mode=control)
 
 
 # ---------------------------------------------------------------------------

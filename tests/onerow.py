@@ -2,13 +2,16 @@
 
 Everything here goes through ``sim._simulate_core(control="fixed", ...)``,
 the simulator's replay entry point, or ``sim._poisson_block``, the stream
-every bundle draws its events from.
+every bundle draws its events from.  A bundle keeps no Brownian
+increments, so ``replay`` regenerates them from its stream
+(``oracles.brownian_increments``).
 """
 
 import dataclasses
 
 import numpy as np
 
+import oracles
 from jumpctrl import sim, stream
 from jumpctrl.problem import InitialLaw
 
@@ -50,7 +53,7 @@ def one_path(spec, n_steps, start=None, switches=((), ()), brownian=None,
 
 
 def replay(bundle: sim.PathBundle, i: int, spec=None, n_steps=None):
-    """Path ``i`` of a bundle re-integrated alone from its own noise.
+    """Path ``i`` of a drawn bundle re-integrated alone from its own noise.
 
     With a shorter ``spec.horizon`` and ``n_steps`` only the switches,
     increments and jumps up to that horizon are replayed.
@@ -62,7 +65,7 @@ def replay(bundle: sim.PathBundle, i: int, spec=None, n_steps=None):
     return one_path(
         spec, n_steps, start=int(bundle.regimes[i, 0]),
         switches=(t_th[t_th <= spec.horizon], a[t_th <= spec.horizon]),
-        brownian=bundle.brownian_increments[i, :n_steps],
+        brownian=oracles.brownian_increments(bundle)[i, :n_steps],
         jumps=(t_pi[t_pi <= spec.horizon], z[t_pi <= spec.horizon]),
         x0=bundle.states[i, 0, :bundle.spec.dim])
 

@@ -4,7 +4,9 @@ Every expected value used by the tests is either trivial arithmetic or is
 computed here by a route that shares no code with the package: closed forms
 derived by hand, scipy quadrature, and a plain RK4 ODE integrator.  The
 frozen constants below are asserted against their recomputation in
-test_oracles.py, so they cannot drift silently.
+test_oracles.py, so they cannot drift silently.  The one exception is
+``brownian_increments``, which regenerates a bundle's noise from the
+package's random stream, so that replay tests can feed it back.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from jumpctrl import stream
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,27 @@ def ou_second_moment(x0: float, target: float, reversion: float,
 
 
 # ---------------------------------------------------------------------------
+# Replay inputs.
+# ---------------------------------------------------------------------------
+
+def brownian_increments(bundle) -> np.ndarray:
+    """The (M, N, m) Brownian increments a drawn bundle was integrated on.
+
+    A bundle does not keep them.  They are regenerated from its stream:
+    the (seed, ``STREAM_BROWNIAN``) normal block of N m columns, times
+    sqrt(horizon / N).  Row i of that block is a pure function of (seed, i,
+    N m), so this is bitwise what the integrator read, for randomized,
+    tilted and policy bundles alike.  A bundle replayed from given
+    increments (fixed mode) was integrated on those instead.
+    """
+    spec, n_paths, n_steps = bundle.spec, bundle.n_paths, bundle.n_steps
+    raw = stream.normal_block(bundle.seed, stream.STREAM_BROWNIAN, n_paths,
+                              n_steps * spec.brownian_dim)
+    return (raw.reshape(n_paths, n_steps, spec.brownian_dim)
+            * np.sqrt(spec.horizon / n_steps))
+
+
+# ---------------------------------------------------------------------------
 # Regression Monte Carlo ladder, full value stacks.
 # ---------------------------------------------------------------------------
 
@@ -243,8 +268,6 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
     states = np.ascontiguousarray(bundle.states[keep].transpose(1, 0, 2))
     # int64, as the index arithmetic of ``at_regime`` needs
     regimes = np.ascontiguousarray(bundle.regimes[keep].T, dtype=np.int64)
-    brownian = np.ascontiguousarray(
-        bundle.brownian_increments[keep].transpose(1, 0, 2))
     time_grid = bundle.time_grid
     n_steps = time_grid.size - 1
     dt = float(time_grid[1] - time_grid[0])
@@ -268,7 +291,6 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
     v_next = np.tile(g_terminal, (n_levels, n_controls, 1))
     tilde = np.empty_like(v_next)
     y_mean = np.full((n_levels, n_steps + 1), g_terminal.mean())
-    z_mean = np.zeros((n_levels, n_steps, spec.brownian_dim))
     l_mean = np.zeros((n_levels, n_steps))
     r_pos_mean = np.zeros((n_levels, n_steps))
     s_int = np.zeros((n_levels, m_used))
@@ -314,7 +336,6 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
         s_int += dt * r_pos
         r_pos_mean[:, k] = r_pos.mean(axis=1)
         y_mean[:, k] = at_regime(v_next, i_k).mean(axis=1)
-        z_mean[:, k] = (target @ brownian[k]) / m_used / dt
         if rate > 0.0:
             dn = (np.bincount(jump_row[jump_step == k], minlength=m_used)
                   - rate * dt)
@@ -329,7 +350,7 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
         level_n=n, time_grid=time_grid, y0=float(y0[l]),
         y0_se=float(y0_se[l]), n_paths=m_used,
         n_excluded=int(bundle.excluded.sum()), y_mean=y_mean[l],
-        z_mean=z_mean[l], l_mean=l_mean[l], k_mean=k_mean[l],
+        l_mean=l_mean[l], k_mean=k_mean[l],
         r_pos_mean=r_pos_mean[l], constraint_integral=s_int[l],
         k_terminal=n * s_int[l], ridge_events=tuple(ridge_events),
         carried_cells=tuple(carried),

@@ -190,7 +190,7 @@ def _excluding_every_seventh(bundle):
     return dataclasses.replace(bundle, excluded=excluded)
 
 
-_QUINTUPLE_ARRAYS = ("time_grid", "y_mean", "z_mean", "l_mean", "k_mean",
+_QUINTUPLE_ARRAYS = ("time_grid", "y_mean", "l_mean", "k_mean",
                      "r_pos_mean", "constraint_integral", "k_terminal")
 
 
@@ -251,7 +251,6 @@ def test_lsmc_ladder_reads_kept_rows_like_a_bundle_of_only_them():
     keep = bundle.included()
     kept_only = dataclasses.replace(
         bundle, states=bundle.states[keep], regimes=bundle.regimes[keep],
-        brownian_increments=bundle.brownian_increments[keep],
         pi=_kept_events(bundle.pi, keep),
         theta=_kept_events(bundle.theta, keep),
         running_reward=bundle.running_reward[keep],
@@ -276,7 +275,7 @@ def test_lsmc_counts_a_jump_in_the_step_whose_state_it_moves():
         return sim._simulate_core(
             spec, 600, seed=12, n_steps=4, control="fixed",
             fixed_theta=ref.theta, start_regimes=ref.regimes[:, 0],
-            brownian=ref.brownian_increments,
+            brownian=oracles.brownian_increments(ref),
             pi_events=sim.CsrEvents(np.full(600, t), marks,
                                     np.arange(601)))
 

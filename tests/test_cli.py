@@ -860,8 +860,7 @@ def _golden_inputs():
     bundle = sim.PathBundle(
         spec=spec, seed=0, time_grid=time_grid,
         states=_cells((2, 3, 2)), regimes=np.array([[1, 0, 0], [1, 1, 0]]),
-        brownian_increments=np.zeros((2, 2, 1)), pi=empty, theta=empty,
-        running_reward=np.zeros(2),
+        pi=empty, theta=empty, running_reward=np.zeros(2),
         excluded=np.array([False, True]), control_mode="randomized")
     return spec, bundle, ladder, dp_field, pen_field, residual
 

@@ -1,20 +1,25 @@
 """Path arrays are held once: traced allocation peaks of the Monte Carlo
 route, measured with ``tracemalloc`` (which sees numpy's buffers).
 
-The bound is a multiple of the bytes of a bundle's own path arrays
-(states, regimes and Brownian increments), with the regime path counted
-at 8 bytes per entry although it is stored in one.  Simulation may add the
-event table and one step's working arrays, not copies of the path arrays
-or random-number blocks kept past their use; the regression pass may add
-one (levels, controls, paths) continuation stack and per-path rows, not
-step-major copies of the bundle or full value and advantage stacks.
+The bound is a multiple of the bytes of a bundle's path arrays (states,
+regimes and Brownian increments), with the regime path counted at 8 bytes
+per entry although it is stored in one, and the increments, which the
+bundle does not keep, at 8 bytes per path-step and Brownian dimension.
+Simulation may add the event table and one step's working arrays, not
+copies of the path arrays or random-number blocks kept past their use, and
+keeps only the bundle's own arrays once it returns; the regression pass
+may add one (levels, controls, paths) continuation stack and per-path
+rows, not step-major copies of the bundle or full value and advantage
+stacks.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from jumpctrl import bsde, girsanov, sim
 from jumpctrl.problem import load_problem
 
@@ -22,19 +27,30 @@ PATHS, STEPS = 20_000, 64
 
 
 def _path_bytes(bundle) -> int:
-    return (bundle.states.nbytes + 8 * bundle.regimes.size
-            + bundle.brownian_increments.nbytes)
+    increments = (8 * bundle.n_paths * bundle.n_steps
+                  * bundle.spec.brownian_dim)
+    return bundle.states.nbytes + 8 * bundle.regimes.size + increments
 
 
 def _traced(fn):
-    """(result, traced peak bytes allocated during the call)."""
+    """(result, traced bytes still allocated when the call returns, traced
+    peak bytes allocated during it)."""
     tracemalloc.start()
     try:
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, retained, peak
+
+
+def _simulation(spec, mode):
+    if mode == "randomized":
+        return lambda: sim.simulate_bundle(spec, PATHS, seed=5,
+                                           n_steps=STEPS)
+    nu = girsanov.IntensityControl.const(2.0)
+    return lambda: girsanov.simulate_tilted_theta(nu, spec, 5, PATHS,
+                                                  n_steps=STEPS)
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +60,7 @@ def spec():
 
 @pytest.mark.parametrize("mode", ["randomized", "tilted"])
 def test_simulation_peak_is_near_the_path_arrays(spec, mode):
-    if mode == "randomized":
-        run = lambda: sim.simulate_bundle(spec, PATHS, seed=5, n_steps=STEPS)
-    else:
-        nu = girsanov.IntensityControl.const(2.0)
-        run = lambda: girsanov.simulate_tilted_theta(nu, spec, 5, PATHS,
-                                                     n_steps=STEPS)
-    bundle, peak = _traced(run)
+    bundle, _, peak = _traced(_simulation(spec, mode))
     assert bundle.pi.total > 0 and bundle.theta.total > 0
     assert bundle.regimes.itemsize == 1
     assert peak <= 1.3 * _path_bytes(bundle)
@@ -58,20 +68,34 @@ def test_simulation_peak_is_near_the_path_arrays(spec, mode):
 
 def test_lsmc_ladder_reads_the_bundle_in_place(spec):
     bundle = sim.simulate_bundle(spec, PATHS, seed=5, n_steps=STEPS)
-    _, peak = _traced(lambda: bsde.solve_penalized_lsmc_ladder(
+    _, _, peak = _traced(lambda: bsde.solve_penalized_lsmc_ladder(
         spec, (1, 2, 4, 8, 16), bundle))
     assert peak <= 0.33 * _path_bytes(bundle)
 
 
-def test_increments_are_stored_step_major(spec):
+@pytest.mark.parametrize("mode", ["randomized", "tilted"])
+def test_simulation_retains_only_the_bundle(spec, mode):
+    # states, the one-byte regime path, both event tables and the (M,)
+    # rows: the step buffer of increments is gone when the call returns
+    bundle, retained, _ = _traced(_simulation(spec, mode))
+    events = sum(arr.nbytes for table in (bundle.pi, bundle.theta)
+                 for arr in (table.times, table.marks, table.indptr))
+    rows = bundle.running_reward.nbytes + bundle.excluded.nbytes
+    own = bundle.states.nbytes + bundle.regimes.nbytes + events + rows
+    assert retained <= 1.05 * own
+
+
+def test_bundle_keeps_no_increments_and_replays_step_major(spec):
     bundle = sim.simulate_bundle(spec, 300, seed=5, n_steps=16)
-    assert bundle.brownian_increments.shape == (300, 16, 1)
-    for arr in (bundle.brownian_increments, bundle.states):
-        assert arr.transpose(1, 0, 2).flags.c_contiguous
+    fields = {f.name for f in dataclasses.fields(bundle)}
+    assert not any("brownian" in name for name in fields)
+    assert bundle.states.transpose(1, 0, 2).flags.c_contiguous
     assert bundle.regimes.T.flags.c_contiguous
+    increments = oracles.brownian_increments(bundle)
+    assert increments.shape == (300, 16, 1)
     replayed = sim._simulate_core(
         spec, 300, seed=5, n_steps=16, control="fixed",
         fixed_theta=bundle.theta, start_regimes=bundle.regimes[:, 0],
-        brownian=np.array(bundle.brownian_increments), pi_events=bundle.pi)
-    assert replayed.brownian_increments.transpose(1, 0, 2).flags.c_contiguous
+        brownian=increments, pi_events=bundle.pi)
+    assert replayed.states.transpose(1, 0, 2).flags.c_contiguous
     np.testing.assert_array_equal(replayed.states, bundle.states)

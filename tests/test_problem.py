@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import audits
 import oracles
-from jumpctrl import problem
+from jumpctrl import bsde, problem, sim
 
 
 def cfg(family, **over):
@@ -100,6 +100,24 @@ def test_fingerprint_stable_and_discriminating():
     assert a == b
     assert a != c
 
+
+@pytest.mark.parametrize("n_steps", [0, 1.5, -1])
+def test_invalid_step_counts_raise_value_error(n_steps):
+    spec = problem.load_problem(cfg("bang-drift"))
+    with pytest.raises(ValueError, match="step count"):
+        spec.time_grid(n_steps)
+    with pytest.raises(ValueError, match="step count"):
+        sim.simulate_bundle(spec, 10, 1, n_steps=n_steps)
+    for solver in ("grid", "lsmc"):
+        with pytest.raises(ValueError, match="step count"):
+            bsde.minimal_value(spec, levels=(1, 2), solver=solver,
+                               n_time_steps=n_steps, n_paths=10)
+
+
+def test_time_grid_accepts_numpy_integers():
+    spec = problem.load_problem(cfg("bang-drift"))
+    assert spec.time_grid(np.int64(8)).tobytes() == spec.time_grid(8).tobytes()
+    assert spec.time_grid(np.uint8(1)).tolist() == [0.0, spec.horizon]
 
 # ---------------------------------------------------------------------------
 # Evaluation

@@ -462,32 +462,37 @@ def _golden_policy(n_controls):
 
 
 def _golden_bundle(spec, mode):
+    """The golden bundle of ``mode`` and the increments it integrated."""
     args = (spec, GOLDEN_PATHS, GOLDEN_SEED)
+    if mode == "fixed":
+        ref = sim.simulate_bundle(spec, GOLDEN_PATHS, GOLDEN_SEED + 1,
+                                  n_steps=GOLDEN_STEPS)
+        increments = oracles.brownian_increments(ref)
+        return sim._simulate_core(
+            *args, n_steps=GOLDEN_STEPS, control="fixed",
+            fixed_theta=ref.theta,
+            start_regimes=(np.arange(GOLDEN_PATHS) % spec.control.size),
+            brownian=increments, pi_events=ref.pi), increments
     if mode == "randomized":
-        return sim.simulate_bundle(*args, n_steps=GOLDEN_STEPS)
-    if mode.startswith("tilted"):
+        bundle = sim.simulate_bundle(*args, n_steps=GOLDEN_STEPS)
+    elif mode.startswith("tilted"):
         nu = (girsanov.IntensityControl.const(2.0) if mode == "tilted-const"
               else _golden_feedback_tilt(spec))
-        return girsanov.simulate_tilted_theta(
+        bundle = girsanov.simulate_tilted_theta(
             nu, spec, GOLDEN_SEED, GOLDEN_PATHS, n_steps=GOLDEN_STEPS)
-    if mode == "policy":
-        return sim._simulate_core(*args, n_steps=GOLDEN_STEPS,
-                                  control="policy",
-                                  policy=_golden_policy(spec.control.size))
-    ref = sim.simulate_bundle(spec, GOLDEN_PATHS, GOLDEN_SEED + 1,
-                              n_steps=GOLDEN_STEPS)
-    return sim._simulate_core(
-        *args, n_steps=GOLDEN_STEPS, control="fixed", fixed_theta=ref.theta,
-        start_regimes=(np.arange(GOLDEN_PATHS) % spec.control.size),
-        brownian=ref.brownian_increments, pi_events=ref.pi)
+    else:
+        bundle = sim._simulate_core(*args, n_steps=GOLDEN_STEPS,
+                                    control="policy",
+                                    policy=_golden_policy(spec.control.size))
+    return bundle, oracles.brownian_increments(bundle)
 
 
-def _bundle_hash(bundle) -> str:
+def _bundle_hash(bundle, increments) -> str:
     """The regime path is hashed widened to int64, so a digest records its
-    values and not the width it is stored at."""
+    values and not the width it is stored at.  The bundle keeps no
+    increments, so the ones it was integrated on are passed in."""
     h = hashlib.sha256()
-    for arr in (bundle.states, bundle.regimes.astype(np.int64),
-                bundle.brownian_increments,
+    for arr in (bundle.states, bundle.regimes.astype(np.int64), increments,
                 bundle.running_reward, bundle.excluded,
                 bundle.theta.times, bundle.theta.marks, bundle.theta.indptr,
                 bundle.pi.times, bundle.pi.marks, bundle.pi.indptr):
@@ -554,9 +559,33 @@ def test_bundles_match_golden_hashes():
     got, widths = {}, {}
     for key, family, over, mode in _golden_cases():
         spec = load(family, **over)
-        bundle = _golden_bundle(spec, mode)
-        got[key] = _bundle_hash(bundle)
+        bundle, increments = _golden_bundle(spec, mode)
+        got[key] = _bundle_hash(bundle, increments)
         widths[key] = (bundle.regimes.dtype,
                        np.min_scalar_type(spec.control.size - 1))
     assert got == GOLDEN_HASHES
     assert all(have == want for have, want in widths.values()), widths
+
+
+@pytest.mark.parametrize("family", problem.FAMILIES)
+def test_regenerated_increments_replay_drawn_bundles_bitwise(family):
+    """A bundle keeps no Brownian increments; the ones regenerated from its
+    stream, fed back with its own events, reproduce it bit for bit."""
+    spec = load(family)
+    args = (spec, GOLDEN_PATHS, GOLDEN_SEED)
+    for mode in ("randomized", "tilted-const", "tilted-feedback", "policy"):
+        bundle, increments = _golden_bundle(spec, mode)
+        if mode == "policy":
+            replayed = sim._simulate_core(
+                *args, n_steps=GOLDEN_STEPS, control="policy",
+                policy=_golden_policy(spec.control.size),
+                brownian=increments, pi_events=bundle.pi)
+        else:
+            replayed = sim._simulate_core(
+                *args, n_steps=GOLDEN_STEPS, control="fixed",
+                fixed_theta=bundle.theta, start_regimes=bundle.regimes[:, 0],
+                brownian=increments, pi_events=bundle.pi)
+        for name in ("states", "regimes", "running_reward", "excluded"):
+            got, want = getattr(replayed, name), getattr(bundle, name)
+            assert got.dtype == want.dtype, (mode, name)
+            assert got.tobytes() == want.tobytes(), (mode, name)
