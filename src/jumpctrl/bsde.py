@@ -368,7 +368,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
 
     def fit_step(k, i_k, counts, target, betas_prev):
         # fills ``tilde`` at step k and returns each regime's coefficients;
-        # the features, the regime sort and the sorted copies die on return
+        # the sorted copies die before the fill, the features on return
         t_k = float(time_grid[k])
         x_k = at_step(states, k)
         phi = _monomial_features(x_k, LSMC_DEGREE)
@@ -395,6 +395,8 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
                     pooled, _ = _fit_regime(phi, target)
                 betas[a] = pooled if betas_prev[a] is None else betas_prev[a]
                 carried.append((k, a))
+        del order, phi_sorted, target_sorted
+        for a in range(n_controls):
             f_dt = spec.coefficients.f(t_k, x_k[:, :spec.dim],
                                        float(spec.control.points[a])) * dt
             for l in range(n_levels):
@@ -430,7 +432,10 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
             i_prev = at_step(regimes, k - 1)
             moved = np.flatnonzero(i_prev != i_k)
             own = at_regime(i_prev[moved], moved)
-            adv = _advantage(np.take(controls, moved, axis=2), own, w_k)
+            # gathered from the contiguous stack: ``np.take`` would copy
+            # the whole control-major view first
+            adv = _advantage(np.take(tilde, moved, axis=2).transpose(1, 0, 2),
+                             own, w_k)
             v_own[:, moved] = level_dt[:, None] * adv + own
             del own, adv
             target, i_k = v_own, i_prev

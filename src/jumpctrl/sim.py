@@ -25,21 +25,29 @@ reader doing index arithmetic on it widens first, and every reader
 accepts any integer width.  Consumers that sweep time (regression,
 constraint diagnostics) transpose back and read contiguous rows in place.
 
-The Brownian increments are the integrator's own step buffer: an
-(N, M, m) transposed copy of the drawn (or replayed) block, read one row
-per step and freed when the step loop ends, so a bundle does not keep
-them.  Nothing downstream reads them: the regression ladder reports
-values, not an estimate of the Brownian integrand Z.  Drawn increments
-are recoverable bit for bit, since row i of the ``STREAM_BROWNIAN`` block
-is a pure function of ``(seed, i, N m)``.  The random-number blocks
-behind the events are released as soon as their kept events are
-extracted.  An event at t in (t_k, t_{k+1}] belongs to step k
-(``event_steps``), so ``regimes[:, k]`` is the regime held from t_k to
-the step's first switch.  Jump and switch events are merged once per
-simulation into one table ordered by (step, slot, kind, path), where the
-slot is an event's rank within its (step, path) group and switches come
-before jumps of the same slot; each step then walks its (slot, kind) runs
-as contiguous slices, each holding a path at most once.
+Paths are integrated in blocks of at most ``SIM_BLOCK_PATHS``: each
+block draws its own rows of every stream (``stream.uniform_block``'s
+``first_row``), merges its own events, runs the step loop on its rows and
+writes them into the bundle's buffers.  So what a simulation allocates
+besides the bundle is sized by the block, not by M, and since every
+path is a pure function of ``(seed, i)``, the bundle's bytes do not
+depend on the block size.  A policy ``policy(k, t, states)`` and a tilt's
+``rate`` are called with one block's rows and must return one value per
+row.
+
+The Brownian increments are the block's own step buffer: an (N, B, m)
+transposed copy of its drawn (or replayed) rows, read one row per step
+and freed with the block, so a bundle does not keep them.  Nothing
+downstream reads them: the regression ladder reports values, not an
+estimate of the Brownian integrand Z.  Drawn increments are recoverable
+bit for bit, since row i of the ``STREAM_BROWNIAN`` block is a pure
+function of ``(seed, i, N m)``.  An event at t in (t_k, t_{k+1}] belongs
+to step k (``event_steps``), so ``regimes[:, k]`` is the regime held from
+t_k to the step's first switch.  A block's jump and switch events are
+merged into one table ordered by (step, slot, kind, path), where the slot
+is an event's rank within its (step, path) group and switches come before
+jumps of the same slot; each step then walks its (slot, kind) runs as
+contiguous slices, each holding a path at most once.
 
 Every simulation is a ``PathBundle`` from ``_simulate_core``; one path is
 a 1-row bundle.  Every bundle starts at t = 0 from the spec's initial law
@@ -98,6 +106,20 @@ class CsrEvents:
     def path_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_paths), self.counts())
 
+    def rows(self, lo: int, hi: int) -> "CsrEvents":
+        """Paths [lo, hi) as a table of their own, numbered from 0."""
+        first, last = self.indptr[lo], self.indptr[hi]
+        return CsrEvents(self.times[first:last], self.marks[first:last],
+                         self.indptr[lo:hi + 1] - first)
+
+    @staticmethod
+    def stack(parts) -> "CsrEvents":
+        """The tables of consecutive path ranges, as one table."""
+        counts = np.concatenate([part.counts() for part in parts])
+        return CsrEvents(np.concatenate([part.times for part in parts]),
+                         np.concatenate([part.marks for part in parts]),
+                         np.concatenate([[0], np.cumsum(counts)]))
+
     @staticmethod
     def from_flat(path_ids, times, marks, n_paths) -> "CsrEvents":
         order = np.lexsort((times, path_ids))
@@ -147,11 +169,12 @@ class PathBundle:
 # ---------------------------------------------------------------------------
 
 def _poisson_block(rate: float, span: float, seed: int, stream_id: int,
-                   n_paths: int):
+                   n_paths: int, first_row: int):
     """Kept events of a homogeneous stream on (0, span]; fixed budget.
 
-    Returns (counts (M,), times (E,), mark_uniforms (E,)), the events in
-    (path, time) order.  The uniform block is (M, 2B): columns [0, B) drive
+    Returns (counts (M,), times (E,), mark_uniforms (E,)) of the M paths
+    from ``first_row`` on, the events in (path, time) order.  The uniform
+    block is those (M, 2B) rows of the stream: columns [0, B) drive
     inter-arrival times and [B, 2B) drive marks, so each path stays
     positionally pure.  A path keeps a prefix of its B arrivals, so its
     events are the first ``counts[i]`` columns of its row.  The block is
@@ -160,7 +183,7 @@ def _poisson_block(rate: float, span: float, seed: int, stream_id: int,
     if rate <= 0.0 or span <= 0.0:
         return np.zeros(n_paths, dtype=np.int64), np.zeros(0), np.zeros(0)
     budget = stream.event_budget(rate, span)
-    u = stream.uniform_block(seed, stream_id, n_paths, 2 * budget)
+    u = stream.uniform_block(seed, stream_id, n_paths, 2 * budget, first_row)
     times = stream.exponential_from_uniform(u[:, :budget])
     times /= rate
     np.cumsum(times, axis=1, out=times)
@@ -237,13 +260,11 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
     # order by (step, path, time): stable sorts by step (a radix sort on a
     # small integer type) and then by group, and a time sort inside the few
     # groups left out of time order (the sources come in (path, time)
-    # order, so only groups with events of both do).  Temporaries are
-    # dropped as soon as they are used: tables reach millions of events.
+    # order, so only groups with events of both do)
     group = step * np.int64(n_paths) + path
     by_group = _stable_order(step)
     by_group = by_group[np.argsort(group[by_group], kind="stable")]
     g_sorted = group[by_group]
-    del group
     is_start = np.diff(g_sorted, prepend=-1) != 0
     run_id = np.cumsum(is_start) - 1
     t_sorted = time[by_group]
@@ -254,23 +275,17 @@ def _merge_event_table(time_grid, n_paths: int, pi: Optional[CsrEvents],
         fix = np.flatnonzero(bad_run[run_id])
         by_group[fix] = by_group[fix][np.lexsort((t_sorted[fix],
                                                   g_sorted[fix]))]
-    del g_sorted, t_sorted
     slot = np.arange(run_id.size) - np.flatnonzero(is_start)[run_id]
-    del run_id, is_start
     # then by (step, slot, kind), switches first; a stable sort keeps the
     # path order within each run
     run_key = step[by_group] * (int(slot.max()) + 1) + slot
-    del slot
     run_key *= 2
     run_key += 1 - kind[by_group]
     by_run = _stable_order(run_key)
     order = by_group[by_run]
-    del by_group
     run_key = run_key[by_run]
-    del by_run
     run_lo = np.flatnonzero(np.diff(run_key, prepend=-1))
     run_step = step[order[run_lo]]
-    del run_key
     return {
         "path": path[order], "time": time[order],
         "z": np.concatenate(parts_z)[order],
@@ -316,6 +331,13 @@ def _regime_indices(values, n_paths: int, n_controls: int,
     return arr.astype(np.int64)
 
 
+#: Paths integrated at a time.  Each block draws its own rows of every
+#: stream and merges and steps its own events, so the random-number blocks,
+#: the event table and the step loop's work arrays are sized by the block,
+#: not by the bundle.
+SIM_BLOCK_PATHS = 8192
+
+
 def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
                    n_steps: Optional[int] = None,
                    control: str = "randomized",
@@ -331,12 +353,90 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     stream), "tilted" (thinned against ``tilt``), "policy" (``policy(k, t,
     states)`` per step) or "fixed" (``fixed_theta`` from ``start_regimes``).
     ``brownian`` and ``pi_events``, when given, replace the drawn Brownian
-    increments and jump events.
+    increments and jump events.  The inputs are checked for the whole
+    bundle; the paths are then integrated ``SIM_BLOCK_PATHS`` at a time
+    (:func:`_simulate_block`) into the bundle's arrays.
     """
     horizon = spec.horizon
     if n_steps is None:
         n_steps = spec.default_steps()
     time_grid = spec.time_grid(n_steps)
+    n_controls = spec.control.size
+    if brownian is not None:
+        brownian = np.asarray(brownian, dtype=float).reshape(
+            n_paths, n_steps, spec.brownian_dim)
+    if pi_events is not None:
+        _check_events(pi_events, n_paths, horizon, "pi")
+    if control == "tilted" and tilt is None:
+        raise ValueError("tilted simulation needs an intensity control")
+    if control == "fixed":
+        if fixed_theta is None:
+            raise ValueError("fixed control needs a theta event table")
+        _check_events(fixed_theta, n_paths, horizon, "theta",
+                      n_marks=n_controls)
+    elif control == "policy":
+        if policy is None:
+            raise ValueError("policy control needs a policy callable")
+    elif control not in ("randomized", "tilted"):
+        raise ValueError(f"unknown control mode {control!r}")
+    if start_regimes is None:
+        start = np.full(n_paths, spec.randomization.a0_index, dtype=np.int64)
+    else:
+        start = _regime_indices(start_regimes, n_paths, n_controls,
+                                "start regimes")
+
+    # --- the bundle's arrays: step-major, each step one contiguous row ----
+    state_buf = np.zeros((n_steps + 1, n_paths, spec.total_dim))
+    regime_buf = np.zeros((n_steps + 1, n_paths),
+                          dtype=np.min_scalar_type(n_controls - 1))
+    running_reward = np.zeros(n_paths)
+    excluded = np.zeros(n_paths, dtype=bool)
+    pi_parts, theta_parts = [], []
+    # a 0-path call runs one empty block
+    for lo in range(0, max(n_paths, 1), SIM_BLOCK_PATHS):
+        hi = min(lo + SIM_BLOCK_PATHS, n_paths)
+        pi, theta = _simulate_block(
+            spec, seed, time_grid, control, tilt, policy, lo, start[lo:hi],
+            None if brownian is None else brownian[lo:hi],
+            None if pi_events is None else pi_events.rows(lo, hi),
+            None if fixed_theta is None else fixed_theta.rows(lo, hi),
+            state_buf[:, lo:hi], regime_buf[:, lo:hi],
+            running_reward[lo:hi], excluded[lo:hi])
+        pi_parts.append(pi)
+        theta_parts.append(theta)
+
+    n_exc = int(excluded.sum())
+    if n_exc:
+        warnings.warn(f"{n_exc} path(s) overflowed and were frozen/excluded",
+                      RuntimeWarning)
+
+    return PathBundle(
+        spec=spec, seed=seed, time_grid=time_grid,
+        states=state_buf.transpose(1, 0, 2), regimes=regime_buf.T,
+        pi=pi_events if pi_events is not None else CsrEvents.stack(pi_parts),
+        theta=(fixed_theta if control == "fixed"
+               else CsrEvents.stack(theta_parts)),
+        running_reward=running_reward, excluded=excluded,
+        control_mode=control)
+
+
+def _simulate_block(spec: ProblemSpec, seed: int, time_grid: np.ndarray,
+                    control: str, tilt, policy, first_row: int,
+                    cur_reg: np.ndarray, brownian, pi, theta,
+                    state_buf: np.ndarray, regime_buf: np.ndarray,
+                    running_reward: np.ndarray, excluded: np.ndarray):
+    """Integrate the paths from ``first_row`` on into their bundle rows.
+
+    ``state_buf`` (N+1, M, D), ``regime_buf`` (N+1, M), ``running_reward``
+    and ``excluded`` (M,) are the block's views of the bundle's arrays, and
+    ``cur_reg`` its (M,) start regimes.  ``brownian``, ``pi`` and
+    ``theta`` are the block's rows of the replay inputs, or None; the
+    block draws its own rows of every other stream.  Returns the block's
+    (pi, theta) event tables, rows numbered from 0.
+    """
+    n_paths = cur_reg.size
+    n_steps = time_grid.size - 1
+    horizon = spec.horizon
     dt = horizon / n_steps
     d, m_brown = spec.dim, spec.brownian_dim
     n_controls = spec.control.size
@@ -348,91 +448,62 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     if spec.initial_law.kind == "point":
         core0 = np.repeat(spec.initial_law.mean[None, :], n_paths, axis=0)
     else:
-        normals = stream.normal_block(seed, stream.STREAM_INIT, n_paths, d)
+        normals = stream.normal_block(seed, stream.STREAM_INIT, n_paths, d,
+                                      first_row)
         core0 = (spec.initial_law.mean[None, :]
                  + np.sqrt(spec.initial_law.cov_diag)[None, :] * normals)
+    state_buf[0] = spec.initial_augmented(core0)
 
-    # --- drivers: each block is released once its events are extracted ---
+    # --- Brownian increments and events -----------------------------------
     # increments step-major, (N, M, m): one transposed copy of the drawn
-    # (or replayed) path-major block, freed after the step loop
+    # (or replayed) path-major rows
     brownian_buf = np.empty((n_steps, n_paths, m_brown))
     if brownian is None:
         raw = stream.normal_block(seed, stream.STREAM_BROWNIAN, n_paths,
-                                  n_steps * m_brown)
+                                  n_steps * m_brown, first_row)
         np.multiply(raw.reshape(n_paths, n_steps, m_brown).transpose(1, 0, 2),
                     np.sqrt(dt), out=brownian_buf)
         del raw
     else:
-        brownian_buf[...] = np.asarray(brownian, dtype=float).reshape(
-            n_paths, n_steps, m_brown).transpose(1, 0, 2)
+        brownian_buf[...] = brownian.transpose(1, 0, 2)
 
-    if pi_events is not None:
-        _check_events(pi_events, n_paths, horizon, "pi")
-    else:
+    if pi is None:
         counts, times, mu = _poisson_block(jump.total_rate, horizon, seed,
-                                           stream.STREAM_PI, n_paths)
+                                           stream.STREAM_PI, n_paths,
+                                           first_row)
         z = jump.sample_marks(mu) if mu.size else np.zeros(0)
-        pi_events = CsrEvents(times, z,
-                              np.concatenate([[0], np.cumsum(counts)]))
+        pi = CsrEvents(times, z, np.concatenate([[0], np.cumsum(counts)]))
 
     theta_accept_u = None
     th_path = th_time = th_mark = None
-    if control == "tilted" and tilt is None:
-        raise ValueError("tilted simulation needs an intensity control")
     if control in ("randomized", "tilted"):
         rate = spec.randomization.total_mass
         if control == "tilted":
             rate *= float(tilt.nu_max)
         counts, th_time, t_mu = _poisson_block(
-            rate, horizon, seed, stream.STREAM_THETA, n_paths)
+            rate, horizon, seed, stream.STREAM_THETA, n_paths, first_row)
         th_path = np.repeat(np.arange(n_paths), counts)
         th_mark = _categorical_from_uniform(
             t_mu, spec.randomization.lambda0_weights)
         if control == "randomized":
-            theta_csr = CsrEvents(th_time, th_mark,
-                                  np.concatenate([[0], np.cumsum(counts)]))
+            theta = CsrEvents(th_time, th_mark,
+                              np.concatenate([[0], np.cumsum(counts)]))
         if control == "tilted" and rate > 0.0:
             # acceptance uniforms of the kept proposals, a prefix of each row
             budget = stream.event_budget(rate, horizon)
             theta_accept_u = stream.uniform_block(
-                seed, stream.STREAM_ACCEPT, n_paths, budget)[
+                seed, stream.STREAM_ACCEPT, n_paths, budget, first_row)[
                 np.arange(budget) < counts[:, None]]
     elif control == "fixed":
-        if fixed_theta is None:
-            raise ValueError("fixed control needs a theta event table")
-        _check_events(fixed_theta, n_paths, horizon, "theta",
-                      n_marks=n_controls)
-        theta_csr = fixed_theta
-        th_path = fixed_theta.path_ids()
-        th_time = fixed_theta.times
-        th_mark = np.asarray(fixed_theta.marks, dtype=np.int64)
-    elif control == "policy":
-        if policy is None:
-            raise ValueError("policy control needs a policy callable")
-    else:
-        raise ValueError(f"unknown control mode {control!r}")
+        th_path = theta.path_ids()
+        th_time = theta.times
+        th_mark = np.asarray(theta.marks, dtype=np.int64)
 
-    table = _merge_event_table(time_grid, n_paths, pi_events, th_path,
-                               th_time, th_mark, theta_accept_u)
-    del th_path, th_time, th_mark, theta_accept_u
+    table = _merge_event_table(time_grid, n_paths, pi, th_path, th_time,
+                               th_mark, theta_accept_u)
 
-    # --- state arrays: step-major, so each step is one contiguous row -----
-    total_dim = spec.total_dim
-    state_buf = np.zeros((n_steps + 1, n_paths, total_dim))
-    state_buf[0] = spec.initial_augmented(core0)
-    regime_buf = np.zeros((n_steps + 1, n_paths),
-                          dtype=np.min_scalar_type(n_controls - 1))
-    if start_regimes is None:
-        cur_reg = np.full(n_paths, spec.randomization.a0_index,
-                          dtype=np.int64)
-    else:
-        cur_reg = _regime_indices(start_regimes, n_paths, n_controls,
-                                  "start regimes")
-    excluded = np.zeros(n_paths, dtype=bool)
-    running_reward = np.zeros(n_paths)
     acc_p = [np.zeros(0, dtype=np.int64)]
     acc_t, acc_m = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
-
     decay = spec.decay_factor(dt)[None, :]
     rows = np.arange(n_paths)
     # per-step working arrays, allocated once
@@ -529,24 +600,12 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
             state_buf[k + 1, :, d] = update_running_functional(
                 spec.augmentation, x_k[:, d], x_left[:, 0], x_next[:, 0], dt)
     regime_buf[n_steps] = cur_reg
-    # released: the event table and the step buffer of increments
-    table = ev_path = ev_time = ev_z = ev_mark = ev_u = brownian_buf = None
 
     if control in ("tilted", "policy"):
-        theta_csr = CsrEvents.from_flat(np.concatenate(acc_p),
-                                        np.concatenate(acc_t),
-                                        np.concatenate(acc_m), n_paths)
-
-    n_exc = int(excluded.sum())
-    if n_exc:
-        warnings.warn(f"{n_exc} path(s) overflowed and were frozen/excluded",
-                      RuntimeWarning)
-
-    return PathBundle(
-        spec=spec, seed=seed, time_grid=time_grid,
-        states=state_buf.transpose(1, 0, 2), regimes=regime_buf.T,
-        pi=pi_events, theta=theta_csr, running_reward=running_reward,
-        excluded=excluded, control_mode=control)
+        theta = CsrEvents.from_flat(np.concatenate(acc_p),
+                                    np.concatenate(acc_t),
+                                    np.concatenate(acc_m), n_paths)
+    return pi, theta
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Every random quantity in the toolkit is derived from fixed-width uniform
 blocks keyed by ``(master seed, stream id)``.  Rows index paths; a float64
 uniform consumes exactly one 64-bit counter word, so row ``i`` of a block is
 a pure function of ``(seed, stream id, i, n_cols)`` no matter how many rows
-are drawn.  Transforms are inverse-CDF only (no rejection sampling), which
-is what keeps the positional guarantee intact: ziggurat normals or rejection
-Poisson draws would consume a data-dependent number of words.
+are drawn or at which row a draw starts.  Transforms are inverse-CDF only
+(no rejection sampling), which is what keeps the positional guarantee
+intact: ziggurat normals or rejection Poisson draws would consume a
+data-dependent number of words.
 """
 
 from __future__ import annotations
@@ -29,18 +30,27 @@ _UNIFORM_LO = 1e-300
 _UNIFORM_HI = 1.0 - 1e-16
 
 
-def uniform_block(seed: int, stream_id: int, n_rows: int,
-                  n_cols: int) -> np.ndarray:
-    """(n_rows, n_cols) float64 uniforms in [0, 1), row i pure in (seed, i)."""
-    gen = np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream_id]))
+def uniform_block(seed: int, stream_id: int, n_rows: int, n_cols: int,
+                  first_row: int) -> np.ndarray:
+    """(n_rows, n_cols) float64 uniforms in [0, 1), row i pure in (seed, i).
+
+    Returns rows [first_row, first_row + n_rows) of the stream's block,
+    bit for bit: the counter skips the first_row * n_cols words before
+    them (Philox yields four words per counter step).
+    """
+    bit_gen = np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream_id])
+    skipped = first_row * n_cols
+    bit_gen.advance(skipped // 4)
+    gen = np.random.Generator(bit_gen)
+    gen.random(skipped % 4)
     return gen.random((n_rows, n_cols))
 
 
-def normal_block(seed: int, stream_id: int, n_rows: int,
-                 n_cols: int) -> np.ndarray:
-    """Standard normals via the inverse CDF (positionally pure)."""
-    u = uniform_block(seed, stream_id, n_rows, n_cols)
+def normal_block(seed: int, stream_id: int, n_rows: int, n_cols: int,
+                 first_row: int) -> np.ndarray:
+    """Standard normals via the inverse CDF (positionally pure); rows
+    [first_row, first_row + n_rows) as in :func:`uniform_block`."""
+    u = uniform_block(seed, stream_id, n_rows, n_cols, first_row)
     np.clip(u, _UNIFORM_LO, _UNIFORM_HI, out=u)
     return ndtri(u, out=u)
 

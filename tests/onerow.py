@@ -73,5 +73,6 @@ def replay(bundle: sim.PathBundle, i: int, spec=None, n_steps=None):
 def poisson_events(rate, mark_law, horizon, seed):
     """(times, marks) of one path of the jump stream on (0, horizon]."""
     _, times, mark_u = sim._poisson_block(rate, horizon, seed,
-                                          stream.STREAM_PI, n_paths=1)
+                                          stream.STREAM_PI, n_paths=1,
+                                          first_row=0)
     return times, mark_law.sample_marks(mark_u)

@@ -229,7 +229,7 @@ def brownian_increments(bundle) -> np.ndarray:
     """
     spec, n_paths, n_steps = bundle.spec, bundle.n_paths, bundle.n_steps
     raw = stream.normal_block(bundle.seed, stream.STREAM_BROWNIAN, n_paths,
-                              n_steps * spec.brownian_dim)
+                              n_steps * spec.brownian_dim, 0)
     return (raw.reshape(n_paths, n_steps, spec.brownian_dim)
             * np.sqrt(spec.horizon / n_steps))
 

@@ -435,6 +435,17 @@ def test_verify_worker_reports_what_the_in_process_run_reports(
         cli.SUITES)
 
 
+@pytest.mark.parametrize("family", ["bang-drift", "jump-reward"])
+def test_verify_report_does_not_depend_on_the_path_block(family, tmp_path,
+                                                         capsys, monkeypatch):
+    cfg = _write_cfg(tmp_path / "cfg.json", family)
+    argv = ["verify", cfg, "--suite", "all", "--paths", "1000",
+            "--seed", "7"]
+    default = _verify_run(argv, tmp_path / "default", capsys)
+    monkeypatch.setattr(sim, "SIM_BLOCK_PATHS", 64)
+    assert _verify_run(argv, tmp_path / "blocks-of-64", capsys) == default
+
+
 @pytest.mark.parametrize("fork", [True, False])
 def test_verify_raises_a_worker_suites_error_after_the_earlier_lines(
         decay_cfg, tmp_path, capsys, monkeypatch, fork):

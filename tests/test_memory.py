@@ -5,9 +5,9 @@ The bound is a multiple of the bytes of a bundle's path arrays (states,
 regimes and Brownian increments), with the regime path counted at 8 bytes
 per entry although it is stored in one, and the increments, which the
 bundle does not keep, at 8 bytes per path-step and Brownian dimension.
-Simulation may add the event table and one step's working arrays, not
-copies of the path arrays or random-number blocks kept past their use, and
-keeps only the bundle's own arrays once it returns; the regression pass
+Simulation may add one path block's random-number blocks, event table and
+step working arrays, not copies of the path arrays, and keeps only the
+bundle's own arrays once it returns; the regression pass
 may add one (levels, controls, paths) continuation stack and per-path
 rows, not step-major copies of the bundle or full value and advantage
 stacks.
@@ -44,12 +44,12 @@ def _traced(fn):
     return result, retained, peak
 
 
-def _simulation(spec, mode):
+def _simulation(spec, mode, n_paths):
     if mode == "randomized":
-        return lambda: sim.simulate_bundle(spec, PATHS, seed=5,
+        return lambda: sim.simulate_bundle(spec, n_paths, seed=5,
                                            n_steps=STEPS)
     nu = girsanov.IntensityControl.const(2.0)
-    return lambda: girsanov.simulate_tilted_theta(nu, spec, 5, PATHS,
+    return lambda: girsanov.simulate_tilted_theta(nu, spec, 5, n_paths,
                                                   n_steps=STEPS)
 
 
@@ -60,24 +60,38 @@ def spec():
 
 @pytest.mark.parametrize("mode", ["randomized", "tilted"])
 def test_simulation_peak_is_near_the_path_arrays(spec, mode):
-    bundle, _, peak = _traced(_simulation(spec, mode))
+    bundle, _, peak = _traced(_simulation(spec, mode, PATHS))
     assert bundle.pi.total > 0 and bundle.theta.total > 0
     assert bundle.regimes.itemsize == 1
     assert peak <= 1.3 * _path_bytes(bundle)
+
+
+@pytest.mark.parametrize("mode", ["randomized", "tilted"])
+def test_simulation_transient_is_bounded_by_the_path_block(spec, mode,
+                                                           monkeypatch):
+    # what a simulation frees again by the time it returns (traced peak -
+    # retained) is one block's draws, events and work arrays: it holds
+    # from 2 blocks of paths to 8
+    monkeypatch.setattr(sim, "SIM_BLOCK_PATHS", 1024)
+    transient = []
+    for n_paths in (2 * 1024, 8 * 1024):
+        _, retained, peak = _traced(_simulation(spec, mode, n_paths))
+        transient.append(peak - retained)
+    assert transient[1] < 1.2 * transient[0]
 
 
 def test_lsmc_ladder_reads_the_bundle_in_place(spec):
     bundle = sim.simulate_bundle(spec, PATHS, seed=5, n_steps=STEPS)
     _, _, peak = _traced(lambda: bsde.solve_penalized_lsmc_ladder(
         spec, (1, 2, 4, 8, 16), bundle))
-    assert peak <= 0.33 * _path_bytes(bundle)
+    assert peak <= 0.25 * _path_bytes(bundle)
 
 
 @pytest.mark.parametrize("mode", ["randomized", "tilted"])
 def test_simulation_retains_only_the_bundle(spec, mode):
     # states, the one-byte regime path, both event tables and the (M,)
     # rows: the step buffer of increments is gone when the call returns
-    bundle, retained, _ = _traced(_simulation(spec, mode))
+    bundle, retained, _ = _traced(_simulation(spec, mode, PATHS))
     events = sum(arr.nbytes for table in (bundle.pi, bundle.theta)
                  for arr in (table.times, table.marks, table.indptr))
     rows = bundle.running_reward.nbytes + bundle.excluded.nbytes

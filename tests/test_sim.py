@@ -26,15 +26,33 @@ def load(family, **over):
 # ---------------------------------------------------------------------------
 
 def test_uniform_block_row_purity():
-    wide = stream.uniform_block(11, stream.STREAM_PI, 9, 40)
-    narrow = stream.uniform_block(11, stream.STREAM_PI, 5, 40)
+    wide = stream.uniform_block(11, stream.STREAM_PI, 9, 40, 0)
+    narrow = stream.uniform_block(11, stream.STREAM_PI, 5, 40, 0)
     assert np.array_equal(wide[:5], narrow)
-    other_stream = stream.uniform_block(11, stream.STREAM_THETA, 5, 40)
+    other_stream = stream.uniform_block(11, stream.STREAM_THETA, 5, 40, 0)
     assert not np.allclose(narrow, other_stream)
 
 
+@pytest.mark.parametrize("n_cols", [1, 4, 13])
+def test_draws_from_a_row_offset_are_rows_of_the_block(n_cols):
+    """Rows drawn from ``first_row`` on are bitwise those rows of the block
+    drawn from row 0, also where ``first_row * n_cols`` is not a multiple
+    of the four words a Philox counter step yields."""
+    full_u = stream.uniform_block(11, stream.STREAM_PI, 24, n_cols, 0)
+    full_z = stream.normal_block(11, stream.STREAM_BROWNIAN, 24, n_cols, 0)
+    for first_row in range(10):
+        for n_rows in (0, 1, 5):
+            rows = slice(first_row, first_row + n_rows)
+            u = stream.uniform_block(11, stream.STREAM_PI, n_rows, n_cols,
+                                     first_row)
+            z = stream.normal_block(11, stream.STREAM_BROWNIAN, n_rows,
+                                    n_cols, first_row)
+            assert u.tobytes() == full_u[rows].tobytes()
+            assert z.tobytes() == full_z[rows].tobytes()
+
+
 def test_normal_block_moments():
-    z = stream.normal_block(3, stream.STREAM_BROWNIAN, 200, 500)
+    z = stream.normal_block(3, stream.STREAM_BROWNIAN, 200, 500, 0)
     assert abs(z.mean()) < 3.0 / math.sqrt(z.size)
     assert abs(z.std() - 1.0) < 0.005
     assert np.isfinite(z).all()
@@ -84,7 +102,7 @@ def test_event_budget_overflow_raises(monkeypatch):
     # the honest budget is unreachable by design; shrink it to test the guard
     monkeypatch.setattr(sim.stream, "event_budget", lambda r, s: 3)
     with pytest.raises(RuntimeError, match="event budget exceeded"):
-        sim._poisson_block(50.0, 1.0, 0, stream.STREAM_PI, 4)
+        sim._poisson_block(50.0, 1.0, 0, stream.STREAM_PI, 4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +479,17 @@ def _golden_policy(n_controls):
     return policy
 
 
-def _golden_bundle(spec, mode):
+def _golden_bundle(spec, mode, n_paths):
     """The golden bundle of ``mode`` and the increments it integrated."""
-    args = (spec, GOLDEN_PATHS, GOLDEN_SEED)
+    args = (spec, n_paths, GOLDEN_SEED)
     if mode == "fixed":
-        ref = sim.simulate_bundle(spec, GOLDEN_PATHS, GOLDEN_SEED + 1,
+        ref = sim.simulate_bundle(spec, n_paths, GOLDEN_SEED + 1,
                                   n_steps=GOLDEN_STEPS)
         increments = oracles.brownian_increments(ref)
         return sim._simulate_core(
             *args, n_steps=GOLDEN_STEPS, control="fixed",
             fixed_theta=ref.theta,
-            start_regimes=(np.arange(GOLDEN_PATHS) % spec.control.size),
+            start_regimes=(np.arange(n_paths) % spec.control.size),
             brownian=increments, pi_events=ref.pi), increments
     if mode == "randomized":
         bundle = sim.simulate_bundle(*args, n_steps=GOLDEN_STEPS)
@@ -479,7 +497,7 @@ def _golden_bundle(spec, mode):
         nu = (girsanov.IntensityControl.const(2.0) if mode == "tilted-const"
               else _golden_feedback_tilt(spec))
         bundle = girsanov.simulate_tilted_theta(
-            nu, spec, GOLDEN_SEED, GOLDEN_PATHS, n_steps=GOLDEN_STEPS)
+            nu, spec, GOLDEN_SEED, n_paths, n_steps=GOLDEN_STEPS)
     else:
         bundle = sim._simulate_core(*args, n_steps=GOLDEN_STEPS,
                                     control="policy",
@@ -559,12 +577,37 @@ def test_bundles_match_golden_hashes():
     got, widths = {}, {}
     for key, family, over, mode in _golden_cases():
         spec = load(family, **over)
-        bundle, increments = _golden_bundle(spec, mode)
+        bundle, increments = _golden_bundle(spec, mode, GOLDEN_PATHS)
         got[key] = _bundle_hash(bundle, increments)
         widths[key] = (bundle.regimes.dtype,
                        np.min_scalar_type(spec.control.size - 1))
     assert got == GOLDEN_HASHES
     assert all(have == want for have, want in widths.values()), widths
+
+
+def _golden_digests(n_paths) -> dict:
+    return {key: _bundle_hash(*_golden_bundle(load(family, **over), mode,
+                                              n_paths))
+            for key, family, over, mode in _golden_cases()}
+
+
+@pytest.mark.filterwarnings("ignore:.*overflowed:RuntimeWarning")
+@pytest.mark.parametrize("block", [7, 64])
+def test_golden_hashes_hold_at_any_path_block(block, monkeypatch):
+    """Each path block draws its own rows of every stream and merges and
+    steps its own events, so the block size changes no byte: 400 paths
+    run as 57 blocks of 7 and one of 1, or 6 of 64 and one of 16."""
+    monkeypatch.setattr(sim, "SIM_BLOCK_PATHS", block)
+    assert _golden_digests(GOLDEN_PATHS) == GOLDEN_HASHES
+
+
+@pytest.mark.filterwarnings("ignore:.*overflowed:RuntimeWarning")
+def test_one_path_blocks_rebuild_every_golden_bundle(monkeypatch):
+    """Blocks of one path give the one-block bundle in every golden case.
+    On 24 paths: the 400-path cases take about 40 s at one path a block."""
+    whole = _golden_digests(24)
+    monkeypatch.setattr(sim, "SIM_BLOCK_PATHS", 1)
+    assert _golden_digests(24) == whole
 
 
 @pytest.mark.parametrize("family", problem.FAMILIES)
@@ -574,7 +617,7 @@ def test_regenerated_increments_replay_drawn_bundles_bitwise(family):
     spec = load(family)
     args = (spec, GOLDEN_PATHS, GOLDEN_SEED)
     for mode in ("randomized", "tilted-const", "tilted-feedback", "policy"):
-        bundle, increments = _golden_bundle(spec, mode)
+        bundle, increments = _golden_bundle(spec, mode, GOLDEN_PATHS)
         if mode == "policy":
             replayed = sim._simulate_core(
                 *args, n_steps=GOLDEN_STEPS, control="policy",
