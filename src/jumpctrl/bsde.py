@@ -188,34 +188,26 @@ def default_time_steps(spec: ProblemSpec, max_level: int) -> int:
                int(math.ceil(2.0 * max_level * mass * spec.horizon)))
 
 
-def solve_penalized_grid(spec: ProblemSpec, level_n: int,
-                         n_time_steps: int | None = None,
-                         grid: LatticeGrid | None = None) -> PenalizedField:
+def solve_penalized_grid(spec: ProblemSpec, level_n: int, n_time_steps: int,
+                         grid: LatticeGrid) -> PenalizedField:
     """One level of :func:`solve_penalized_grid_ladder` (see there)."""
     return solve_penalized_grid_ladder(spec, (level_n,), n_time_steps,
                                        grid)[0]
 
 
-def solve_penalized_grid_ladder(spec: ProblemSpec, levels,
-                                n_time_steps: int | None = None,
-                                grid: LatticeGrid | None = None
+def solve_penalized_grid_ladder(spec: ProblemSpec, levels, n_time_steps: int,
+                                grid: LatticeGrid
                                 ) -> tuple[PenalizedField, ...]:
     """Backward lattice recursion, every level in one sweep.
 
-    Runs on [0, horizon] with ``n_time_steps`` uniform steps (default keeps
-    the monotonicity bound with slack 2 at the largest level), on ``grid``
-    (default ``transition.default_state_grid(spec)``).
+    Runs on [0, horizon] with ``n_time_steps`` uniform steps, on ``grid``.
     Returns one :class:`PenalizedField` per level.  The levels share the
     operators as slots of one :func:`transition.backward_sweep`, and each
     level's penalty reads that level alone, so each field is bitwise the
     one-level solve.
     """
     levels = _checked_levels(levels)
-    if n_time_steps is None:
-        n_time_steps = default_time_steps(spec, max(levels))
     time_grid = spec.time_grid(n_time_steps)   # checks the step count
-    if grid is None:
-        grid = transition.default_state_grid(spec)
     dt = spec.horizon / n_time_steps
     level_dt = np.array(levels) * dt
     stability = level_dt * spec.randomization.total_mass
@@ -565,29 +557,26 @@ def _constraint_report(level_n: int, s: np.ndarray) -> ConstraintReport:
 # Level ladder
 # ---------------------------------------------------------------------------
 
-def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
-                  solver: str = "grid", n_time_steps: int | None = None,
-                  grid: LatticeGrid | None = None, seed: int = 0,
-                  n_paths: int = 50_000) -> LadderReport:
+def minimal_value(spec: ProblemSpec, levels, n_time_steps: int,
+                  solver: str = "grid", grid: LatticeGrid | None = None,
+                  seed: int = 0, n_paths: int = 50_000) -> LadderReport:
     """Ladder of penalization levels on one common time grid.
 
     The common grid keeps levels nodewise comparable (lattice route), so
     monotonicity in the level is checked exactly rather than statistically.
-    The lattice route runs on ``grid`` (default: the state grid of
-    ``seed``); the regression route simulates ``n_paths`` reference paths
-    from ``seed``.  The limit is the largest level's value.
+    The lattice route runs on ``grid``, which it requires; the regression
+    route simulates ``n_paths`` reference paths from ``seed`` and takes no
+    lattice.  The limit is the largest level's value.
     """
     levels = tuple(int(n) for n in levels)
     if sorted(levels) != list(levels) or len(set(levels)) != len(levels):
         raise ValueError("levels must be strictly increasing")
-    if n_time_steps is None:
-        n_time_steps = default_time_steps(spec, max(levels))
 
     values, ses = [], []
     monotone_violation = 0.0
     if solver == "grid":
         if grid is None:
-            grid = transition.default_state_grid(spec, seed=seed)
+            raise ValueError("the lattice route needs a state grid")
         per_level = solve_penalized_grid_ladder(
             spec, levels, n_time_steps=n_time_steps, grid=grid)
         for fld in per_level:
@@ -626,8 +615,7 @@ def minimal_value(spec: ProblemSpec, levels=(1, 2, 4, 8, 16),
 # ---------------------------------------------------------------------------
 
 def check_randomized_dpp(fld: PenalizedField, spec: ProblemSpec,
-                         t_prime: float, n_paths: int = 20_000,
-                         seed: int = 0) -> dict:
+                         t_prime: float, n_paths: int, seed: int) -> dict:
     """Restart-at-``t_prime`` consistency of the solved field.
 
     Simulates the controlled system to an interior time under a small

@@ -42,6 +42,8 @@ VERDICT_KEYS = ("monotonicity", "constraint-decay", "dpp",
 SUITES = ("martingale", "monotone", "constraint", "dpp",
           "value-equality", "hjb")
 FIELD_SCHEMA = "jumpctrl-dpfield@1"
+#: Penalization levels of ``solve --ladder`` and ``verify --levels``
+DEFAULT_LEVELS = (1, 2, 4, 8, 16)
 
 
 def _verdict(flag) -> str:
@@ -392,7 +394,7 @@ def _suite_value_equality(wb: _Workbench):
     return eq["ok"], {**eq, "tilt_nu": nu.nu_id, "tilt_se": est.se}
 
 
-def _suite_hjb(wb: _Workbench, field_path=None):
+def _suite_hjb(wb: _Workbench, field_path):
     reason = hjb.unavailable_reason(wb.spec)
     if reason is not None:
         return None, {"reason": reason}
@@ -802,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", required=True,
                          choices=("penalized-grid", "penalized-lsmc", "dp"))
     p_solve.add_argument("--ladder", type=_level_list,
-                         default=(1, 2, 4, 8, 16),
+                         default=DEFAULT_LEVELS,
                          help="penalization levels, e.g. 1,2,4,8")
     p_solve.add_argument("--paths", type=int, default=20_000,
                          help="Monte Carlo paths (regression/tilt bound)")
@@ -814,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("config")
     p_ver.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_ver.add_argument("--levels", type=_level_list,
-                       default=(1, 2, 4, 8, 16))
+                       default=DEFAULT_LEVELS)
     p_ver.add_argument("--paths", type=int, default=20_000)
     _add_common(p_ver)
     p_ver.add_argument("--field", default=None,

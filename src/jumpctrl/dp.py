@@ -58,16 +58,10 @@ class DpField:
             for j, ax in enumerate(self.grid.axes))]
 
 
-def solve_dp_grid(spec: ProblemSpec, n_time_steps: int | None = None,
-                  grid: LatticeGrid | None = None) -> DpField:
-    """Backward value iteration over the control grid.
-
-    Runs on ``grid``, by default ``transition.default_state_grid(spec)``.
-    """
-    if n_time_steps is None:
-        n_time_steps = spec.default_steps()
-    if grid is None:
-        grid = transition.default_state_grid(spec)
+def solve_dp_grid(spec: ProblemSpec, n_time_steps: int,
+                  grid: LatticeGrid) -> DpField:
+    """Backward value iteration over the control grid on ``grid``, with
+    ``n_time_steps`` uniform steps on [0, horizon]."""
     p_cnt = int(np.prod(grid.shape))
     values = np.empty((n_time_steps + 1, p_cnt))
     argmax = np.empty((n_time_steps, p_cnt), dtype=np.int64)

@@ -231,8 +231,7 @@ def reweighted_expectation(bundle: PathBundle, nu: IntensityControl,
 
 
 def simulate_tilted_theta(nu: IntensityControl, spec: ProblemSpec, seed: int,
-                          n_paths: int,
-                          n_steps: Optional[int] = None) -> PathBundle:
+                          n_paths: int, n_steps: int) -> PathBundle:
     """Simulate under the tilted intensity by thinning a dominating stream.
 
     Proposals arrive at rate nu_max * lambda0(grid); each is accepted with
@@ -246,7 +245,7 @@ def simulate_tilted_theta(nu: IntensityControl, spec: ProblemSpec, seed: int,
 
 
 def randomized_gain(spec: ProblemSpec, nu: IntensityControl, n_paths: int,
-                    seed: int, n_steps: Optional[int] = None) -> GainEstimate:
+                    seed: int, n_steps: int) -> GainEstimate:
     """Estimate E^nu[int f dt + g(X_T)] on paths simulated under the tilt."""
     bundle = simulate_tilted_theta(nu, spec, seed, n_paths, n_steps)
     return _estimate(bundle, nu, "tilted", sim.total_gain(bundle))

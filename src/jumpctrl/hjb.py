@@ -1,17 +1,19 @@
-"""Pointwise residuals of the nonlocal value equation on smooth candidates.
+"""Pointwise residuals of the nonlocal value equation on solved fields.
 
 The residual operator evaluates
 
     r = v_t + <Ax, Dv> + max_a H(t, x, a, Dv, D^2v, v(t, .))
 
 at interior lattice nodes, where H collects the diffusion, drift, running
-reward and compensated-jump terms of the controlled generator.  Candidates
-are either closed-form surfaces with exact derivatives or solved lattice
-fields differenced with second-order stencils (one-sided next to the
-excluded boundary band, so no stencil ever reads a clamp-polluted edge
-node).  A small interior residual on smooth regions is a consistency
-certificate for solver output; it is not a viscosity-solution proof, since
-only smooth test surfaces are ever evaluated.
+reward and compensated-jump terms of the controlled generator.  The
+candidates are solved lattice fields, differenced on their own lattice
+with second-order stencils (one-sided next to the excluded boundary band,
+so no stencil ever reads a clamp-polluted edge node).  The lattice scheme
+is monotone and consistent, so its fields converge to the viscosity
+solution (Barles & Souganidis, 1991), and a small interior residual on
+smooth regions is a consistency certificate for solver output; it is not
+a viscosity-solution proof.  Closed-form surfaces are test oracles: a
+test passes their exact derivatives to :func:`residual_surface`.
 """
 
 from __future__ import annotations
@@ -175,54 +177,6 @@ def _stencil_derivatives(values: np.ndarray, grid: LatticeGrid,
 
 
 # ---------------------------------------------------------------------------
-# Candidates
-# ---------------------------------------------------------------------------
-
-def _classify(candidate):
-    if isinstance(candidate, dict) and "value" in candidate:
-        return "analytic"
-    if hasattr(candidate, "grid") and hasattr(candidate, "values") \
-            and hasattr(candidate, "time_grid"):
-        extra = candidate.values.ndim - candidate.grid.ndim - 1
-        return "penalized-field" if extra == 1 else "dp-field"
-    raise TypeError(
-        "candidate must be a closed-form dict or a solved lattice field")
-
-
-def _sample_surface(value_fn, time_grid: np.ndarray,
-                    grid: LatticeGrid) -> np.ndarray:
-    nodes = grid.nodes()
-    out = np.empty((time_grid.size, *grid.shape))
-    for k, t in enumerate(time_grid):
-        flat = np.array([value_fn(float(t), p) for p in nodes])
-        out[k] = flat.reshape(grid.shape)
-    return out
-
-
-def _exact_derivatives(candidate: dict, time_grid: np.ndarray,
-                       grid: LatticeGrid, aug: int):
-    """Evaluate closed-form derivatives nodewise, padded to augmented dim."""
-    nodes = grid.nodes()
-    n = nodes.shape[0]
-    ndim = grid.ndim
-    d = ndim - aug
-    k_steps = time_grid.size - 1
-    v_t = np.empty((k_steps, n))
-    grad = np.zeros((k_steps, n, ndim))
-    hess = np.zeros((k_steps, n, ndim, ndim))
-    for k in range(k_steps):
-        t = float(time_grid[k])
-        for i, p in enumerate(nodes):
-            core = p[:d]
-            v_t[k, i] = candidate["dt"](t, core)
-            grad[k, i, :d] = candidate["grad"](t, core)
-            hess[k, i, :d, :d] = candidate["hess"](t, core)
-    shape = (k_steps, *grid.shape)
-    return (v_t.reshape(shape), grad.reshape(*shape, ndim),
-            hess.reshape(*shape, ndim, ndim))
-
-
-# ---------------------------------------------------------------------------
 # Residual field
 # ---------------------------------------------------------------------------
 
@@ -236,58 +190,52 @@ def unavailable_reason(spec: ProblemSpec) -> str | None:
     return None
 
 
-def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
-                 grid: LatticeGrid | None = None,
-                 stencil: str = "auto") -> HjbResidualField:
-    """Residual surface of a candidate value function.
+def hjb_residual(spec: ProblemSpec, field) -> HjbResidualField:
+    """Residual surface of a solved lattice field (a ``DpField`` or a
+    ``PenalizedField``).
 
-    Analytic candidates (dicts from the closed-form registry) use exact
-    derivatives when present, or are sampled on the lattice and differenced
-    when ``stencil='central'``.  Solved fields are always differenced on
-    their own lattice; the regime axis of a penalized field is reduced by
-    max, which is the surface the classical equation describes.  The
-    terminal mismatch max |v(T,.) - g| is reported separately because the
-    interior operator says nothing about the boundary condition.
+    The field is differenced on its own lattice and time grid with the
+    second-order stencils above; the regime axis of a penalized field is
+    reduced by max, which is the surface the classical equation describes.
+    The jump term reads the field by clamped multilinear interpolation,
+    and ``metadata['shift_clamps']`` counts the shifted points it clamped.
+    """
+    if not all(hasattr(field, key) for key in ("time_grid", "grid",
+                                                 "values")):
+        raise TypeError("candidate must be a solved lattice field")
+    grid = field.grid
+    values = field.values
+    if values.ndim == grid.ndim + 2:
+        values = values.max(axis=-1)
+    dt = float(field.time_grid[1] - field.time_grid[0])
+    v_t, grad, hess = _stencil_derivatives(values, grid, dt)
+    return residual_surface(
+        spec, field.time_grid, grid, values[-1], v_t, grad, hess,
+        lambda k, points: transition.multilinear(grid.axes, values[k],
+                                                 points))
+
+
+def residual_surface(spec: ProblemSpec, time_grid: np.ndarray,
+                     grid: LatticeGrid, terminal: np.ndarray,
+                     v_t: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                     value_at) -> HjbResidualField:
+    """Residual of the value equation from given derivatives.
+
+    ``v_t`` is (K, *shape), ``grad`` (K, *shape, ndim) and ``hess``
+    (K, *shape, ndim, ndim) at the left time nodes of ``time_grid``;
+    ``terminal`` holds the candidate at T on the nodes.  The jump term
+    reads the candidate through ``value_at(k, points)``, which returns the
+    values at time node k and how many points it clamped, as
+    :func:`transition.multilinear` does.  The terminal mismatch
+    max |v(T,.) - g| is reported separately because the interior operator
+    says nothing about the boundary condition.
     """
     reason = unavailable_reason(spec)
     if reason is not None:
         raise ValueError(reason)
-    kind = _classify(candidate)
-    if stencil not in ("auto", "exact", "central"):
-        raise ValueError("stencil must be 'auto', 'exact' or 'central'")
-
-    if kind == "analytic":
-        if time_grid is None:
-            time_grid = spec.time_grid(spec.default_steps())
-        else:
-            time_grid = np.asarray(time_grid, dtype=float)
-        if grid is None:
-            grid = transition.default_state_grid(spec)
-        has_exact = all(key in candidate for key in ("dt", "grad", "hess"))
-        if stencil == "exact" and not has_exact:
-            raise ValueError("candidate has no exact derivatives")
-        use_exact = has_exact and stencil != "central"
-        values = _sample_surface(candidate["value"], time_grid, grid)
-        mode = "exact" if use_exact else "central"
-    else:
-        if time_grid is not None or grid is not None:
-            raise ValueError(
-                "field candidates are evaluated on their own lattice")
-        time_grid = candidate.time_grid
-        grid = candidate.grid
-        values = candidate.values
-        if kind == "penalized-field":
-            values = values.max(axis=-1)
-        use_exact = False
-        mode = "central"
-
+    time_grid = np.asarray(time_grid, dtype=float)
     dt = float(time_grid[1] - time_grid[0])
     aug = 0 if spec.augmentation == "none" else 1
-    if use_exact:
-        v_t, grad, hess = _exact_derivatives(candidate, time_grid, grid,
-                                             aug)
-    else:
-        v_t, grad, hess = _stencil_derivatives(values, grid, dt)
 
     nodes = grid.nodes()
     n_nodes = nodes.shape[0]
@@ -297,7 +245,7 @@ def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
     shape = grid.shape
     lam = np.asarray(spec.a_eigenvalues, dtype=float)
 
-    clamp_counter = [0]
+    n_clamps = 0
     residual = np.full((k_steps, *shape), np.nan)
     argmax = np.full((k_steps, *shape), -1, dtype=np.int64)
     keep = transition.interior_mask(grid)
@@ -310,10 +258,13 @@ def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
 
     for k in range(k_steps):
         t = float(time_grid[k])
-        if use_exact:
-            accessor = _analytic_accessor(candidate, t)
-        else:
-            accessor = _field_accessor(grid, values[k], clamp_counter)
+
+        def accessor(points: np.ndarray, k=k) -> np.ndarray:
+            nonlocal n_clamps
+            vals, clamped = value_at(k, points)
+            n_clamps += clamped
+            return vals
+
         gk = grad_flat[k][keep]
         hk = hess_flat[k][keep]
         ham = _hamiltonian_nodes(spec, t, xk, gk, hk, accessor)
@@ -329,40 +280,19 @@ def hjb_residual(spec: ProblemSpec, candidate, time_grid=None,
         argmax[k] = a_flat.reshape(shape)
 
     g_nodes = spec.coefficients.g(nodes).reshape(shape)
-    terminal_error = float(np.abs(values[-1] - g_nodes).max())
+    terminal_error = float(np.abs(terminal - g_nodes).max())
 
     metadata = {
-        "candidate": kind, "stencil": mode, "dt": dt,
+        "dt": dt,
         "h": tuple(float(np.diff(ax).mean()) for ax in grid.axes),
-        "shift_clamps": int(clamp_counter[0]), "n_quad": QUAD_NODES_NONLOCAL,
+        "shift_clamps": int(n_clamps), "n_quad": QUAD_NODES_NONLOCAL,
         "fingerprint": spec.fingerprint(),
         "excluded_count": int(excluded.sum()),
     }
     return HjbResidualField(
-        time_grid=np.asarray(time_grid[:-1], dtype=float), grid=grid,
+        time_grid=time_grid[:-1], grid=grid,
         residual=residual, argmax=argmax, terminal_error=terminal_error,
         excluded=excluded, metadata=metadata)
-
-
-def _analytic_accessor(candidate: dict, t: float):
-    value_fn = candidate["value"]
-
-    def accessor(points: np.ndarray) -> np.ndarray:
-        return np.array([value_fn(t, p) for p in points])
-
-    return accessor
-
-
-def _field_accessor(grid: LatticeGrid, values_k: np.ndarray,
-                    clamp_counter: list):
-    """Clamped interpolation of one time slice, counting out-of-grid shifts."""
-    def accessor(points: np.ndarray) -> np.ndarray:
-        vals, n_clamped = transition.multilinear(grid.axes, values_k,
-                                                 points)
-        clamp_counter[0] += n_clamped
-        return vals
-
-    return accessor
 
 
 # ---------------------------------------------------------------------------

@@ -683,53 +683,38 @@ def _lin_growth(lam: float, tau) -> float:
 def closed_form(spec: ProblemSpec) -> Optional[dict]:
     """Exact value function of the relaxed control problem, when known.
 
-    Returns None when the family (or an override) has no claimed solution.
-    The dict carries ``value(t, x)`` plus exact derivatives ``dt``, ``grad``,
-    ``hess`` on the core state; the lookback family instead exposes only
-    ``value(t, x_aug)`` on the augmented state.
+    Returns ``{"value": value(t, x)}``, or None when the family (or an
+    override) has no claimed solution.  ``x`` is the state; for the
+    lookback family it may carry the running integral after the core
+    state, and a core state alone stands for the integral's start, 0.
+    The surfaces are test and benchmark oracles, for example of the
+    initial value ``value(0, x0)``; no command certifies one.
     """
     fam = spec.coefficients.family
     T = spec.horizon
     lam = float(spec.a_eigenvalues[0]) if spec.dim == 1 else None
 
     if fam == "uncontrolled-decay" and spec.dim == 1:
-        return {
-            "value": lambda t, x: math.exp(lam * (T - t)) * x[0],
-            "dt": lambda t, x: -lam * math.exp(lam * (T - t)) * x[0],
-            "grad": lambda t, x: np.array([math.exp(lam * (T - t))]),
-            "hess": lambda t, x: np.zeros((1, 1)),
-        }
+        return {"value": lambda t, x: math.exp(lam * (T - t)) * x[0]}
 
     if fam == "bang-drift" and spec.dim == 1:
         amax = float(np.max(spec.control.points))
-        return {
-            "value": lambda t, x: (math.exp(lam * (T - t)) * x[0]
-                                   + amax * _lin_growth(lam, T - t)),
-            "dt": lambda t, x: (-lam * math.exp(lam * (T - t)) * x[0]
-                                - amax * math.exp(lam * (T - t))),
-            "grad": lambda t, x: np.array([math.exp(lam * (T - t))]),
-            "hess": lambda t, x: np.zeros((1, 1)),
-        }
+        return {"value": lambda t, x: (math.exp(lam * (T - t)) * x[0]
+                                       + amax * _lin_growth(lam, T - t))}
 
     if fam == "jump-reward" and spec.dim == 1 and abs(lam) < 1e-14:
         m2 = spec.jump_measure.second_moment
         sig = float(spec.coefficients.parameters.get("sigma", 0.0))
         run = max(float(a) - float(a) ** 2 * m2
                   for a in spec.control.points) - sig ** 2
-        return {
-            "value": lambda t, x: -x[0] ** 2 + run * (T - t),
-            "dt": lambda t, x: -run,
-            "grad": lambda t, x: np.array([-2.0 * x[0]]),
-            "hess": lambda t, x: np.array([[-2.0]]),
-        }
+        return {"value": lambda t, x: -x[0] ** 2 + run * (T - t)}
 
     if (fam == "lookback-integral" and spec.dim == 1
             and abs(lam) < 1e-14
             and spec.augmentation == "running-integral"):
         amax = float(np.max(spec.control.points))
-        return {
-            "value": lambda t, x: (x[1] + x[0] * (T - t)
-                                   + 0.5 * amax * (T - t) ** 2),
-        }
+        return {"value": lambda t, x: ((x[1] if len(x) > 1 else 0.0)
+                                       + x[0] * (T - t)
+                                       + 0.5 * amax * (T - t) ** 2)}
 
     return None

@@ -689,7 +689,7 @@ def _state_columns(spec: ProblemSpec) -> list:
 
 
 def write_bundle_csv(bundle: PathBundle, csv_path: str,
-                     sidecar_path: Optional[str] = None) -> None:
+                     sidecar_path: str) -> None:
     """RFC-4180 CSV, one row per (path, grid time); JSON sidecar metadata."""
     spec = bundle.spec
     n_times = bundle.time_grid.size
@@ -701,20 +701,19 @@ def write_bundle_csv(bundle: PathBundle, csv_path: str,
          *bundle.states.reshape(rows, -1).T,
          bundle.regimes.reshape(rows),
          np.repeat(bundle.excluded.astype(np.int64), n_times)])
-    if sidecar_path is not None:
-        meta = {
-            "schema_version": CSV_SCHEMA,
-            "family": spec.coefficients.family,
-            "fingerprint": spec.fingerprint(),
-            "seed": bundle.seed,
-            "scheme": "exponential-euler",
-            "control_mode": bundle.control_mode,
-            "n_paths": bundle.n_paths,
-            "n_steps": bundle.n_steps,
-            "t0": 0.0,
-            "horizon": float(bundle.time_grid[-1]),
-            "n_excluded": bundle.n_excluded,
-        }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    meta = {
+        "schema_version": CSV_SCHEMA,
+        "family": spec.coefficients.family,
+        "fingerprint": spec.fingerprint(),
+        "seed": bundle.seed,
+        "scheme": "exponential-euler",
+        "control_mode": bundle.control_mode,
+        "n_paths": bundle.n_paths,
+        "n_steps": bundle.n_steps,
+        "t0": 0.0,
+        "horizon": float(bundle.time_grid[-1]),
+        "n_excluded": bundle.n_excluded,
+    }
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")

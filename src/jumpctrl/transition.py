@@ -165,21 +165,18 @@ def _stencil(axes: tuple, points: np.ndarray):
     return corners, outside
 
 
-def multilinear(axes: tuple, values: np.ndarray, points: np.ndarray,
-                count_in: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def multilinear(axes: tuple, values: np.ndarray,
+                points: np.ndarray) -> tuple[np.ndarray, int]:
     """Clamped multilinear interpolation; returns (values, n_clamped).
 
     Clamping to the lattice box keeps the operator monotone: the output is
-    a convex combination of stored values with nonnegative weights.  The
-    clamp count covers all points, or only those flagged by ``count_in``
-    (so callers can ignore the box's own boundary layer).  Axes of
+    a convex combination of stored values with nonnegative weights, and
+    the count says how many points lay outside the box.  Axes of
     ``values`` beyond the lattice's (say, one per control) are carried
     through: the output has shape ``(n_points, *values.shape[d:])`` and
     every trailing slice shares one stencil.
     """
     corners, outside = _stencil(axes, points)
-    if count_in is not None:
-        outside = outside & count_in
     trailing = values.shape[len(axes):]
     out = np.zeros((outside.size, *trailing))
     for loc, w in corners:
@@ -326,18 +323,14 @@ def assemble_operator(spec: ProblemSpec, t: float, dt: float, a_index: int,
 
 
 def expect_next(spec: ProblemSpec, t: float, dt: float, a_index: int,
-                grid: LatticeGrid, next_values: np.ndarray,
-                clamp_mask: np.ndarray | None = None) -> tuple[np.ndarray,
-                                                               float]:
+                grid: LatticeGrid,
+                next_values: np.ndarray) -> tuple[np.ndarray, float]:
     """E[ v(t+dt, X') | X = lattice nodes, regime a ], flat over the nodes.
 
     One application of :func:`assemble_operator`; the second return sums
-    its clamped transition mass over all nodes, or over the flat subset
-    ``clamp_mask`` (typically the interior).
+    its clamped transition mass over all nodes.
     """
     matrix, clamp_rows = assemble_operator(spec, t, dt, a_index, grid)
-    if clamp_mask is not None:
-        clamp_rows = clamp_rows[clamp_mask]
     return matrix @ np.ravel(next_values), float(clamp_rows.sum())
 
 

@@ -4,9 +4,12 @@ Every expected value used by the tests is either trivial arithmetic or is
 computed here by a route that shares no code with the package: closed forms
 derived by hand, scipy quadrature, and a plain RK4 ODE integrator.  The
 frozen constants below are asserted against their recomputation in
-test_oracles.py, so they cannot drift silently.  The one exception is
-``brownian_increments``, which regenerates a bundle's noise from the
-package's random stream, so that replay tests can feed it back.
+test_oracles.py, so they cannot drift silently.  Two sections use the
+package: ``brownian_increments`` regenerates a bundle's noise from the
+package's random stream, so that replay tests can feed it back, and
+``sampled_dp_field`` / ``exact_residual`` put oracle surfaces into the
+package's lattice types, so that tests can hand them to the residual
+operator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from jumpctrl import stream
+from jumpctrl import dp, hjb, stream
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +134,65 @@ def lookback_integral_value(x0: float, z0: float, horizon: float,
     return best
 
 
+# ---------------------------------------------------------------------------
+# Exact derivatives of the closed-form value functions.
+# ---------------------------------------------------------------------------
+#
+# Each surface is a dict of callables (t, x) on the core state x:
+# ``value``, its time derivative ``dt``, ``grad`` (d,) and ``hess`` (d, d).
+
+def decay_surface(horizon: float) -> dict:
+    """v(t, x) = e^{-(T-t)} x for dX = -X dt and g(x) = x: the flow is
+    linear, so the reward is carried back along it."""
+    return {
+        "value": lambda t, x: math.exp(-(horizon - t)) * x[0],
+        "dt": lambda t, x: math.exp(-(horizon - t)) * x[0],
+        "grad": lambda t, x: np.array([math.exp(-(horizon - t))]),
+        "hess": lambda t, x: np.zeros((1, 1)),
+    }
+
+
+def bang_surface(horizon: float, amax: float) -> dict:
+    """v(t, x) = x + amax (T - t) for dX = a dt + sigma dW and g(x) = x:
+    the largest drift ``amax`` is optimal at every state (see
+    :func:`bang_value`), and v is linear in x, so sigma drops out."""
+    return {
+        "value": lambda t, x: x[0] + amax * (horizon - t),
+        "dt": lambda t, x: -amax,
+        "grad": lambda t, x: np.ones(1),
+        "hess": lambda t, x: np.zeros((1, 1)),
+    }
+
+
+def jump_reward_surface(horizon: float, controls, rate: float,
+                        z_hi: float = 0.5, z_lo: float = -0.5,
+                        p_hi: float = 0.5) -> dict:
+    """v(t, x) = -x^2 + max_a (a - a^2 M) (T - t) for the controlled pure
+    jump family, M = rate E[z^2] (see :func:`jump_reward_value`)."""
+    m2 = second_moment_two_point(z_hi, z_lo, p_hi, rate)
+    run = max(a - a * a * m2 for a in controls)
+    return {
+        "value": lambda t, x: -x[0] ** 2 + run * (horizon - t),
+        "dt": lambda t, x: -run,
+        "grad": lambda t, x: np.array([-2.0 * x[0]]),
+        "hess": lambda t, x: np.array([[-2.0]]),
+    }
+
+
+def registry_surface(spec) -> dict:
+    """The surface of a registry family with its default parameters:
+    uncontrolled-decay, bang-drift or jump-reward (read off ``spec``)."""
+    family = spec.coefficients.family
+    if family == "uncontrolled-decay":
+        return decay_surface(spec.horizon)
+    if family == "bang-drift":
+        return bang_surface(spec.horizon, float(max(spec.control.points)))
+    if family == "jump-reward":
+        return jump_reward_surface(spec.horizon, spec.control.points,
+                                   spec.jump_measure.total_rate)
+    raise ValueError(f"no oracle surface for {family!r}")
+
+
 def constant_tilt_weight(c: float, total_rate: float, horizon: float,
                          n_events: int) -> float:
     """Closed-form tilt weight for a constant intensity multiplier c."""
@@ -232,6 +294,48 @@ def brownian_increments(bundle) -> np.ndarray:
                               n_steps * spec.brownian_dim, 0)
     return (raw.reshape(n_paths, n_steps, spec.brownian_dim)
             * np.sqrt(spec.horizon / n_steps))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms on the package's lattice types.
+# ---------------------------------------------------------------------------
+
+def sampled_dp_field(value, time_grid, grid) -> dp.DpField:
+    """``value(t, x)`` sampled at every node of ``grid`` and every time of
+    ``time_grid``, as a field the residual operator differences like a
+    solved one (its argmax is all zeros)."""
+    nodes = grid.nodes()
+    values = np.array([[value(float(t), p) for p in nodes]
+                       for t in time_grid])
+    return dp.DpField(
+        time_grid=np.asarray(time_grid, dtype=float), grid=grid,
+        values=values.reshape(len(time_grid), *grid.shape),
+        argmax=np.zeros((len(time_grid) - 1, *grid.shape), dtype=np.int64),
+        metadata={})
+
+
+def exact_residual(spec, surface, time_grid, grid):
+    """The residual operator on a surface's exact derivatives, evaluated
+    at the nodes of ``grid`` and the left times of ``time_grid``; the jump
+    term reads the surface itself."""
+    nodes = grid.nodes()
+    k_steps, ndim = len(time_grid) - 1, grid.ndim
+    left = [float(t) for t in time_grid[:-1]]
+
+    def at_nodes(key, t_list):
+        return np.array([[surface[key](t, p) for p in nodes]
+                         for t in t_list])
+
+    def value_at(k, points):
+        return np.array([surface["value"](left[k], p) for p in points]), 0
+
+    shape = (k_steps, *grid.shape)
+    return hjb.residual_surface(
+        spec, time_grid, grid,
+        at_nodes("value", [float(time_grid[-1])]).reshape(grid.shape),
+        at_nodes("dt", left).reshape(shape),
+        at_nodes("grad", left).reshape(*shape, ndim),
+        at_nodes("hess", left).reshape(*shape, ndim, ndim), value_at)
 
 
 # ---------------------------------------------------------------------------

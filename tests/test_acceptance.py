@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from jumpctrl import bsde, cli, dp, girsanov, hjb, sim, transition
-from jumpctrl.problem import closed_form, load_problem
+from jumpctrl.problem import load_problem
 
 LADDER = (1, 2, 4, 8, 16)
 N_BIG = 100_000
@@ -29,6 +29,14 @@ FAMILIES = ("uncontrolled-decay", "bang-drift", "jump-reward",
             "ou-switch", "lookback-integral")
 
 
+def _ladder(spec):
+    """The lattice ladder on the time grid its top level needs and the
+    state grid of pilot seed 0."""
+    return bsde.minimal_value(
+        spec, LADDER, bsde.default_time_steps(spec, max(LADDER)),
+        grid=transition.default_state_grid(spec, seed=0))
+
+
 @pytest.fixture(scope="module")
 def bang_spec():
     return _spec("bang-drift")
@@ -41,17 +49,18 @@ def jump_spec():
 
 @pytest.fixture(scope="module")
 def bang_ladder(bang_spec):
-    return bsde.minimal_value(bang_spec, levels=LADDER, seed=0)
+    return _ladder(bang_spec)
 
 
 @pytest.fixture(scope="module")
 def jump_ladder(jump_spec):
-    return bsde.minimal_value(jump_spec, levels=LADDER, seed=0)
+    return _ladder(jump_spec)
 
 
 @pytest.fixture(scope="module")
 def bang_dp(bang_spec, bang_ladder):
-    return dp.solve_dp_grid(bang_spec, n_time_steps=bang_ladder.n_time_steps)
+    return dp.solve_dp_grid(bang_spec, bang_ladder.n_time_steps,
+                            bang_ladder.last_field.grid)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +101,7 @@ def test_criterion_2_monotone_ladder_on_all_families(announce):
     ok = True
     for family in FAMILIES:
         spec = _spec(family)
-        rep = bsde.minimal_value(spec, levels=LADDER, seed=0)
+        rep = _ladder(spec)
         tol = spec.tolerances["tol_monotone"]
         if rep.monotone_max_violation > worst[1]:
             worst = (family, rep.monotone_max_violation)
@@ -182,7 +191,9 @@ def test_criterion_7_hjb_residual_exact_and_stencil_decay(announce):
     exact_worst = 0.0
     for family in ("uncontrolled-decay", "bang-drift"):
         spec = _spec(family)
-        res = hjb.hjb_residual(spec, closed_form(spec))
+        res = oracles.exact_residual(spec, oracles.registry_surface(spec),
+                                     spec.time_grid(spec.default_steps()),
+                                     transition.default_state_grid(spec))
         exact_worst = max(exact_worst, res.interior_max())
         exact_ok = exact_ok and (res.interior_max()
                                  <= spec.tolerances["tol_exact"])
@@ -190,13 +201,13 @@ def test_criterion_7_hjb_residual_exact_and_stencil_decay(announce):
     sequences = {}
     for family in ("uncontrolled-decay", "bang-drift"):
         spec = _spec(family)
-        cand = closed_form(spec)
+        value = oracles.registry_surface(spec)["value"]
         errs = []
         for steps, nodes in ((16, 81), (32, 161), (64, 321)):
             grid = transition.default_state_grid(spec, nodes)
             tg = np.linspace(0.0, spec.horizon, steps + 1)
-            res = hjb.hjb_residual(spec, cand, time_grid=tg, grid=grid,
-                                   stencil="central")
+            res = hjb.hjb_residual(
+                spec, oracles.sampled_dp_field(value, tg, grid))
             errs.append(res.interior_max())
         sequences[family] = errs
         # second-order decay, with a floor where the residual is already
@@ -219,7 +230,7 @@ def test_criterion_8_jump_reward_matches_the_moment_ode(jump_spec,
         0.0, jump_spec.horizon, jump_spec.control.points,
         rate=jump_spec.jump_measure.total_rate)
     v_dp = dp.solve_dp_grid(
-        jump_spec, n_time_steps=jump_ladder.n_time_steps
+        jump_spec, jump_ladder.n_time_steps, jump_ladder.last_field.grid
     ).value_at_origin(jump_spec)
     gap_dp = abs(v_dp - target)
     gap_pen = abs(jump_ladder.value_limit - target)

@@ -18,6 +18,12 @@ def _spec(family, **over):
     return load_problem(cfg)
 
 
+def _solve(spec, level_n, n_time_steps):
+    """One lattice level on the state grid of pilot seed 0."""
+    return bsde.solve_penalized_grid(spec, level_n, n_time_steps,
+                                     transition.default_state_grid(spec))
+
+
 @pytest.fixture(scope="module")
 def bang_spec():
     return _spec("bang-drift")
@@ -30,8 +36,8 @@ def bang_bundle(bang_spec):
 
 @pytest.fixture(scope="module")
 def bang_ladder(bang_spec):
-    return bsde.minimal_value(bang_spec, levels=(1, 2, 4, 8, 16),
-                              n_time_steps=64)
+    return bsde.minimal_value(bang_spec, (1, 2, 4, 8, 16), 64,
+                              grid=transition.default_state_grid(bang_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +46,7 @@ def bang_ladder(bang_spec):
 
 def test_grid_terminal_condition_exact_all_regimes():
     spec = _spec("jump-reward")
-    fld = bsde.solve_penalized_grid(spec, 3, n_time_steps=16)
+    fld = _solve(spec, 3, 16)
     g_nodes = spec.coefficients.g(fld.grid.nodes()).reshape(fld.grid.shape)
     for a in range(spec.control.size):
         np.testing.assert_array_equal(fld.values[-1][..., a], g_nodes)
@@ -49,8 +55,9 @@ def test_grid_terminal_condition_exact_all_regimes():
 def test_grid_uncontrolled_value_is_regime_and_level_free():
     # coefficients carry no control: penalty vanishes identically
     spec = _spec("uncontrolled-decay")
-    f1 = bsde.solve_penalized_grid(spec, 1, n_time_steps=32)
-    f5 = bsde.solve_penalized_grid(spec, 5, n_time_steps=32)
+    grid = transition.default_state_grid(spec)
+    f1 = bsde.solve_penalized_grid(spec, 1, 32, grid)
+    f5 = bsde.solve_penalized_grid(spec, 5, 32, grid)
     np.testing.assert_allclose(f1.values, f5.values, atol=1e-12)
     np.testing.assert_allclose(f1.values[..., 0], f1.values[..., 1],
                                atol=1e-12)
@@ -58,7 +65,7 @@ def test_grid_uncontrolled_value_is_regime_and_level_free():
 
 
 def test_grid_bang_value_reaches_analytic_level(bang_spec):
-    fld = bsde.solve_penalized_grid(bang_spec, 16, n_time_steps=64)
+    fld = _solve(bang_spec, 16, 64)
     assert abs(fld.value_at_origin(bang_spec) - oracles.BANG_VALUE_T0) < 2e-2
     assert fld.metadata["monotone_safe"]
     assert fld.metadata["stability"] == pytest.approx(16 / 64)
@@ -73,7 +80,7 @@ def test_grid_default_steps_respect_stability():
 
 def test_grid_warns_when_stability_bound_broken(bang_spec):
     with pytest.warns(RuntimeWarning, match="stability"):
-        bsde.solve_penalized_grid(bang_spec, 200, n_time_steps=64)
+        _solve(bang_spec, 200, 64)
 
 
 def test_grid_warns_on_undersized_state_grid(bang_spec):
@@ -95,14 +102,14 @@ def test_grid_monotone_in_level_nodewise(bang_spec):
 
 def test_grid_jump_reward_matches_moment_ode_oracle():
     spec = _spec("jump-reward")
-    fld = bsde.solve_penalized_grid(spec, 16, n_time_steps=64)
+    fld = _solve(spec, 16, 64)
     want = oracles.JUMP_REWARD_VALUE_T0
     assert abs(fld.value_at_origin(spec) - want) < 2e-2
 
 
 def test_grid_snap_time_picks_nearest_node():
-    fld = bsde.solve_penalized_grid(_spec("uncontrolled-decay"), 1,
-                                    n_time_steps=8)
+    spec = _spec("uncontrolled-decay")
+    fld = _solve(spec, 1, 8)
     assert fld.snap_time(0.49) == (4, 0.5)
     assert fld.snap_time(0.0) == (0, 0.0)
 
@@ -155,7 +162,7 @@ def test_lsmc_terminal_values_equal_terminal_reward(bang_spec, bang_bundle):
 def test_lsmc_matches_grid_per_level(bang_spec, bang_bundle):
     for n in (1, 4, 16):
         q = bsde.solve_penalized_lsmc(bang_spec, n, bang_bundle)
-        fld = bsde.solve_penalized_grid(bang_spec, n, n_time_steps=64)
+        fld = _solve(bang_spec, n, 64)
         gap = abs(q.y0 - fld.value_at_origin(bang_spec))
         assert gap <= 3 * q.y0_se + 2e-2
 
@@ -357,7 +364,7 @@ def test_constraint_gap_zero_for_uncontrolled_problem():
 
 def test_constraint_gap_routes_agree(bang_spec, bang_bundle):
     q = bsde.solve_penalized_lsmc(bang_spec, 4, bang_bundle)
-    fld = bsde.solve_penalized_grid(bang_spec, 4, n_time_steps=64)
+    fld = _solve(bang_spec, 4, 64)
     r_q = bsde.constraint_gap(q)
     r_f = bsde.constraint_gap(
         fld, sim.simulate_bundle(bang_spec, 20_000, 3, n_steps=64))
@@ -399,8 +406,8 @@ def test_constraint_gap_many_fields_need_one_lattice(bang_spec, bang_ladder,
 def test_constraint_gap_validates_inputs(bang_spec):
     with pytest.raises(TypeError):
         bsde.constraint_gap(object())
-    fld = bsde.solve_penalized_grid(_spec("uncontrolled-decay"), 1,
-                                    n_time_steps=8)
+    spec = _spec("uncontrolled-decay")
+    fld = _solve(spec, 1, 8)
     with pytest.raises(ValueError, match="bundle"):
         bsde.constraint_gap(fld, None)
     with pytest.raises(ValueError, match="spec mismatch"):
@@ -410,7 +417,7 @@ def test_constraint_gap_validates_inputs(bang_spec):
 
 def test_constraint_gap_rejects_a_bundle_on_another_time_grid():
     spec = _spec("uncontrolled-decay")
-    fld = bsde.solve_penalized_grid(spec, 1, n_time_steps=8)
+    fld = _solve(spec, 1, 8)
     on_grid = sim.simulate_bundle(spec, 50, 0, n_steps=8)
     assert bsde.constraint_gap(fld, on_grid).n_paths == 50
     with pytest.raises(ValueError, match="time grid"):
@@ -424,7 +431,8 @@ def test_constraint_gap_rejects_a_bundle_on_another_time_grid():
 
 def test_ladder_uncontrolled_is_flat_at_the_oracle():
     spec = _spec("uncontrolled-decay")
-    rep = bsde.minimal_value(spec, levels=(1, 2, 4), n_time_steps=32)
+    rep = bsde.minimal_value(spec, (1, 2, 4), 32,
+                             grid=transition.default_state_grid(spec))
     for v in rep.values:
         assert abs(v - oracles.DECAY_VALUE_T0) < 1e-9
     assert abs(rep.value_limit - oracles.DECAY_VALUE_T0) < 1e-9
@@ -454,12 +462,17 @@ def test_ladder_bang_monotone_with_analytic_limit(bang_spec, bang_ladder):
 
 def test_ladder_rejects_unordered_levels(bang_spec):
     with pytest.raises(ValueError, match="increasing"):
-        bsde.minimal_value(bang_spec, levels=(4, 2, 1))
+        bsde.minimal_value(bang_spec, (4, 2, 1), 64)
+
+
+def test_ladder_grid_route_needs_a_lattice(bang_spec):
+    with pytest.raises(ValueError, match="state grid"):
+        bsde.minimal_value(bang_spec, (1, 2), 8)
 
 
 def test_ladder_lsmc_solver_tracks_grid(bang_spec, bang_ladder):
-    rep = bsde.minimal_value(bang_spec, levels=(1, 4, 16), solver="lsmc",
-                             n_time_steps=64, n_paths=20_000, seed=3)
+    rep = bsde.minimal_value(bang_spec, (1, 4, 16), 64, solver="lsmc",
+                             n_paths=20_000, seed=3)
     assert rep.solver == "lsmc"
     for v, se, n in zip(rep.values, rep.ses, rep.levels):
         idx = bang_ladder.levels.index(n)
@@ -490,7 +503,7 @@ def test_dpp_check_at_terminal_reduces_to_value(bang_spec, bang_ladder):
 
 def test_dpp_check_uncontrolled_is_tower_property():
     spec = _spec("uncontrolled-decay")
-    fld = bsde.solve_penalized_grid(spec, 2, n_time_steps=32)
+    fld = _solve(spec, 2, 32)
     out = bsde.check_randomized_dpp(fld, spec, 0.5, n_paths=2_000, seed=1)
     assert out["ok"]
     assert abs(out["diff"]) < 1e-6
@@ -498,10 +511,12 @@ def test_dpp_check_uncontrolled_is_tower_property():
 
 def test_dpp_check_rejects_boundary_times(bang_spec, bang_ladder):
     with pytest.raises(ValueError, match="interior"):
-        bsde.check_randomized_dpp(bang_ladder.last_field, bang_spec, 0.0)
+        bsde.check_randomized_dpp(bang_ladder.last_field, bang_spec, 0.0,
+                                  n_paths=100, seed=0)
 
 
 def test_dpp_check_rejects_foreign_spec(bang_ladder):
     other = _spec("uncontrolled-decay")
     with pytest.raises(ValueError, match="spec mismatch"):
-        bsde.check_randomized_dpp(bang_ladder.last_field, other, 0.5)
+        bsde.check_randomized_dpp(bang_ladder.last_field, other, 0.5,
+                                  n_paths=100, seed=0)

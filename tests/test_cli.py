@@ -186,6 +186,14 @@ def test_solve_unknown_method_exits_2(bang_cfg, tmp_path):
     assert code == 2
 
 
+def test_solve_and_verify_default_to_one_ladder():
+    parser = cli.build_parser()
+    solve = parser.parse_args(["solve", "c.json", "--method", "dp",
+                               "--out", "o"])
+    verify = parser.parse_args(["verify", "c.json"])
+    assert solve.ladder is verify.levels is cli.DEFAULT_LEVELS
+
+
 @pytest.mark.parametrize("argv, minimum", [
     (["solve", "--method", "dp", "--steps", "1"],
      "--steps must be at least 2"),
@@ -901,7 +909,7 @@ def test_csv_writers_match_golden_bytes(name, chunk_rows, tmp_path,
     spec, bundle, ladder, dp_field, pen_field, residual = _golden_inputs()
     path = tmp_path / f"{name}.csv"
     if name == "paths":
-        sim.write_bundle_csv(bundle, str(path))
+        sim.write_bundle_csv(bundle, str(path), str(tmp_path / "side.json"))
     elif name == "ladder":
         cli.write_ladder_csv(ladder, path)
     elif name == "dp_field":

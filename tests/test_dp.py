@@ -24,13 +24,14 @@ def bang_spec():
 
 @pytest.fixture(scope="module")
 def bang_dp(bang_spec):
-    return dp.solve_dp_grid(bang_spec, n_time_steps=64)
+    return dp.solve_dp_grid(bang_spec, 64,
+                            transition.default_state_grid(bang_spec))
 
 
 @pytest.fixture(scope="module")
 def bang_ladder(bang_spec):
-    return bsde.minimal_value(bang_spec, levels=(1, 2, 4, 8, 16),
-                              n_time_steps=64)
+    return bsde.minimal_value(bang_spec, (1, 2, 4, 8, 16), 64,
+                              grid=transition.default_state_grid(bang_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,7 @@ def bang_ladder(bang_spec):
 
 def test_dp_uncontrolled_matches_closed_form_on_the_lattice():
     spec = _spec("uncontrolled-decay")
-    fld = dp.solve_dp_grid(spec, n_time_steps=32)
+    fld = dp.solve_dp_grid(spec, 32, transition.default_state_grid(spec))
     cf = closed_form(spec)["value"]
     for k in (0, 16, 32):
         t = float(fld.time_grid[k])
@@ -49,7 +50,7 @@ def test_dp_uncontrolled_matches_closed_form_on_the_lattice():
 
 def test_dp_uncontrolled_argmax_breaks_ties_toward_low_index():
     spec = _spec("uncontrolled-decay")
-    fld = dp.solve_dp_grid(spec, n_time_steps=16)
+    fld = dp.solve_dp_grid(spec, 16, transition.default_state_grid(spec))
     assert np.all(fld.argmax == 0)
 
 
@@ -73,7 +74,7 @@ def test_dp_bang_value_and_policy(bang_spec, bang_dp):
 
 def test_dp_jump_reward_matches_moment_ode():
     spec = _spec("jump-reward")
-    fld = dp.solve_dp_grid(spec, n_time_steps=64)
+    fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
     assert abs(fld.value_at_origin(spec)
                - oracles.JUMP_REWARD_VALUE_T0) < 2e-2
     k_mid = fld.n_steps // 2
@@ -83,7 +84,7 @@ def test_dp_jump_reward_matches_moment_ode():
 
 def test_dp_lookback_running_integral():
     spec = _spec("lookback-integral")
-    fld = dp.solve_dp_grid(spec, n_time_steps=64)
+    fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
     assert abs(fld.value_at_origin(spec)
                - oracles.LOOKBACK_VALUE_T0) < 2e-2
 
@@ -122,7 +123,8 @@ def test_value_equality_with_tilted_upper_estimate(bang_spec, bang_dp,
     fld = bang_ladder.last_field
     nu = girsanov.IntensityControl.argmax_tilt(
         fld.time_grid, fld.grid.axes, fld.values, strength=8.0)
-    est = girsanov.randomized_gain(bang_spec, nu, 4_000, seed=5)
+    est = girsanov.randomized_gain(bang_spec, nu, 4_000, seed=5,
+                                   n_steps=bang_spec.default_steps())
     out = dp.value_equality_check(bang_dp, bang_ladder, bang_spec,
                                   tilt_estimate=est)
     assert out["tilt_bound_ok"]
@@ -131,8 +133,9 @@ def test_value_equality_with_tilted_upper_estimate(bang_spec, bang_dp,
 
 def test_value_equality_uncontrolled_is_exact():
     spec = _spec("uncontrolled-decay")
-    fld = dp.solve_dp_grid(spec, n_time_steps=32)
-    ladder = bsde.minimal_value(spec, levels=(1, 2), n_time_steps=32)
+    grid = transition.default_state_grid(spec)
+    fld = dp.solve_dp_grid(spec, 32, grid)
+    ladder = bsde.minimal_value(spec, (1, 2), 32, grid=grid)
     out = dp.value_equality_check(fld, ladder, spec)
     assert out["ok"]
     assert abs(out["diff"]) < 1e-9
@@ -158,7 +161,8 @@ def test_value_equality_rejects_kernel_drift(bang_spec, bang_dp,
 def test_value_equality_rejects_other_operator_settings(bang_spec,
                                                         bang_ladder,
                                                         setting):
-    opts = {"n_time_steps": bang_ladder.n_time_steps, **setting(bang_spec)}
+    opts = {"n_time_steps": bang_ladder.n_time_steps,
+            "grid": bang_ladder.last_field.grid, **setting(bang_spec)}
     fld = dp.solve_dp_grid(bang_spec, **opts)
     with pytest.raises(AssertionError, match="kernels differ"):
         dp.value_equality_check(fld, bang_ladder, bang_spec)
@@ -188,7 +192,7 @@ def test_truncated_jump_mass_is_reported_and_warned():
 
 def test_default_jump_rate_does_not_warn(recwarn):
     spec = _spec("jump-reward")
-    fld = dp.solve_dp_grid(spec, n_time_steps=64)
+    fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
     assert 0.0 < fld.metadata["truncated_jump_mass"] < 1e-9
     assert not [w for w in recwarn if "Poisson" in str(w.message)]
 
@@ -199,7 +203,7 @@ def test_default_jump_rate_does_not_warn(recwarn):
 
 def test_rollout_uncontrolled_is_deterministic():
     spec = _spec("uncontrolled-decay")
-    fld = dp.solve_dp_grid(spec, n_time_steps=32)
+    fld = dp.solve_dp_grid(spec, 32, transition.default_state_grid(spec))
     out = dp.policy_rollout(fld, spec, n_paths=200, seed=1)
     assert out["ok"]
     assert out["j_se"] == 0.0

@@ -11,7 +11,7 @@ from scipy import stats
 
 import oracles
 from onerow import one_path, path_events, replay
-from jumpctrl import bsde, girsanov, problem, sim
+from jumpctrl import bsde, girsanov, problem, sim, transition
 from jumpctrl.transition import LatticeGrid
 
 
@@ -104,7 +104,8 @@ def test_bundle_weights_agree_with_single_path():
 
 def _argmax_tilt(family, strength):
     spec = load(family)
-    fld = bsde.solve_penalized_grid(spec, 16, n_time_steps=16)
+    fld = bsde.solve_penalized_grid(spec, 16, 16,
+                                    transition.default_state_grid(spec))
     return spec, girsanov.IntensityControl.argmax_tilt(
         fld.time_grid, fld.grid.axes, fld.values, strength)
 
@@ -212,7 +213,8 @@ def test_tilted_unit_intensity_reproduces_reference_law():
     n = 6_000
     ref = sim.simulate_bundle(spec, n, seed=29)
     til = girsanov.simulate_tilted_theta(
-        girsanov.IntensityControl.const(1.0), spec, seed=31, n_paths=n)
+        girsanov.IntensityControl.const(1.0), spec, seed=31, n_paths=n,
+        n_steps=spec.default_steps())
     alpha = spec.tolerances["ks_alpha"]
 
     def gaps(bundle):
@@ -241,7 +243,8 @@ def test_tilted_feedback_suppresses_disfavored_regime():
     mat = np.full((3, 3), nu_max)
     mat[:, 2] = nu_min                  # switching into regime 2 disfavored
     nu = matrix_tilt(mat, nu_id="suppress-a2")
-    bundle = girsanov.simulate_tilted_theta(nu, spec, seed=37, n_paths=4_000)
+    bundle = girsanov.simulate_tilted_theta(nu, spec, seed=37, n_paths=4_000,
+                                            n_steps=spec.default_steps())
     marks = bundle.theta.marks.astype(int)
     freq = (marks == 2).mean()
     bound = nu_min / (nu_min + nu_max)
@@ -252,7 +255,8 @@ def test_tilted_feedback_suppresses_disfavored_regime():
 def test_tilted_intensity_two_scales_switch_count():
     spec = load("bang-drift")
     bundle = girsanov.simulate_tilted_theta(
-        girsanov.IntensityControl.const(2.0), spec, seed=41, n_paths=4_000)
+        girsanov.IntensityControl.const(2.0), spec, seed=41, n_paths=4_000,
+        n_steps=spec.default_steps())
     counts = bundle.theta.counts()
     se = counts.std() / math.sqrt(counts.size)
     assert abs(counts.mean() - 2.0) < 3.0 * se
@@ -278,7 +282,8 @@ def test_mode_agreement_needs_a_reference_bundle():
     nu = girsanov.IntensityControl.const(2.0)
     with pytest.raises(ValueError, match="reference bundle"):
         girsanov.check_mode_agreement(
-            girsanov.simulate_tilted_theta(nu, spec, 3, n_paths=50), nu)
+            girsanov.simulate_tilted_theta(nu, spec, 3, n_paths=50,
+                                           n_steps=16), nu)
 
 
 def test_strong_tilt_toward_best_regime_approaches_value():
@@ -286,7 +291,8 @@ def test_strong_tilt_toward_best_regime_approaches_value():
     mat = np.full((3, 3), 0.05)
     mat[:, 2] = 6.0                     # push hard toward a=+1
     nu = matrix_tilt(mat, nu_id="push-up")
-    est = girsanov.randomized_gain(spec, nu, 20_000, seed=47)
+    est = girsanov.randomized_gain(spec, nu, 20_000, seed=47,
+                                   n_steps=spec.default_steps())
     assert est.mean <= oracles.BANG_VALUE_T0 + 3.0 * est.se
     assert est.mean > 0.9               # close to the optimum from below
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from jumpctrl import bsde, dp, hjb
+import oracles
+from jumpctrl import bsde, dp, hjb, transition
 from jumpctrl.problem import JumpMeasureSpec, closed_form, load_problem
 from jumpctrl.transition import LatticeGrid
 
@@ -24,8 +25,9 @@ def bang_spec():
 
 @pytest.fixture(scope="module")
 def bang_limit_field(bang_spec):
-    return bsde.minimal_value(bang_spec, levels=(1, 2, 4, 8, 16),
-                              n_time_steps=64).last_field
+    return bsde.minimal_value(
+        bang_spec, (1, 2, 4, 8, 16), 64,
+        grid=transition.default_state_grid(bang_spec)).last_field
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +89,32 @@ def test_hamiltonian_requires_accessor_for_jump_problems():
 
 
 # ---------------------------------------------------------------------------
-# Residual surfaces, analytic candidates
+# Residual surfaces: exact derivatives and sampled closed forms
 # ---------------------------------------------------------------------------
+
+def _default_lattice(spec):
+    """The config's time grid and the state grid of pilot seed 0."""
+    return (spec.time_grid(spec.default_steps()),
+            transition.default_state_grid(spec))
+
 
 def test_residual_vanishes_on_exact_solutions():
     for fam, tol in (("uncontrolled-decay", 1e-12), ("bang-drift", 1e-12),
                      ("jump-reward", 1e-10)):
         spec = _spec(fam)
-        rf = hjb.hjb_residual(spec, closed_form(spec))
+        rf = oracles.exact_residual(spec, oracles.registry_surface(spec),
+                                    *_default_lattice(spec))
         assert rf.interior_max() <= tol
         assert rf.terminal_error <= 1e-12
-        assert rf.metadata["stencil"] == "exact"
 
 
 def test_residual_accumulator_drift_term():
     # the closed form is linear in both coordinates, so any error in the
     # running-integral generator x * dv/dz would show up at order |x|
     spec = _spec("lookback-integral")
-    rf = hjb.hjb_residual(spec, closed_form(spec), stencil="central")
+    fld = oracles.sampled_dp_field(closed_form(spec)["value"],
+                                   *_default_lattice(spec))
+    rf = hjb.hjb_residual(spec, fld)
     assert rf.interior_max() <= 1e-9
     assert rf.terminal_error <= 1e-12
 
@@ -114,14 +124,16 @@ def test_wrong_candidate_flagged_by_terminal_error(bang_spec):
             "dt": lambda t, x: 0.0,
             "grad": lambda t, x: np.zeros(1),
             "hess": lambda t, x: np.zeros((1, 1))}
-    rf = hjb.hjb_residual(bang_spec, cand)
+    rf = oracles.exact_residual(bang_spec, cand, *_default_lattice(bang_spec))
     assert rf.interior_max() <= 1e-14
     assert rf.terminal_error == pytest.approx(
         float(np.abs(rf.grid.axes[0]).max()))
 
 
 def test_residual_field_layout(bang_spec):
-    rf = hjb.hjb_residual(bang_spec, closed_form(bang_spec))
+    rf = oracles.exact_residual(bang_spec,
+                                oracles.registry_surface(bang_spec),
+                                *_default_lattice(bang_spec))
     n = rf.grid.shape[0]
     np.testing.assert_array_equal(np.argwhere(rf.excluded), [[0], [n - 1]])
     assert np.all(np.isnan(rf.residual[:, rf.excluded]))
@@ -145,10 +157,9 @@ def test_stencil_error_decays_second_order():
     for nt, nx in ((16, 41), (32, 81), (64, 161)):
         tg = np.linspace(0.0, T, nt + 1)
         grid = LatticeGrid(axes=(np.linspace(-2.0, 2.0, nx),))
-        r_st = hjb.hjb_residual(spec, cand, time_grid=tg, grid=grid,
-                                stencil="central")
-        r_ex = hjb.hjb_residual(spec, cand, time_grid=tg, grid=grid,
-                                stencil="exact")
+        r_st = hjb.hjb_residual(
+            spec, oracles.sampled_dp_field(cand["value"], tg, grid))
+        r_ex = oracles.exact_residual(spec, cand, tg, grid)
         errs.append(float(np.nanmax(np.abs(r_st.residual
                                            - r_ex.residual))))
     assert errs[1] <= errs[0] / 2.5
@@ -160,37 +171,29 @@ def test_stencil_error_decays_second_order():
 # Validation
 # ---------------------------------------------------------------------------
 
-def test_residual_rejects_bad_inputs(bang_spec, bang_limit_field):
+def test_residual_rejects_bad_inputs(bang_spec):
     with pytest.raises(TypeError, match="candidate"):
         hjb.hjb_residual(bang_spec, 3.14)
-    with pytest.raises(ValueError, match="stencil"):
-        hjb.hjb_residual(bang_spec, closed_form(bang_spec),
-                         stencil="upwind")
-    with pytest.raises(ValueError, match="exact derivatives"):
-        hjb.hjb_residual(bang_spec, {"value": lambda t, x: 0.0},
-                         stencil="exact")
-    with pytest.raises(ValueError, match="own lattice"):
-        hjb.hjb_residual(bang_spec, bang_limit_field,
-                         grid=bang_limit_field.grid)
 
 
 def test_residual_rejects_degenerate_grids(bang_spec):
-    cand = closed_form(bang_spec)
+    value = closed_form(bang_spec)["value"]
     tg = np.linspace(0.0, 1.0, 9)
     with pytest.raises(ValueError, match="5 nodes"):
-        hjb.hjb_residual(bang_spec, cand, time_grid=tg,
-                         grid=LatticeGrid(axes=(np.linspace(-1, 1, 4),)),
-                         stencil="central")
+        hjb.hjb_residual(bang_spec, oracles.sampled_dp_field(
+            value, tg, LatticeGrid(axes=(np.linspace(-1, 1, 4),))))
     with pytest.raises(ValueError, match="uniform"):
-        hjb.hjb_residual(bang_spec, cand, time_grid=tg,
-                         grid=LatticeGrid(axes=(np.geomspace(1, 8, 16),)),
-                         stencil="central")
+        hjb.hjb_residual(bang_spec, oracles.sampled_dp_field(
+            value, tg, LatticeGrid(axes=(np.geomspace(1, 8, 16),))))
 
 
 def test_residual_rejects_supremum_augmentation():
     spec = _spec("lookback-integral", augmentation="running-supremum")
+    axis = np.linspace(-1.0, 1.0, 5)
+    fld = oracles.sampled_dp_field(lambda t, x: 0.0, spec.time_grid(4),
+                                   LatticeGrid(axes=(axis, axis)))
     with pytest.raises(ValueError, match="no smooth generator"):
-        hjb.hjb_residual(spec, {"value": lambda t, x: 0.0})
+        hjb.hjb_residual(spec, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +202,8 @@ def test_residual_rejects_supremum_augmentation():
 
 def test_certificate_uncontrolled_dp_field():
     spec = _spec("uncontrolled-decay")
-    rep = hjb.residual_certificate(dp.solve_dp_grid(spec, n_time_steps=64),
-                                   spec)
+    fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
+    rep = hjb.residual_certificate(fld, spec)
     assert rep["ok"]
     assert rep["interior_max_abs_residual"] <= 1e-2
     assert rep["terminal_max_error"] <= 1e-12
@@ -216,14 +219,14 @@ def test_certificate_bang_penalized_limit(bang_spec, bang_limit_field):
 
 def test_certificate_jump_reward_dp_field():
     spec = _spec("jump-reward")
-    rep = hjb.residual_certificate(dp.solve_dp_grid(spec, n_time_steps=64),
-                                   spec)
+    fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
+    rep = hjb.residual_certificate(fld, spec)
     assert rep["ok"]
     assert rep["interior_max_abs_residual"] <= 1e-2
 
 
 def test_certificate_argmax_matches_dp_policy(bang_spec, bang_limit_field):
-    fdp = dp.solve_dp_grid(bang_spec, n_time_steps=64)
+    fdp = dp.solve_dp_grid(bang_spec, 64, bang_limit_field.grid)
     rf = hjb.residual_certificate(bang_limit_field,
                                   bang_spec)["residual_field"]
     interior = ~rf.excluded
@@ -233,7 +236,8 @@ def test_certificate_argmax_matches_dp_policy(bang_spec, bang_limit_field):
 
 def test_certificate_detects_foreign_field(bang_spec):
     other = _spec("uncontrolled-decay")
-    fld = dp.solve_dp_grid(bang_spec, n_time_steps=64)
+    fld = dp.solve_dp_grid(bang_spec, 64,
+                           transition.default_state_grid(bang_spec))
     with pytest.warns(RuntimeWarning, match="different problem"):
         rep = hjb.residual_certificate(fld, other)
     assert not rep["ok"]

@@ -14,7 +14,7 @@ import pkgutil
 import pytest
 
 import jumpctrl
-from jumpctrl import bsde, dp, girsanov, hjb, sim
+from jumpctrl import bsde, dp, girsanov, hjb, sim, transition
 from jumpctrl.problem import load_problem
 
 
@@ -30,15 +30,16 @@ def _mode_agreement(spec):
 
 
 def _value_equality(spec):
-    ladder = bsde.minimal_value(spec, levels=(4, 16, 64))
-    fld = dp.solve_dp_grid(spec, n_time_steps=ladder.n_time_steps,
-                           grid=ladder.last_field.grid)
+    levels, grid = (4, 16, 64), transition.default_state_grid(spec)
+    steps = bsde.default_time_steps(spec, max(levels))
+    ladder = bsde.minimal_value(spec, levels, steps, grid=grid)
+    fld = dp.solve_dp_grid(spec, steps, grid)
     return dp.value_equality_check(fld, ladder, spec)
 
 
 def _hjb_certificate(spec):
-    return hjb.residual_certificate(dp.solve_dp_grid(spec, n_time_steps=64),
-                                    spec)
+    fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
+    return hjb.residual_certificate(fld, spec)
 
 
 #: check, family, and a tolerance that its default-config result misses
@@ -63,31 +64,15 @@ def test_checks_read_their_tolerances_from_the_config(name):
 #: ``module.qualname(param=default)`` for every default-valued parameter of
 #: a function or method written in the package (dataclass fields excluded)
 OPTIONS = {
-    "bsde.check_randomized_dpp(n_paths=20000)",
-    "bsde.check_randomized_dpp(seed=0)",
     "bsde.constraint_gap(bundle=None)",
     "bsde.minimal_value(grid=None)",
-    "bsde.minimal_value(levels=(1, 2, 4, 8, 16))",
     "bsde.minimal_value(n_paths=50000)",
-    "bsde.minimal_value(n_time_steps=None)",
     "bsde.minimal_value(seed=0)",
     "bsde.minimal_value(solver='grid')",
-    "bsde.solve_penalized_grid(grid=None)",
-    "bsde.solve_penalized_grid(n_time_steps=None)",
-    "bsde.solve_penalized_grid_ladder(grid=None)",
-    "bsde.solve_penalized_grid_ladder(n_time_steps=None)",
     "cli._add_common(with_nodes=True)",
-    "cli._suite_hjb(field_path=None)",
     "cli._write_lattice_csv(per_node=1)",
     "cli.main(argv=None)",
-    "dp.solve_dp_grid(grid=None)",
-    "dp.solve_dp_grid(n_time_steps=None)",
     "dp.value_equality_check(tilt_estimate=None)",
-    "girsanov.randomized_gain(n_steps=None)",
-    "girsanov.simulate_tilted_theta(n_steps=None)",
-    "hjb.hjb_residual(grid=None)",
-    "hjb.hjb_residual(stencil='auto')",
-    "hjb.hjb_residual(time_grid=None)",
     "sim._check_events(n_marks=None)",
     "sim._simulate_core(brownian=None)",
     "sim._simulate_core(control='randomized')",
@@ -98,11 +83,8 @@ OPTIONS = {
     "sim._simulate_core(start_regimes=None)",
     "sim._simulate_core(tilt=None)",
     "sim.simulate_bundle(n_steps=None)",
-    "sim.write_bundle_csv(sidecar_path=None)",
     "transition.default_state_grid(n_nodes=None)",
     "transition.default_state_grid(seed=0)",
-    "transition.expect_next(clamp_mask=None)",
-    "transition.multilinear(count_in=None)",
 }
 
 

@@ -58,3 +58,35 @@ def test_ou_moments_against_closed_forms():
     m2 = oracles.ou_second_moment(x0, target, r, sigma, t)
     var = sigma ** 2 / (2 * r) * (1 - math.exp(-2 * r * t))
     assert abs(m2 - (m1 ** 2 + var)) < 1e-9
+
+
+def test_closed_form_surfaces_match_their_value_routes():
+    decay = oracles.decay_surface(1.0)
+    assert abs(decay["value"](0.0, [1.0]) - oracles.DECAY_VALUE_T0) < 1e-15
+    assert decay["value"](0.3, [0.7]) == oracles.decay_value(0.7, 0.3, 1.0)
+    bang = oracles.bang_surface(1.0, 1.0)
+    assert bang["value"](0.0, [0.0]) == oracles.BANG_VALUE_T0
+    assert bang["value"](0.3, [0.1]) == oracles.bang_value(0.1, 0.3, 1.0)
+    assert bang["grad"](0.3, [0.1])[0] == 1.0
+    jump = oracles.jump_reward_surface(1.0, (-1.0, 0.0, 1.0), 2.0)
+    assert abs(jump["value"](0.0, [0.0])
+               - oracles.JUMP_REWARD_VALUE_T0) < 1e-12
+    assert abs(jump["value"](0.0, [0.4])
+               - oracles.jump_reward_value(0.4, 1.0, (-1.0, 0.0, 1.0),
+                                           2.0)) < 1e-12
+
+
+def test_closed_form_surface_derivatives_match_differences():
+    h = 1e-5
+    for surface in (oracles.decay_surface(1.0),
+                    oracles.bang_surface(1.0, 1.0),
+                    oracles.jump_reward_surface(1.0, (-1.0, 0.0, 1.0),
+                                                2.0)):
+        v = surface["value"]
+        for t, x in ((0.2, 0.3), (0.7, -1.1)):
+            v_t = (v(t + h, [x]) - v(t - h, [x])) / (2 * h)
+            v_x = (v(t, [x + h]) - v(t, [x - h])) / (2 * h)
+            v_xx = (v(t, [x + h]) - 2 * v(t, [x]) + v(t, [x - h])) / h ** 2
+            assert abs(surface["dt"](t, [x]) - v_t) < 1e-8
+            assert abs(surface["grad"](t, [x])[0] - v_x) < 1e-8
+            assert abs(surface["hess"](t, [x])[0, 0] - v_xx) < 1e-4

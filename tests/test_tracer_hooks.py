@@ -1,30 +1,38 @@
-"""The benchmark tracer's hooks name real package functions.
+"""The benchmark's hooks name real package functions and values.
 
 ``perfbench/tracer.py`` wraps package functions by module and name, and
 its counter hooks read some arguments by position with the parameter name
-as the keyword fallback.  A rename or a reordered signature in the package
-would otherwise surface only when the benchmark runs.  The tracer file is
-loaded as a module and never modified.
+as the keyword fallback.  ``perfbench/probe.py`` reads each config's
+closed-form initial value, which the benchmark's correctness gate checks
+every reported value against.  A rename, a reordered signature or a
+broken closed form in the package would otherwise surface only when the
+benchmark runs.  The benchmark files are loaded as modules and never
+modified.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import oracles
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}",
+                                                  path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load(TRACER)
 
 
 class _Anything:
@@ -83,3 +91,29 @@ def test_argument_hooks_read_the_expected_parameters(monkeypatch):
     }
     for name, reads in expected.items():
         assert _hook_reads(hooks[name], monkeypatch) == reads, name
+
+
+#: the closed-form initial value of each registry family, or None
+PROBE_V0 = {
+    "uncontrolled-decay": oracles.DECAY_VALUE_T0,
+    "bang-drift": oracles.BANG_VALUE_T0,
+    "jump-reward": oracles.JUMP_REWARD_VALUE_T0,
+    "lookback-integral": oracles.LOOKBACK_VALUE_T0,
+    "ou-switch": None,
+}
+
+
+@pytest.mark.parametrize("family", PROBE_V0)
+def test_probe_reports_the_oracle_initial_value(family, tmp_path, capsys):
+    probe = _load(PERFBENCH / "probe.py")
+    cfg = tmp_path / f"{family}.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "family": family}),
+                   encoding="utf-8")
+    assert probe.main([str(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["family"] == family
+    if PROBE_V0[family] is None:
+        assert out["expected_v0"] is None
+    else:
+        assert out["expected_v0"] == pytest.approx(PROBE_V0[family],
+                                                   abs=1e-12)

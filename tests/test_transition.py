@@ -301,18 +301,20 @@ def test_operator_rows_match_outcome_loop(family):
         matrix, clamp_rows = transition.assemble_operator(spec, 0.0, dt, a,
                                                           grid)
         want = np.zeros(interior.size)
-        want_clamp = 0.0
+        want_clamp = want_interior_clamp = 0.0
         for w, pts in transition.one_step_points(spec, 0.0, dt, a,
                                                  grid.nodes()):
-            v, c = transition.multilinear(grid.axes, vals, pts,
-                                          count_in=interior)
+            v, c = transition.multilinear(grid.axes, vals, pts)
+            _, c_interior = transition.multilinear(grid.axes, vals,
+                                                   pts[interior])
             want += w * v
             want_clamp += w * c
+            want_interior_clamp += w * c_interior
         np.testing.assert_allclose(matrix @ vals.ravel(), want,
                                    rtol=0, atol=1e-13)
-        assert abs(clamp_rows[interior].sum() - want_clamp) < 1e-12
-        got, clamp = transition.expect_next(spec, 0.0, dt, a, grid, vals,
-                                            clamp_mask=interior)
+        assert abs(clamp_rows[interior].sum() - want_interior_clamp) < 1e-12
+        assert abs(clamp_rows.sum() - want_clamp) < 1e-12
+        got, clamp = transition.expect_next(spec, 0.0, dt, a, grid, vals)
         np.testing.assert_array_equal(got, matrix @ vals.ravel())
         assert clamp == pytest.approx(want_clamp, abs=1e-12)
         # rows of a Markov operator: nonnegative and summing to one
