@@ -285,7 +285,7 @@ class _Workbench:
     def grid(self):
         if "grid" not in self._cache:
             self._cache["grid"] = transition.default_state_grid(
-                self.spec, self.nodes, self.seed)
+                self.spec, self.nodes)
         return self._cache["grid"]
 
     def ladder(self):
@@ -584,7 +584,6 @@ def cmd_solve(args) -> int:
              and args.method == "dp" else args.steps)
     wb = _Workbench(spec, levels=args.ladder, steps=steps, nodes=args.nodes,
                     paths=args.paths, seed=args.seed)
-    wb.grid()   # pilot simulation first, so its warnings precede the solvers'
     outputs = ["value_report.json", "manifest.json",
                "dp_field.csv", "dp_field.json"]
     verdicts: dict = {}

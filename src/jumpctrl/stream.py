@@ -23,8 +23,7 @@ STREAM_PI = 2           # state-jump events: inter-arrival times and marks
 STREAM_THETA = 3        # regime-switch events (or tilted proposals)
 STREAM_INIT = 4         # initial states under a Gaussian initial law
 STREAM_ACCEPT = 5       # thinning acceptance uniforms for tilted switching
-STREAM_PILOT = 6        # pilot bundles used for grid-bound estimation
-# id 7 is retired: ids are never reused, so a seed keeps its draws
+# ids 6 and 7 are retired: ids are never reused, so a seed keeps its draws
 
 _UNIFORM_LO = 1e-300
 _UNIFORM_HI = 1.0 - 1e-16

@@ -22,6 +22,9 @@ step displaces by gamma evaluated at the step's left node, and the drift
 carries the compensator ``ProblemSpec.mean_jump``, exactly as the path
 integrator does.  The Brownian rule has ``HERMITE_NODES`` nodes per
 factor; every registry family has one factor.
+
+The same kernel sizes the default lattice from the state's moments
+(:func:`default_state_grid`), so this module never calls the simulator.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ _NODES_BY_COUNT = {1: 8, 2: 4, 3: 3, 4: 2}
 MAX_JUMPS_PER_STEP = 4
 #: Gauss-Hermite nodes per Brownian factor
 HERMITE_NODES = 8
-#: paths of the pilot bundle that sizes the default lattice
-PILOT_PATHS = 256
-#: half-width of the default lattice, in pilot standard deviations
-PILOT_SD = 5.0
+#: half-width of the default lattice, in standard deviations of the state
+LATTICE_SD = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +88,65 @@ def default_node_count(spec: ProblemSpec) -> int:
     return 201 if spec.total_dim == 1 else 45
 
 
-def default_state_grid(spec: ProblemSpec, n_nodes: int | None = None,
-                       seed: int = 0) -> LatticeGrid:
-    """Lattice bounds from a pilot bundle under the reference dynamics.
+def _sigma_points(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The 2D points mean +/- sqrt(D) S e_j, S the symmetric square root
+    of ``cov`` (singular ones included): equally weighted, they carry the
+    mean and the covariance exactly."""
+    w, v = np.linalg.eigh(cov)
+    offsets = math.sqrt(mean.size) * (v * np.sqrt(np.clip(w, 0.0, None))).T
+    return np.concatenate([mean + offsets, mean - offsets])
 
-    Bounds are the running envelope of the pilot mean plus/minus
-    ``PILOT_SD`` marginal standard deviations, padded by
-    ``max(0.5, 0.05 |x0|)`` so degenerate (deterministic) families still get
-    a usable axis.  Deterministic in (spec, seed).
+
+def _moments(outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of equally weighted points under the outcome
+    weights of :func:`one_step_points`."""
+    mean = sum(w * pts.mean(axis=0) for w, pts in outcomes)
+    cov = sum(w * (pts - mean).T @ (pts - mean) / len(pts)
+              for w, pts in outcomes)
+    return mean, cov
+
+
+def default_state_grid(spec: ProblemSpec,
+                       n_nodes: int | None = None) -> LatticeGrid:
+    """Lattice bounds from the state's moments under each constant control.
+
+    For every control a, the mean and covariance of the (augmented) state
+    are carried over ``max(16, spec.default_steps() // 4)`` steps by the
+    lattice's own kernel, :func:`one_step_points`, applied at the sigma
+    points of the current moments.  That is exact for linear coefficients
+    and covers the running integral and the running supremum with no code
+    of their own.  The bounds are the envelope of mean plus/minus
+    ``LATTICE_SD`` standard deviations over every control and step,
+    padded by ``max(0.5, 0.05 |x0|)`` so deterministic families still get
+    a usable axis.  A function of (spec, n_nodes) alone: no simulation, no
+    seed, no start regime.
     """
     if n_nodes is None:
         n_nodes = default_node_count(spec)
-    from . import sim  # local import: sim does not depend on this module
-
-    pilot_seed = (seed * 0x9E3779B9 + 0x7F4A7C15) & 0x7FFFFFFFFFFFFFFF
-    bundle = sim.simulate_bundle(spec, PILOT_PATHS, seed=pilot_seed,
-                                 n_steps=max(16, spec.default_steps() // 4))
-    states = bundle.states[bundle.included()]
-    mean = states.mean(axis=0)                    # (N+1, D)
-    sd = states.std(axis=0)
-    lo = (mean - PILOT_SD * sd).min(axis=0)
-    hi = (mean + PILOT_SD * sd).max(axis=0)
-    x0 = np.abs(spec.initial_augmented(
-        spec.initial_law.mean[None, :]))[0]
+    n_steps = max(16, spec.default_steps() // 4)
+    time_grid = spec.time_grid(n_steps)
+    dt = spec.horizon / n_steps
+    law = spec.initial_law
+    cov0 = np.diag(law.cov_diag if law.kind == "gaussian"
+                   else np.zeros(spec.dim))
+    start = _moments([(1.0, spec.initial_augmented(
+        _sigma_points(law.mean, cov0)))])
+    moments = []
+    for a in range(spec.control.size):
+        mean, cov = start
+        moments.append(start)
+        for t in time_grid[:-1]:
+            mean, cov = _moments(one_step_points(
+                spec, t, dt, a, _sigma_points(mean, cov)))
+            moments.append((mean, cov))
+    means = np.array([mean for mean, _ in moments])
+    sds = np.sqrt(np.clip([np.diag(cov) for _, cov in moments], 0.0, None))
+    lo = (means - LATTICE_SD * sds).min(axis=0)
+    hi = (means + LATTICE_SD * sds).max(axis=0)
+    x0 = np.abs(spec.initial_augmented(law.mean[None, :]))[0]
     pad = np.maximum(0.5, 0.05 * x0)
     axes = tuple(np.linspace(lo[j] - pad[j], hi[j] + pad[j], n_nodes)
-                 for j in range(states.shape[2]))
+                 for j in range(lo.size))
     return LatticeGrid(axes=axes)
 
 

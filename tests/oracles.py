@@ -275,6 +275,48 @@ def ou_second_moment(x0: float, target: float, reversion: float,
     return float(y[1])
 
 
+def _padded_envelope(x0: float, curves) -> tuple[float, float]:
+    """Envelope of (mean, sd) curves at +/- 5 sd, padded as the default
+    lattice is, by max(0.5, 0.05 |x0|)."""
+    pad = max(0.5, 0.05 * abs(x0))
+    lo = min(float(np.min(m - 5.0 * s)) for m, s in curves)
+    hi = max(float(np.max(m + 5.0 * s)) for m, s in curves)
+    return lo - pad, hi + pad
+
+
+def bang_drift_envelope(x0: float, v0: float, horizon: float, controls,
+                        sigma: float, n_steps: int) -> tuple[float, float]:
+    """Default-lattice bounds for dX = a dt + sigma dW from N(x0, v0): the
+    envelope over the controls and the n_steps grid of
+    x0 + a t +/- 5 sqrt(v0 + sigma^2 t)."""
+    t = horizon * np.arange(n_steps + 1) / n_steps
+    return _padded_envelope(x0, [(x0 + a * t, np.sqrt(v0 + sigma ** 2 * t))
+                                 for a in controls])
+
+
+def jump_reward_envelope(x0: float, v0: float, horizon: float, controls,
+                         rate: float, mark: float, n_steps: int,
+                         max_jumps: int = 4) -> tuple[float, float]:
+    """Default-lattice bounds for dX = a dM, M compensated jumps at ``rate``
+    with marks +/- ``mark`` at equal odds, from N(x0, v0): the envelope of
+    x0 +/- 5 sqrt(v0 + a^2 rate mark^2 t).
+
+    Per step the lattice kernel counts at most ``max_jumps`` jumps, from the
+    Poisson law cut there and renormalized, so the jump rate here is that
+    law's mean per unit time (it falls short of ``rate`` by about 1e-5 at
+    rate 2 and dt 1/16).
+    """
+    lam = rate * horizon / n_steps
+    pk = [math.exp(-lam) * lam ** k / math.factorial(k)
+          for k in range(max_jumps + 1)]
+    kept_per_step = math.fsum(k * p for k, p in enumerate(pk)) / math.fsum(pk)
+    kept_rate = kept_per_step * n_steps / horizon
+    t = horizon * np.arange(n_steps + 1) / n_steps
+    return _padded_envelope(
+        x0, [(np.full(t.size, x0), np.sqrt(v0 + a * a * kept_rate * mark ** 2
+                                           * t)) for a in controls])
+
+
 # ---------------------------------------------------------------------------
 # Replay inputs.
 # ---------------------------------------------------------------------------

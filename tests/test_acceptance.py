@@ -31,10 +31,10 @@ FAMILIES = ("uncontrolled-decay", "bang-drift", "jump-reward",
 
 def _ladder(spec):
     """The lattice ladder on the time grid its top level needs and the
-    state grid of pilot seed 0."""
+    default state grid."""
     return bsde.minimal_value(
         spec, LADDER, bsde.default_time_steps(spec, max(LADDER)),
-        grid=transition.default_state_grid(spec, seed=0))
+        grid=transition.default_state_grid(spec))
 
 
 @pytest.fixture(scope="module")

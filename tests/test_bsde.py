@@ -19,7 +19,7 @@ def _spec(family, **over):
 
 
 def _solve(spec, level_n, n_time_steps):
-    """One lattice level on the state grid of pilot seed 0."""
+    """One lattice level on the default state grid."""
     return bsde.solve_penalized_grid(spec, level_n, n_time_steps,
                                      transition.default_state_grid(spec))
 
@@ -90,7 +90,7 @@ def test_grid_warns_on_undersized_state_grid(bang_spec):
 
 
 def test_grid_monotone_in_level_nodewise(bang_spec):
-    grid = transition.default_state_grid(bang_spec, seed=0)
+    grid = transition.default_state_grid(bang_spec)
     prev = None
     for n in (1, 2, 4, 8, 16):
         fld = bsde.solve_penalized_grid(bang_spec, n, n_time_steps=64,
@@ -120,7 +120,7 @@ def test_grid_ladder_stacks_the_single_level_solves(case, bang_spec):
     spec = bang_spec if case == "bang-drift" else _spec(case)
     levels = (1, 2, 4, 8, 16)
     opts = {"n_time_steps": bsde.default_time_steps(spec, max(levels)),
-            "grid": transition.default_state_grid(spec, seed=0)}
+            "grid": transition.default_state_grid(spec)}
     stack = bsde.solve_penalized_grid_ladder(spec, levels, **opts)
     assert [f.level_n for f in stack] == list(levels)
     for fld in stack:

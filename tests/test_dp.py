@@ -90,7 +90,7 @@ def test_dp_lookback_running_integral():
 
 
 def test_dp_dominates_penalized_field_nodewise(bang_spec):
-    grid = transition.default_state_grid(bang_spec, seed=0)
+    grid = transition.default_state_grid(bang_spec)
     fld_dp = dp.solve_dp_grid(bang_spec, n_time_steps=64, grid=grid)
     fld_pen = bsde.solve_penalized_grid(bang_spec, 16, n_time_steps=64,
                                         grid=grid)

@@ -93,7 +93,7 @@ def test_hamiltonian_requires_accessor_for_jump_problems():
 # ---------------------------------------------------------------------------
 
 def _default_lattice(spec):
-    """The config's time grid and the state grid of pilot seed 0."""
+    """The config's time grid and the default state grid."""
     return (spec.time_grid(spec.default_steps()),
             transition.default_state_grid(spec))
 

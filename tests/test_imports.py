@@ -5,7 +5,9 @@ large share of a short command's wall time.  The base is ``numpy`` plus
 ``scipy.special`` (the normal quantile behind every Gaussian draw); over
 it, ``import jumpctrl.cli`` may add only the package's own modules and the
 standard library.  ``scipy.sparse`` stays lazy: only the lattice operator
-assembly (``transition.assemble_operator``) loads it.
+assembly (``transition.assemble_operator``) loads it.  The lattice layer
+stands on the problem layer alone: building the default state grid loads
+no simulator.
 """
 
 import json
@@ -25,16 +27,25 @@ from jumpctrl import problem, transition
 spec = problem.load_problem({"schema_version": 1, "family": "bang-drift"})
 sparse_before = "scipy.sparse" in sys.modules
 transition.assemble_operator(spec, 0.0, 0.1, 0,
-                             transition.default_state_grid(spec, seed=0))
+                             transition.default_state_grid(spec))
 print(json.dumps({"loaded": loaded, "sparse_before": sparse_before,
                   "sparse_after": "scipy.sparse" in sys.modules}))
 """
 
 
-def _probe() -> dict:
+_GRID_PROBE = """
+import json, sys
+from jumpctrl import problem, transition
+spec = problem.load_problem({"schema_version": 1, "family": "jump-reward"})
+transition.default_state_grid(spec)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("jumpctrl"))))
+"""
+
+
+def _probe(script: str = _PROBE):
     src = os.path.dirname(os.path.dirname(os.path.abspath(jumpctrl.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -49,3 +60,8 @@ def test_cli_import_adds_only_the_package_and_the_standard_library():
     # scipy.sparse is loaded by the operator assembly, not at import
     assert not probe["sparse_before"]
     assert probe["sparse_after"]
+
+
+def test_the_default_state_grid_loads_no_simulator():
+    assert _probe(_GRID_PROBE) == ["jumpctrl", "jumpctrl.problem",
+                                   "jumpctrl.transition"]

@@ -46,7 +46,7 @@ def _hjb_certificate(spec):
 TIGHTENED = {
     "mode-agreement": (_mode_agreement, "bang-drift", {"se_multiplier": 0.5}),
     "value-equality": (_value_equality, "ou-switch", {"tol_value": 0.01}),
-    "hjb-certificate": (_hjb_certificate, "bang-drift", {"tol_hjb": 0.02}),
+    "hjb-certificate": (_hjb_certificate, "bang-drift", {"tol_hjb": 0.005}),
 }
 
 
@@ -84,7 +84,6 @@ OPTIONS = {
     "sim._simulate_core(tilt=None)",
     "sim.simulate_bundle(n_steps=None)",
     "transition.default_state_grid(n_nodes=None)",
-    "transition.default_state_grid(seed=0)",
 }
 
 

@@ -222,21 +222,59 @@ def test_expect_next_counts_clamps_near_boundary():
 
 
 # ---------------------------------------------------------------------------
-# Pilot lattice + checksum
+# Default lattice + checksum
 # ---------------------------------------------------------------------------
 
 def test_default_state_grid_bounds_cover_dynamics():
     spec = _spec("bang-drift")
-    grid = default_state_grid(spec, n_nodes=41, seed=0)
+    grid = default_state_grid(spec, n_nodes=41)
     (lo, hi), = grid.bounds()
     assert lo <= -0.5 and hi >= 1.5
-    again = default_state_grid(spec, n_nodes=41, seed=0)
+    again = default_state_grid(spec, n_nodes=41)
     np.testing.assert_array_equal(grid.axes[0], again.axes[0])
+
+
+_LAWS = {"point": {"kind": "point", "mean": [0.3]},
+         "gaussian": {"kind": "gaussian", "mean": [0.3], "cov_diag": [0.25]}}
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("family", ["bang-drift", "jump-reward"])
+def test_default_state_grid_is_the_moment_envelope(family, law):
+    # linear coefficients: the sigma-point moments are the exact ones
+    spec = _spec(family, initial_law=_LAWS[law])
+    x0 = 0.3
+    v0 = 0.25 if law == "gaussian" else 0.0
+    controls = spec.control.points
+    if family == "bang-drift":
+        want = oracles.bang_drift_envelope(x0, v0, 1.0, controls, 0.2, 16)
+    else:
+        want = oracles.jump_reward_envelope(x0, v0, 1.0, controls, 2.0, 0.5,
+                                            16)
+    got, = default_state_grid(spec, n_nodes=11).bounds()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_jump_count_cut_barely_moves_the_default_lattice():
+    # cutting the per-step jump count at MAX_JUMPS_PER_STEP moves the
+    # bounds of jump-reward's x0 +/- 5 sqrt(M t) + 0.5 by about 1.6e-5
+    got, = default_state_grid(_spec("jump-reward"), n_nodes=11).bounds()
+    half = 5.0 * math.sqrt(oracles.JUMP_REWARD_SECOND_MOMENT) + 0.5
+    np.testing.assert_allclose(got, (-half, half), rtol=0, atol=1e-4)
+
+
+def test_default_state_grid_ignores_the_start_regime():
+    one = _spec("jump-reward", parameters={"rate": 3}, a0=0.0)
+    other = _spec("jump-reward", parameters={"rate": 3}, a0=1.0)
+    assert one.randomization.a0_index != other.randomization.a0_index
+    for ax_one, ax_other in zip(default_state_grid(one).axes,
+                                default_state_grid(other).axes):
+        np.testing.assert_array_equal(ax_one, ax_other)
 
 
 def test_default_state_grid_handles_augmented_state():
     spec = _spec("lookback-integral")
-    grid = default_state_grid(spec, n_nodes=21, seed=0)
+    grid = default_state_grid(spec, n_nodes=21)
     assert grid.ndim == 2
     assert grid.bounds()[1][1] >= 0.4   # running integral reaches ~T*amax/2
 
@@ -292,7 +330,7 @@ def test_kernel_checksum_is_the_same_in_every_interpreter():
 def test_operator_rows_match_outcome_loop(family):
     # reference: the per-outcome interpolation loop the operator replaces
     spec = _spec(family)
-    grid = default_state_grid(spec, n_nodes=15, seed=0)
+    grid = default_state_grid(spec, n_nodes=15)
     dt = 1 / 32
     rng = np.random.default_rng(3)
     vals = rng.normal(size=grid.shape)
@@ -327,7 +365,7 @@ def test_one_step_points_do_not_depend_on_time(family):
     # the solvers assemble the quadrature operator once, at t = 0; a
     # family whose coefficients depend on t must fail here first
     spec = _spec(family)
-    grid = default_state_grid(spec, n_nodes=9, seed=0)
+    grid = default_state_grid(spec, n_nodes=9)
     dt = spec.horizon / spec.default_steps()
     for a in range(spec.control.size):
         at0 = transition.one_step_points(spec, 0.0, dt, a, grid.nodes())
