@@ -18,6 +18,11 @@ Every run writes a manifest listing its outputs and per-check verdicts
 outputs are a pure function of (config, seed, grid overrides); reruns
 reproduce CSV artifacts byte for byte.  Tolerances come from the config's
 ``tolerances`` block, never from the commands.
+
+The command runs BLAS on one thread: its matrices are a few columns wide,
+and an idle multi-threaded pool only spins next to it.  A caller who sets
+any of ``BLAS_THREAD_VARS`` keeps that choice; every artifact is the same
+at any thread count.  Importing the package itself leaves BLAS alone.
 """
 
 from __future__ import annotations
@@ -26,15 +31,23 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+#: The thread-count variables that numpy's BLAS builds read when they load
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+# set before the first numpy import of a jumpctrl process, which is below
+if not any(name in os.environ for name in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
-from . import __version__, bsde, dp, girsanov, hjb, problem, sim, svgplot
-from . import transition
+import numpy as np  # noqa: E402
+
+from . import (__version__, bsde, dp, girsanov, hjb,  # noqa: E402
+               problem, sim, svgplot, transition)
 
 #: The five checks a ValueReport must always carry, even when skipped.
 VERDICT_KEYS = ("monotonicity", "constraint-decay", "dpp",
@@ -78,10 +91,13 @@ def _write_manifest(path: Path, t0: float, command: str,
                     config: str | None, seed: int, overrides: dict,
                     verdicts: dict, outputs: list) -> None:
     """Write the provenance record of a command started at ``t0``
-    (``time.perf_counter``) to ``path``, in its ``out_dir``."""
+    (``time.perf_counter``) to ``path``, in its ``out_dir``; ``threads``
+    holds the BLAS thread variables (``None`` if unset)."""
     _write_json({"command": command, "config": config, "seed": seed,
                  "overrides": overrides, "out_dir": str(path.parent),
                  "tool_version": __version__,
+                 "threads": {name: os.environ.get(name)
+                             for name in BLAS_THREAD_VARS},
                  "wall_clock_s": round(time.perf_counter() - t0, 3),
                  "verdicts": verdicts, "outputs": outputs}, path)
 
@@ -466,7 +482,6 @@ class _Worker:
     """
 
     def __init__(self, wb: _Workbench, names):
-        import os
         self.names = tuple(names)
         # the child inherits unwritten buffers and must not write them too
         sys.stdout.flush()
@@ -486,7 +501,6 @@ class _Worker:
         ``os._exit``, so no buffered output or exit hook of the parent
         process runs twice."""
         import ctypes
-        import os
         import pickle
         import signal
         import warnings
@@ -520,7 +534,6 @@ class _Worker:
             os._exit(code)
 
     def outcome(self, name: str):
-        import os
         import pickle
         if self._results is None:
             with self._pipe:
@@ -543,7 +556,6 @@ class _Worker:
         return outcome
 
     def close(self) -> None:
-        import os
         import signal
         self._pipe.close()
         if self.pid is not None:
@@ -666,7 +678,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import os
     t0 = time.perf_counter()
     _check_sizes(args, min_steps=2, min_paths=2)
     spec = problem.load_problem(args.config)

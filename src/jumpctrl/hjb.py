@@ -34,6 +34,8 @@ QUAD_NODES_NONLOCAL = 32
 BAND_COVERAGE = 0.999
 #: nodes per axis that the second-order space stencils need
 MIN_AXIS_NODES = 5
+#: share of the lattice's interior nodes a passing certificate must cover
+MIN_CERTIFIED_SHARE = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +350,11 @@ def residual_certificate(field, spec: ProblemSpec) -> dict:
     the clamp-reach band, where the solver output is polluted by edge
     clamping no matter how the derivatives are formed; the reported count
     of certified nodes makes the exclusion visible.  The certificate holds
-    when that maximum is at most ``tol_hjb`` and the terminal mismatch at
-    most ``tol_value``, both read from ``spec.tolerances``.  A field solved
-    under a different problem is evaluated anyway and fails with an
-    order-one residual.
+    when that maximum is at most ``tol_hjb``, the terminal mismatch at most
+    ``tol_value`` (both read from ``spec.tolerances``) and the certified
+    nodes are at least ``MIN_CERTIFIED_SHARE`` of the interior ones; a
+    ``reason`` names the shortfall.  A field solved under a different
+    problem is evaluated anyway and fails with an order-one residual.
     """
     tol_hjb = spec.tolerances["tol_hjb"]
     tol_value = spec.tolerances["tol_value"]
@@ -371,16 +374,22 @@ def residual_certificate(field, spec: ProblemSpec) -> dict:
         sl[i] = slice(rf.grid.shape[i] - width, None)
         certified[tuple(sl)] = False
     interior_max = float(np.abs(rf.residual[:, certified]).max())
+    n_certified = int(certified.sum())
+    n_interior = int(transition.interior_mask(rf.grid).sum())
+    covered = n_certified >= MIN_CERTIFIED_SHARE * n_interior
     report = {
         "interior_max_abs_residual": interior_max,
         "terminal_max_error": rf.terminal_error,
         "tol_hjb": float(tol_hjb), "tol_value": float(tol_value),
         "band_nodes": bands,
-        "n_certified": int(certified.sum()),
+        "n_certified": n_certified,
         "flagged_band_max": rf.interior_max(),
         "shift_clamps": rf.metadata["shift_clamps"],
-        "ok": bool(interior_max <= tol_hjb
+        "ok": bool(covered and interior_max <= tol_hjb
                    and rf.terminal_error <= tol_value),
         "residual_field": rf,
     }
+    if not covered:
+        report["reason"] = (f"certified {n_certified} of {n_interior} "
+                            f"interior nodes")
     return report

@@ -122,6 +122,20 @@ def test_solve_dp_reports_the_analytic_bang_value(bang_cfg, tmp_path):
     assert (out / "dp_field.json").exists()
 
 
+def test_a_certificate_over_too_few_nodes_fails(tmp_path):
+    # 5 nodes leave 3 interior ones, and the clamp-reach band all but one
+    cfg = _write_cfg(tmp_path / "jump.json", "jump-reward")
+    out = tmp_path / "run"
+    assert cli.main(["solve", cfg, "--method", "dp", "--nodes", "5",
+                     "--seed", "7", "--out", str(out)]) == 1
+    report = _read_json(out / "value_report.json")
+    assert report["verdicts"]["hjb-certificate"] == "fail"
+    detail = report["details"]["hjb-certificate"]
+    assert detail["n_certified"] == 1
+    assert detail["interior_max_abs_residual"] <= detail["tol_hjb"]
+    assert detail["reason"] == "certified 1 of 3 interior nodes"
+
+
 def test_solve_penalized_grid_report_has_monotone_ladder(bang_cfg, tmp_path):
     out = tmp_path / "run"
     code = cli.main(["solve", bang_cfg, "--method", "penalized-grid",
@@ -858,6 +872,45 @@ def test_plot_wrong_columns_exit_2(bang_cfg, tmp_path, capsys):
                      "--kind", "path-fan", "--out", str(tmp_path / "x.svg")])
     assert code == 2
     assert "columns" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, compared", [
+    (["solve", "jump-reward", "--method", "penalized-lsmc",
+      "--paths", "5000"],
+     ["value_report.json", "ladder.csv", "dp_field.csv", "residual.csv"]),
+    # constraint_gap's GEMV runs at every step
+    (["verify", "bang-drift", "--suite", "constraint", "--paths", "500"],
+     ["verify_report.json"]),
+])
+def test_artifacts_are_the_same_at_any_blas_thread_count(argv, compared,
+                                                         tmp_path):
+    command, family, *rest = argv
+    cfg = _write_cfg(tmp_path / "cfg.json", family)
+    base = {k: v for k, v in os.environ.items()
+            if k not in cli.BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    codes = {}
+    for name, extra in {"default": {},
+                        "two": {"OPENBLAS_NUM_THREADS": "2"}}.items():
+        codes[name] = subprocess.run(
+            [sys.executable, "-m", "jumpctrl.cli", command, cfg, *rest,
+             "--seed", "7", "--out", str(tmp_path / name)],
+            env={**base, **extra}, stdout=subprocess.DEVNULL).returncode
+    # jump-reward's LSMC value-equality fails at 5000 paths: exit 1
+    assert codes["default"] == codes["two"] in (0, 1)
+    for artifact in compared:
+        assert ((tmp_path / "default" / artifact).read_bytes()
+                == (tmp_path / "two" / artifact).read_bytes()), artifact
+    # the manifest records the thread variables the run saw
+    assert _read_json(tmp_path / "default" / "manifest.json")["threads"] == {
+        name: "1" for name in cli.BLAS_THREAD_VARS}
+    assert _read_json(tmp_path / "two" / "manifest.json")["threads"] == {
+        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
+        "MKL_NUM_THREADS": None}
 
 
 # ---------------------------------------------------------------------------

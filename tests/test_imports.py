@@ -8,6 +8,10 @@ standard library.  ``scipy.sparse`` stays lazy: only the lattice operator
 assembly (``transition.assemble_operator``) loads it.  The lattice layer
 stands on the problem layer alone: building the default state grid loads
 no simulator.
+
+The command also pins BLAS to one thread before numpy loads, unless the
+caller chose a thread count; the library modules leave the environment as
+they found it.
 """
 
 import json
@@ -15,7 +19,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import jumpctrl
+from jumpctrl.cli import BLAS_THREAD_VARS
 
 _PROBE = """
 import json, sys
@@ -42,9 +49,29 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("jumpctrl"))))
 """
 
 
-def _probe(script: str = _PROBE):
+_THREAD_PROBE = """
+import json, os
+import jumpctrl.cli
+import numpy as np
+np.ones((50000, 3)) @ np.ones(3)
+print(json.dumps(len(os.listdir("/proc/self/task"))))
+"""
+
+
+_ENVIRON_PROBE = """
+import json, os
+before = dict(os.environ)
+import {modules}
+print(json.dumps(dict(os.environ) == before))
+"""
+
+
+def _probe(script: str = _PROBE, **thread_env):
+    """Run ``script`` in a fresh interpreter whose thread variables are
+    exactly ``thread_env``: this process's own ones are dropped."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(jumpctrl.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(thread_env, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
@@ -65,3 +92,19 @@ def test_cli_import_adds_only_the_package_and_the_standard_library():
 def test_the_default_state_grid_loads_no_simulator():
     assert _probe(_GRID_PROBE) == ["jumpctrl", "jumpctrl.problem",
                                    "jumpctrl.transition"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or os.cpu_count() == 1,
+                    reason="counts threads in Linux /proc on a multi-CPU host")
+def test_the_cli_runs_blas_on_one_thread():
+    assert _probe(_THREAD_PROBE) == 1
+
+
+def test_a_callers_thread_count_wins():
+    assert _probe(_ENVIRON_PROBE.format(modules="jumpctrl.cli"),
+                  OPENBLAS_NUM_THREADS="2")
+
+
+def test_the_library_leaves_the_environment_alone():
+    assert _probe(_ENVIRON_PROBE.format(modules="jumpctrl.bsde, jumpctrl.sim"))
