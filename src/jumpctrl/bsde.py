@@ -23,9 +23,10 @@ both the one-level solvers are the ladders' one-level case.  The lattice
 route stacks it over every control; the regression route reads it, like
 the jump term of the penalized BSDE, only at the regime each path holds.
 
-:func:`minimal_value` solves a ladder of levels and takes the largest
-level's value as the limit;
-:func:`constraint_gap` quantifies how hard the penalty is working; and
+:func:`minimal_value` solves a ladder of levels on a lattice or on a path
+bundle and takes the largest level's value as the limit;
+:func:`constraint_gap` quantifies how hard the penalty is working on
+lattice fields; and
 :func:`check_randomized_dpp` replays an intermediate-horizon optimization
 against the solved field.
 """
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import girsanov, sim, transition
+from . import girsanov, transition
 from .problem import ProblemSpec
 from .transition import LatticeGrid
 
@@ -90,13 +91,13 @@ class PenalizedField:
 class BsdeQuintuple:
     """Regression Monte Carlo solution summary at one level.
 
-    ``y0``/``y0_se`` estimate the value at the initial point; the per-node
-    means trace the value, the jump integrand, the nonnegative constraint
-    charge and its accumulated compensator along the reference paths.
-    ``k_terminal`` keeps the pathwise terminal compensator so the
-    constraint report can form second moments.  There is no estimate of
-    the Brownian integrand Z: no report, suite or check reads one, and it
-    would need the bundle to keep its Brownian increments (see ``sim``).
+    ``y0``/``y0_se`` estimate the value at the initial point, and
+    ``constraint_integral`` is each path's integral of the nonnegative
+    constraint charge, the terminal compensator K_T divided by the level.
+    Nothing else of the pass is kept: no report, suite or check reads a
+    per-step mean of the value or the jump integrand, or an estimate of
+    the Brownian integrand Z, which would need the bundle to keep its
+    Brownian increments (see ``sim``).
     """
 
     level_n: int
@@ -105,12 +106,7 @@ class BsdeQuintuple:
     y0_se: float
     n_paths: int
     n_excluded: int
-    y_mean: np.ndarray             # (Nt+1,)
-    l_mean: np.ndarray             # (Nt,)
-    k_mean: np.ndarray             # (Nt+1,) nondecreasing
-    r_pos_mean: np.ndarray         # (Nt,) mean of sum_b (R)^+ lambda0_b
     constraint_integral: np.ndarray  # (M,) int sum_b (R)^+ lambda0_b dt
-    k_terminal: np.ndarray         # (M,) = level_n * constraint_integral
     ridge_events: tuple
     carried_cells: tuple           # (step, regime) cells with no data
     metadata: dict
@@ -309,16 +305,15 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     regression targets depend on the level, so the pass carries the levels
     on a leading axis and does the rest once per step: the features, the
     grouping of paths by regime, the factorization of each (step, regime)
-    fit with its rank and ridge decision, the running reward and the jump
-    counts.  Each level's arithmetic reads that level alone, so its
+    fit with its rank and ridge decision, and the running reward.  Each
+    level's arithmetic reads that level alone, so its
     result does not depend on the other levels; ``ridge_events`` and
     ``carried_cells`` depend on the features only and are shared.
 
     The bundle is read in place: each step takes its rows from the
-    bundle's step-major state and regime buffers (gathering the kept rows
-    when paths were excluded), and its jump counts from the
-    ``pi`` events of that step.  Working memory is one (L, A, M) stack of
-    continuation values, a few (L, M) rows and one index per jump event.
+    bundle's step-major state and regime buffers, gathering the kept rows
+    when paths were excluded.  Working memory is one (L, A, M) stack of
+    continuation values and a few (L, M) rows.
     """
     levels = _checked_levels(levels)
     keep = bundle.included()
@@ -336,18 +331,12 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     n_levels = len(levels)
     level_dt = np.array(levels) * dt
     regime_dtype = np.min_scalar_type(n_controls - 1)  # small: radix sort
-    rate = spec.jump_measure.total_rate
-    if rate > 0.0:
-        jump_rows, jump_bounds = _jump_rows_by_step(bundle, keep)
 
     # regression targets: target[l, i] = v^{n_l}(t_{k+1}, X_{i,k+1}, i_k)
     g_terminal = spec.coefficients.g(at_step(states, n_time_steps))
     target = np.tile(g_terminal, (n_levels, 1))
     tilde = np.empty((n_levels, n_controls, m_used))
     controls = tilde.transpose(1, 0, 2)     # control-major view
-    y_mean = np.full((n_levels, n_time_steps + 1), g_terminal.mean())
-    l_mean = np.zeros((n_levels, n_time_steps))
-    r_pos_mean = np.zeros((n_levels, n_time_steps))
     s_int = np.zeros((n_levels, m_used))
     ridge_events, carried, betas_prev = [], [], [None] * n_controls
     rows = np.arange(m_used)
@@ -410,13 +399,7 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
         v_own += own
         del own
         s_int += dt * r_pos
-        r_pos_mean[:, k] = r_pos.mean(axis=1)
         del r_pos
-        y_mean[:, k] = v_own.mean(axis=1)
-        if rate > 0.0:
-            dn = (np.bincount(jump_rows[jump_bounds[k]:jump_bounds[k + 1]],
-                              minlength=m_used) - rate * dt)
-            l_mean[:, k] = (target @ dn) / m_used / (rate * dt)
         betas_prev = betas
         if k:
             # the next targets read the value at the regime of step k-1,
@@ -432,17 +415,14 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
             del own, adv
             target, i_k = v_own, i_prev
 
-    # the loop ends at step 0, so ``target`` holds the step-0 targets
+    # the loop ends at step 0, so ``v_own`` holds the step-0 values and
+    # ``target`` the step-0 targets
+    y0 = v_own.mean(axis=1)
     y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
-    k_mean = np.zeros((n_levels, n_time_steps + 1))
-    k_mean[:, 1:] = np.cumsum(level_dt[:, None] * r_pos_mean, axis=1)
-    y0 = y_mean[:, 0]
     return tuple(BsdeQuintuple(
         level_n=n, time_grid=time_grid, y0=float(y0[l]),
         y0_se=float(y0_se[l]), n_paths=m_used,
-        n_excluded=int(bundle.n_excluded), y_mean=y_mean[l],
-        l_mean=l_mean[l], k_mean=k_mean[l], r_pos_mean=r_pos_mean[l],
-        constraint_integral=s_int[l], k_terminal=n * s_int[l],
+        n_excluded=int(bundle.n_excluded), constraint_integral=s_int[l],
         ridge_events=tuple(ridge_events), carried_cells=tuple(carried),
         metadata={"solver": "lsmc", "level_n": n, "dt": dt,
                   "degree": LSMC_DEGREE,
@@ -463,53 +443,26 @@ def _kept_rows_reader(keep: np.ndarray):
     return at_step
 
 
-def _jump_rows_by_step(bundle, keep: np.ndarray):
-    """Kept-row index of each jump of the driving measure, grouped by step.
-
-    Returns the rows in (step, path, time) order and the (Nt+1,) offsets
-    of each step's group.  A jump lands in the step whose state it moves:
-    the simulator applies a jump at t in (t_k, t_{k+1}] in step k
-    (``sim.event_steps``).
-    """
-    pi, n_steps = bundle.pi, bundle.n_steps
-    step = sim.event_steps(bundle.time_grid, pi.times)
-    path = pi.path_ids()
-    on = keep[path]
-    rows = (np.cumsum(keep) - 1)[path[on]]
-    step = step[on]
-    order = np.argsort(step, kind="stable")
-    return rows[order], np.searchsorted(step[order], np.arange(n_steps + 1))
-
-
 # ---------------------------------------------------------------------------
 # Constraint diagnostics
 # ---------------------------------------------------------------------------
 
-def constraint_gap(source, bundle=None
-                   ) -> ConstraintReport | tuple[ConstraintReport, ...]:
-    """Penalty pressure at one level.
+def constraint_gap(fields, bundle) -> tuple[ConstraintReport, ...]:
+    """Penalty pressure at each level of a lattice ladder.
 
     ``phi`` is the squared mean of the pathwise constraint integral
     int sum_b (advantage)^+ lambda0(b) dt; ``k_ratio`` is the second moment
     of the accumulated compensator divided by the squared level.  Both are
-    expected to shrink as the level grows.  Accepts either regression
-    output (pathwise integrals already recorded) or a lattice field plus a
-    reference path ``bundle`` on the field's time grid, along which the
-    field's pre-penalty advantages are read off the lattice.
-
-    ``source`` may also be a sequence of lattice fields on one lattice (a
-    ladder's levels): each step then interpolates all their continuations
-    with one stencil, and the result is a tuple with one report per field,
-    each equal to that field's own call.
+    expected to shrink as the level grows.  ``fields`` are lattice fields
+    on one lattice (a ladder's levels) and ``bundle`` holds reference paths
+    on their time grid, along which each field's pre-penalty advantages are
+    read off the lattice; each step interpolates all the fields'
+    continuations with one stencil.  Returns one report per field, each
+    reading that field alone.
     """
-    if isinstance(source, BsdeQuintuple):
-        return _constraint_report(source.level_n, source.constraint_integral)
-    many = isinstance(source, (list, tuple))
-    fields = tuple(source) if many else (source,)
+    fields = tuple(fields)
     if not fields or not all(isinstance(f, PenalizedField) for f in fields):
-        raise TypeError("source must be a BsdeQuintuple or PenalizedField")
-    if bundle is None:
-        raise ValueError("a path bundle is required with a lattice field")
+        raise TypeError("fields must be one or more PenalizedField")
     spec = bundle.spec
     axes = fields[0].grid.axes
     for fld in fields:
@@ -539,9 +492,8 @@ def constraint_gap(source, bundle=None
             own = cont[rows, i_k]
             dt = float(fld.time_grid[1] - fld.time_grid[0])
             s[l] += dt * (np.maximum(cont - own[:, None], 0.0) @ weights)
-    reports = tuple(_constraint_report(fld.level_n, s_l)
-                    for fld, s_l in zip(fields, s))
-    return reports if many else reports[0]
+    return tuple(_constraint_report(fld.level_n, s_l)
+                 for fld, s_l in zip(fields, s))
 
 
 def _constraint_report(level_n: int, s: np.ndarray) -> ConstraintReport:
@@ -558,15 +510,16 @@ def _constraint_report(level_n: int, s: np.ndarray) -> ConstraintReport:
 # ---------------------------------------------------------------------------
 
 def minimal_value(spec: ProblemSpec, levels, n_time_steps: int,
-                  solver: str = "grid", grid: LatticeGrid | None = None,
-                  seed: int = 0, n_paths: int = 50_000) -> LadderReport:
+                  on) -> LadderReport:
     """Ladder of penalization levels on one common time grid.
 
-    The common grid keeps levels nodewise comparable (lattice route), so
-    monotonicity in the level is checked exactly rather than statistically.
-    The lattice route runs on ``grid``, which it requires; the regression
-    route simulates ``n_paths`` reference paths from ``seed`` and takes no
-    lattice.  The limit is the largest level's value.
+    ``on`` is what the ladder runs on: a :class:`LatticeGrid` for the
+    lattice route, or a reference path bundle on ``n_time_steps`` steps
+    for the regression route (ValueError on another step count).  The
+    common grid keeps lattice levels nodewise comparable, so their
+    monotonicity in the level is checked exactly; regression levels may
+    drop by ``se_multiplier`` (from ``spec.tolerances``) standard errors of
+    the difference.  The limit is the largest level's value.
     """
     levels = tuple(int(n) for n in levels)
     if sorted(levels) != list(levels) or len(set(levels)) != len(levels):
@@ -574,31 +527,31 @@ def minimal_value(spec: ProblemSpec, levels, n_time_steps: int,
 
     values, ses = [], []
     monotone_violation = 0.0
-    if solver == "grid":
-        if grid is None:
-            raise ValueError("the lattice route needs a state grid")
-        per_level = solve_penalized_grid_ladder(
-            spec, levels, n_time_steps=n_time_steps, grid=grid)
+    if isinstance(on, LatticeGrid):
+        solver = "grid"
+        per_level = solve_penalized_grid_ladder(spec, levels, n_time_steps,
+                                                on)
         for fld in per_level:
             values.append(fld.value_at_origin(spec))
             ses.append(0.0)
         for lo, hi in zip(per_level, per_level[1:]):
             monotone_violation = max(monotone_violation,
                                      float((lo.values - hi.values).max()))
-    elif solver == "lsmc":
-        bundle = sim.simulate_bundle(spec, n_paths, seed,
-                                     n_steps=n_time_steps)
-        per_level = solve_penalized_lsmc_ladder(spec, levels, bundle)
+    else:
+        solver = "lsmc"
+        if on.n_steps != n_time_steps:
+            raise ValueError(f"the bundle's step count {on.n_steps} is not "
+                             f"{n_time_steps!r}")
+        per_level = solve_penalized_lsmc_ladder(spec, levels, on)
+        se_mult = spec.tolerances["se_multiplier"]
         for quint in per_level:
             values.append(quint.y0)
             ses.append(quint.y0_se)
             if len(values) >= 2:
                 drop = values[-2] - values[-1]
-                slack = 3.0 * math.hypot(ses[-1], ses[-2])
+                slack = se_mult * math.hypot(ses[-1], ses[-2])
                 monotone_violation = max(monotone_violation,
                                          float(drop - slack))
-    else:
-        raise ValueError("solver must be 'grid' or 'lsmc'")
 
     return LadderReport(
         solver=solver, levels=levels, values=tuple(values), ses=tuple(ses),

@@ -191,6 +191,9 @@ def load_dp_field(csv_path) -> dp.DpField:
         grid = transition.LatticeGrid(
             axes=tuple(np.asarray(ax, dtype=float) for ax in meta["axes"]))
         time_grid = np.asarray(meta["time_grid"], dtype=float)
+        if time_grid.size < 2:
+            raise ValueError(f"the sidecar's time grid has {time_grid.size} "
+                             f"nodes, fewer than 2")
         n_nodes = int(np.prod(grid.shape))
         n_rows = time_grid.size * n_nodes
         values = np.empty(n_rows)
@@ -307,14 +310,16 @@ class _Workbench:
     def ladder(self):
         if "ladder" not in self._cache:
             self._cache["ladder"] = bsde.minimal_value(
-                self.spec, levels=self.levels, solver="grid",
-                n_time_steps=self.steps, grid=self.grid())
+                self.spec, self.levels, self.steps, self.grid())
         return self._cache["ladder"]
 
     def lsmc_ladder(self):
+        # its own bundle, dropped on return: the cached one would stay
+        # alive through the DP solve and the certificate
         return bsde.minimal_value(
-            self.spec, levels=self.levels, solver="lsmc",
-            n_time_steps=self.steps, seed=self.seed, n_paths=self.paths)
+            self.spec, self.levels, self.steps,
+            sim.simulate_bundle(self.spec, self.paths, self.seed,
+                                n_steps=self.steps))
 
     def penalized(self, level: int):
         return self.ladder().per_level[self.levels.index(level)]
@@ -381,8 +386,6 @@ def _suite_monotone(wb: _Workbench):
 def _suite_constraint(wb: _Workbench):
     """Penalty pressure must relax as the level grows."""
     lo_n, hi_n = min(wb.levels), max(wb.levels)
-    if lo_n == hi_n:
-        raise problem.ConfigError("constraint suite needs >= 2 levels")
     lo, hi = bsde.constraint_gap((wb.penalized(lo_n), wb.penalized(hi_n)),
                                  wb.bundle())
     # phi is a squared mean, so its MC noise comes from the mean's se
@@ -411,17 +414,21 @@ def _suite_value_equality(wb: _Workbench):
 
 
 def _suite_hjb(wb: _Workbench, field_path):
+    """The residual certificate of the run's DP field, or of the field
+    at ``field_path``; a loaded field that cannot be read or certified is
+    skipped with the reason."""
     reason = hjb.unavailable_reason(wb.spec)
     if reason is not None:
         return None, {"reason": reason}
-    if field_path is not None:
+    if field_path is None:
+        fld = wb.dp_field()
+        cert = hjb.residual_certificate(fld, wb.spec)
+    else:
         try:
             fld = load_dp_field(field_path)
+            cert = hjb.residual_certificate(fld, wb.spec)
         except ValueError as exc:
             return None, {"reason": str(exc)}
-    else:
-        fld = wb.dp_field()
-    cert = hjb.residual_certificate(fld, wb.spec)
     detail = {k: v for k, v in cert.items() if k != "residual_field"}
     if field_path is not None:
         # the loaded field was solved on its own time grid
@@ -680,6 +687,9 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     _check_sizes(args, min_steps=2, min_paths=2)
+    if args.suite in ("all", "constraint") and len(args.levels) < 2:
+        raise ValueError("the constraint suite compares two levels; "
+                         "--levels needs at least 2")
     spec = problem.load_problem(args.config)
     wb = _Workbench(spec, levels=args.levels, steps=args.steps,
                     nodes=args.nodes, paths=args.paths, seed=args.seed)
@@ -771,6 +781,7 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _level_list(text: str) -> tuple:
+    """Penalization levels: integers >= 1 in strictly increasing order."""
     try:
         vals = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
@@ -778,6 +789,10 @@ def _level_list(text: str) -> tuple:
             f"expected comma-separated integers, got {text!r}")
     if not vals:
         raise argparse.ArgumentTypeError("expected at least one level")
+    if vals[0] < 1 or any(a >= b for a, b in zip(vals, vals[1:])):
+        raise argparse.ArgumentTypeError(
+            f"expected levels >= 1 in strictly increasing order, "
+            f"got {text!r}")
     return vals
 
 

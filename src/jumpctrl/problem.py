@@ -49,10 +49,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ControlGrid:
-    """Finite set of admissible control values with display labels."""
+    """Finite set of admissible control values."""
 
     points: np.ndarray          # (A,) float control values
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -60,8 +59,6 @@ class ControlGrid:
             raise ConfigError("control grid must be a nonempty 1-d list")
         if np.unique(pts).size != pts.size:
             raise ConfigError("control grid points must be pairwise distinct")
-        if len(self.labels) != pts.size:
-            raise ConfigError("control grid labels do not match points")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -546,10 +543,6 @@ FAMILIES = {
 # Loading and evaluation
 # ---------------------------------------------------------------------------
 
-def _control_labels(points) -> tuple[str, ...]:
-    return tuple(f"a={pt:+g}" for pt in points)
-
-
 def load_problem(source) -> ProblemSpec:
     """Build a validated ProblemSpec from a config dict or JSON file path.
 
@@ -584,8 +577,7 @@ def load_problem(source) -> ProblemSpec:
     built = FAMILIES[family](params)
 
     points = cfg.get("control_points", built["control_points"])
-    grid = ControlGrid(points=np.asarray(points, dtype=float),
-                       labels=_control_labels(points))
+    grid = ControlGrid(points=np.asarray(points, dtype=float))
 
     if "a0_index" in cfg:
         a0 = int(cfg["a0_index"])

@@ -420,13 +420,6 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
     weights = spec.randomization.lambda0_weights
     n_controls, n_levels = spec.control.size, len(levels)
     level_dt = np.array(levels) * dt
-    rate = spec.jump_measure.total_rate
-    # kept row and step of each jump; t in (t_k, t_{k+1}] is step k
-    paths = np.repeat(np.arange(bundle.n_paths), np.diff(bundle.pi.indptr))
-    on = keep[paths]
-    jump_row = (np.cumsum(keep) - 1)[paths[on]]
-    jump_step = np.clip(np.searchsorted(time_grid, bundle.pi.times[on],
-                                        side="left") - 1, 0, n_steps - 1)
     rows = np.arange(m_used)
 
     def at_regime(v, regime):
@@ -436,9 +429,6 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
     g_terminal = spec.coefficients.g(states[n_steps])
     v_next = np.tile(g_terminal, (n_levels, n_controls, 1))
     tilde = np.empty_like(v_next)
-    y_mean = np.full((n_levels, n_steps + 1), g_terminal.mean())
-    l_mean = np.zeros((n_levels, n_steps))
-    r_pos_mean = np.zeros((n_levels, n_steps))
     s_int = np.zeros((n_levels, m_used))
     ridge_events, carried, betas_prev = [], [], [None] * n_controls
     for k in range(n_steps - 1, -1, -1):
@@ -480,25 +470,15 @@ def lsmc_ladder_full_stack(spec, levels, bundle, degree: int = 2,
         v_next = level_dt[:, None, None] * adv + tilde
         r_pos = at_regime(adv, i_k)
         s_int += dt * r_pos
-        r_pos_mean[:, k] = r_pos.mean(axis=1)
-        y_mean[:, k] = at_regime(v_next, i_k).mean(axis=1)
-        if rate > 0.0:
-            dn = (np.bincount(jump_row[jump_step == k], minlength=m_used)
-                  - rate * dt)
-            l_mean[:, k] = (target @ dn) / m_used / (rate * dt)
         betas_prev = betas
 
     y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
-    k_mean = np.zeros((n_levels, n_steps + 1))
-    k_mean[:, 1:] = np.cumsum(level_dt[:, None] * r_pos_mean, axis=1)
     y0 = at_regime(v_next, regimes[0]).mean(axis=1)
     return [dict(
         level_n=n, time_grid=time_grid, y0=float(y0[l]),
         y0_se=float(y0_se[l]), n_paths=m_used,
-        n_excluded=int(bundle.excluded.sum()), y_mean=y_mean[l],
-        l_mean=l_mean[l], k_mean=k_mean[l],
-        r_pos_mean=r_pos_mean[l], constraint_integral=s_int[l],
-        k_terminal=n * s_int[l], ridge_events=tuple(ridge_events),
+        n_excluded=int(bundle.excluded.sum()), constraint_integral=s_int[l],
+        ridge_events=tuple(ridge_events),
         carried_cells=tuple(carried),
         metadata={"solver": "lsmc", "level_n": n, "dt": dt,
                   "degree": degree,

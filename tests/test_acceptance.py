@@ -34,7 +34,7 @@ def _ladder(spec):
     default state grid."""
     return bsde.minimal_value(
         spec, LADDER, bsde.default_time_steps(spec, max(LADDER)),
-        grid=transition.default_state_grid(spec))
+        transition.default_state_grid(spec))
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def bang_bundle(bang_spec):
 @pytest.fixture(scope="module")
 def bang_ladder(bang_spec):
     return bsde.minimal_value(bang_spec, (1, 2, 4, 8, 16), 64,
-                              grid=transition.default_state_grid(bang_spec))
+                              transition.default_state_grid(bang_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +148,10 @@ def test_lsmc_decay_value_exact_and_penalty_free():
     bundle = sim.simulate_bundle(spec, 4000, seed=1, n_steps=32)
     q = bsde.solve_penalized_lsmc(spec, 8, bundle)
     assert abs(q.y0 - oracles.DECAY_VALUE_T0) < 1e-8
-    assert float(np.abs(q.k_terminal).max()) < 1e-8
+    # the terminal compensator K_T is the level times the integral
+    assert q.level_n * float(np.abs(q.constraint_integral).max()) < 1e-8
     # deterministic flow collapses the features: ridge fallback logged
     assert len(q.ridge_events) > 0
-
-
-def test_lsmc_terminal_values_equal_terminal_reward(bang_spec, bang_bundle):
-    q = bsde.solve_penalized_lsmc(bang_spec, 2, bang_bundle)
-    g = bang_spec.coefficients.g(
-        bang_bundle.states[bang_bundle.included()][:, -1, :])
-    assert q.y_mean[-1] == g.mean()
 
 
 def test_lsmc_matches_grid_per_level(bang_spec, bang_bundle):
@@ -168,10 +163,9 @@ def test_lsmc_matches_grid_per_level(bang_spec, bang_bundle):
 
 
 def test_lsmc_compensator_is_nondecreasing_from_zero(bang_spec, bang_bundle):
+    # K_T / n integrates a nonnegative charge from K_0 = 0
     q = bsde.solve_penalized_lsmc(bang_spec, 8, bang_bundle)
-    assert q.k_mean[0] == 0.0
-    assert np.all(np.diff(q.k_mean) >= -1e-15)
-    assert np.all(q.k_terminal >= 0.0)
+    assert np.all(q.constraint_integral >= 0.0)
 
 
 def test_lsmc_empty_origin_cells_are_logged_not_penalized(bang_spec,
@@ -197,8 +191,7 @@ def _excluding_every_seventh(bundle):
     return dataclasses.replace(bundle, excluded=excluded)
 
 
-_QUINTUPLE_ARRAYS = ("time_grid", "y_mean", "l_mean", "k_mean",
-                     "r_pos_mean", "constraint_integral", "k_terminal")
+_QUINTUPLE_ARRAYS = ("time_grid", "constraint_integral")
 
 
 @pytest.mark.parametrize("case", ["bang-drift", "jump-reward",
@@ -268,33 +261,6 @@ def test_lsmc_ladder_reads_kept_rows_like_a_bundle_of_only_them():
     want = bsde.solve_penalized_lsmc_ladder(spec, levels, kept_only)
     _assert_same_quintuples(got, want, skip=("n_excluded",))
     assert got[0].n_excluded == bundle.n_excluded > 0
-    assert np.any(got[0].l_mean != 0.0)
-
-
-def test_lsmc_counts_a_jump_in_the_step_whose_state_it_moves():
-    # a jump at exactly t_2 = 0.5 moves the state on (t_1, t_2], as one
-    # just before it does, so both count in step 1
-    spec = _spec("jump-reward")
-    ref = sim.simulate_bundle(spec, 600, seed=12, n_steps=4)
-    marks = spec.jump_measure.sample_marks(np.linspace(0.01, 0.99, 600))
-
-    def replay_with_jumps_at(t):
-        return sim._simulate_core(
-            spec, 600, seed=12, n_steps=4, control="fixed",
-            fixed_theta=ref.theta, start_regimes=ref.regimes[:, 0],
-            brownian=oracles.brownian_increments(ref),
-            pi_events=sim.CsrEvents(np.full(600, t), marks,
-                                    np.arange(601)))
-
-    on_node = replay_with_jumps_at(0.5)
-    before = replay_with_jumps_at(np.nextafter(0.5, 0.0))
-    assert on_node.time_grid[2] == 0.5
-    np.testing.assert_array_equal(on_node.states, before.states)
-    assert np.any(on_node.states[:, 2] != on_node.states[:, 1])
-    levels = (1, 4)
-    _assert_same_quintuples(
-        bsde.solve_penalized_lsmc_ladder(spec, levels, on_node),
-        bsde.solve_penalized_lsmc_ladder(spec, levels, before))
 
 
 def _oracle_case(case, bang_spec, bang_bundle):
@@ -354,10 +320,14 @@ def test_lsmc_ladder_rejects_a_level_below_one(bang_spec, bang_bundle):
 # Constraint diagnostics
 # ---------------------------------------------------------------------------
 
+def _lsmc_constraint_report(q):
+    return bsde._constraint_report(q.level_n, q.constraint_integral)
+
+
 def test_constraint_gap_zero_for_uncontrolled_problem():
     spec = _spec("uncontrolled-decay")
     bundle = sim.simulate_bundle(spec, 2000, seed=2, n_steps=32)
-    rep = bsde.constraint_gap(bsde.solve_penalized_lsmc(spec, 4, bundle))
+    rep = _lsmc_constraint_report(bsde.solve_penalized_lsmc(spec, 4, bundle))
     assert rep.phi < 1e-16
     assert rep.k_ratio < 1e-16
 
@@ -365,9 +335,9 @@ def test_constraint_gap_zero_for_uncontrolled_problem():
 def test_constraint_gap_routes_agree(bang_spec, bang_bundle):
     q = bsde.solve_penalized_lsmc(bang_spec, 4, bang_bundle)
     fld = _solve(bang_spec, 4, 64)
-    r_q = bsde.constraint_gap(q)
-    r_f = bsde.constraint_gap(
-        fld, sim.simulate_bundle(bang_spec, 20_000, 3, n_steps=64))
+    r_q = _lsmc_constraint_report(q)
+    (r_f,) = bsde.constraint_gap(
+        (fld,), sim.simulate_bundle(bang_spec, 20_000, 3, n_steps=64))
     band = 3 * math.hypot(r_q.se_integral, r_f.se_integral) + 2e-3
     assert abs(r_q.mean_integral - r_f.mean_integral) <= band
 
@@ -375,7 +345,7 @@ def test_constraint_gap_routes_agree(bang_spec, bang_bundle):
 def test_constraint_gap_decreases_along_ladder(bang_spec, bang_bundle):
     ladder = bsde.solve_penalized_lsmc_ladder(bang_spec, (1, 2, 4, 8, 16),
                                               bang_bundle)
-    reports = [bsde.constraint_gap(q) for q in ladder]
+    reports = [_lsmc_constraint_report(q) for q in ladder]
     phis = [r.phi for r in reports]
     assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
     assert reports[-1].k_ratio < reports[0].k_ratio / 2
@@ -387,7 +357,7 @@ def test_constraint_gap_many_fields_equal_their_one_field_calls(
     many = bsde.constraint_gap(fields, bang_bundle)
     assert isinstance(many, tuple) and len(many) == len(fields)
     for fld, rep in zip(fields, many):
-        assert rep == bsde.constraint_gap(fld, bang_bundle)
+        assert bsde.constraint_gap((fld,), bang_bundle) == (rep,)
     assert [r.level_n for r in many] == list(bang_ladder.levels)
     assert bsde.constraint_gap(list(fields[:1]), bang_bundle) == many[:1]
 
@@ -403,26 +373,28 @@ def test_constraint_gap_many_fields_need_one_lattice(bang_spec, bang_ladder,
         bsde.constraint_gap((), bang_bundle)
 
 
-def test_constraint_gap_validates_inputs(bang_spec):
+def test_constraint_gap_validates_inputs(bang_spec, bang_bundle):
     with pytest.raises(TypeError):
-        bsde.constraint_gap(object())
+        bsde.constraint_gap((object(),), bang_bundle)
+    with pytest.raises(TypeError):
+        bsde.constraint_gap(
+            (bsde.solve_penalized_lsmc(bang_spec, 1, bang_bundle),),
+            bang_bundle)
     spec = _spec("uncontrolled-decay")
     fld = _solve(spec, 1, 8)
-    with pytest.raises(ValueError, match="bundle"):
-        bsde.constraint_gap(fld, None)
     with pytest.raises(ValueError, match="spec mismatch"):
-        bsde.constraint_gap(fld, sim.simulate_bundle(bang_spec, 50, 0,
-                                                     n_steps=8))
+        bsde.constraint_gap((fld,), sim.simulate_bundle(bang_spec, 50, 0,
+                                                        n_steps=8))
 
 
 def test_constraint_gap_rejects_a_bundle_on_another_time_grid():
     spec = _spec("uncontrolled-decay")
     fld = _solve(spec, 1, 8)
     on_grid = sim.simulate_bundle(spec, 50, 0, n_steps=8)
-    assert bsde.constraint_gap(fld, on_grid).n_paths == 50
+    assert bsde.constraint_gap((fld,), on_grid)[0].n_paths == 50
     with pytest.raises(ValueError, match="time grid"):
-        bsde.constraint_gap(fld, sim.simulate_bundle(spec, 50, 0,
-                                                     n_steps=16))
+        bsde.constraint_gap((fld,), sim.simulate_bundle(spec, 50, 0,
+                                                        n_steps=16))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +404,7 @@ def test_constraint_gap_rejects_a_bundle_on_another_time_grid():
 def test_ladder_uncontrolled_is_flat_at_the_oracle():
     spec = _spec("uncontrolled-decay")
     rep = bsde.minimal_value(spec, (1, 2, 4), 32,
-                             grid=transition.default_state_grid(spec))
+                             transition.default_state_grid(spec))
     for v in rep.values:
         assert abs(v - oracles.DECAY_VALUE_T0) < 1e-9
     assert abs(rep.value_limit - oracles.DECAY_VALUE_T0) < 1e-9
@@ -460,24 +432,41 @@ def test_ladder_bang_monotone_with_analytic_limit(bang_spec, bang_ladder):
     assert all(r <= 1.5 * ratios[0] for r in ratios)
 
 
-def test_ladder_rejects_unordered_levels(bang_spec):
-    with pytest.raises(ValueError, match="increasing"):
-        bsde.minimal_value(bang_spec, (4, 2, 1), 64)
+def test_ladder_rejects_unordered_levels(bang_spec, bang_bundle):
+    grid = LatticeGrid(axes=(np.linspace(-1.0, 1.0, 9),))
+    for on in (grid, bang_bundle):
+        with pytest.raises(ValueError, match="increasing"):
+            bsde.minimal_value(bang_spec, (4, 2, 1), 64, on)
 
 
-def test_ladder_grid_route_needs_a_lattice(bang_spec):
-    with pytest.raises(ValueError, match="state grid"):
-        bsde.minimal_value(bang_spec, (1, 2), 8)
+def test_ladder_regression_route_needs_the_bundle_step_count(bang_spec,
+                                                             bang_bundle):
+    with pytest.raises(ValueError, match="step count 64 is not 32"):
+        bsde.minimal_value(bang_spec, (1, 2), 32, bang_bundle)
 
 
-def test_ladder_lsmc_solver_tracks_grid(bang_spec, bang_ladder):
-    rep = bsde.minimal_value(bang_spec, (1, 4, 16), 64, solver="lsmc",
-                             n_paths=20_000, seed=3)
+def test_ladder_lsmc_solver_tracks_grid(bang_spec, bang_bundle, bang_ladder):
+    rep = bsde.minimal_value(bang_spec, (1, 4, 16), 64, bang_bundle)
     assert rep.solver == "lsmc"
     for v, se, n in zip(rep.values, rep.ses, rep.levels):
         idx = bang_ladder.levels.index(n)
         assert abs(v - bang_ladder.values[idx]) <= 3 * se + 2e-2
     assert rep.monotone_ok
+
+
+def test_ladder_lsmc_monotone_slack_reads_se_multiplier(monkeypatch):
+    # the second level drops by 0.1 with standard errors of 0.05 each: within
+    # 3 standard errors of the difference, not within 1
+    def two_levels(spec, levels, bundle):
+        return tuple(SimpleNamespace(y0=y0, y0_se=0.05, metadata={})
+                     for y0 in (1.0, 0.9))
+
+    monkeypatch.setattr(bsde, "solve_penalized_lsmc_ladder", two_levels)
+    bundle = SimpleNamespace(n_steps=8)
+    assert bsde.minimal_value(_spec("bang-drift"), (1, 2), 8,
+                              bundle).monotone_ok
+    tight = _spec("bang-drift", tolerances={"se_multiplier": 1})
+    assert not bsde.minimal_value(tight, (1, 2), 8, bundle).monotone_ok
 
 
 # ---------------------------------------------------------------------------

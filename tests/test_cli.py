@@ -232,6 +232,35 @@ def test_degenerate_sizes_exit_2_without_traceback(bang_cfg, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "penalized-grid", "--ladder", "4,2,1"],
+    ["solve", "--method", "dp", "--ladder", "1,1"],
+    ["verify", "--levels", "0,1"],
+    ["verify", "--levels", "16"],
+    ["verify", "--suite", "constraint", "--levels", "16"],
+])
+def test_unusable_levels_exit_2_before_any_output(bang_cfg, tmp_path, capsys,
+                                                  argv):
+    command, *flags = argv
+    out = tmp_path / "out"
+    code = cli.main([command, bang_cfg, *flags, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "levels" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_one_level_is_enough_without_the_constraint_suite(bang_cfg, tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["verify", bang_cfg, "--suite", "monotone",
+                     "--levels", "16", "--out", str(out)])
+    assert code == 0
+    assert _read_json(out / "verify_report.json")["verdicts"] == {
+        "monotone": "pass"}
+
+
 def test_solve_reports_truncated_jump_mass(tmp_path):
     cfg = _write_cfg(tmp_path / "jump.json", "jump-reward")
     out = tmp_path / "run"
@@ -670,6 +699,50 @@ def test_verify_foreign_field_fails_with_exit_1(decay_cfg, bang_cfg,
     assert code == 1
 
 
+def test_verify_field_on_a_one_node_time_grid_is_skipped_with_reason(
+        bang_cfg, tmp_path, capsys):
+    solve_out = tmp_path / "solve"
+    cli.main(["solve", bang_cfg, "--method", "dp", "--steps", "16",
+              "--nodes", "41", "--out", str(solve_out)])
+    side = _read_json(solve_out / "dp_field.json")
+    side["time_grid"] = side["time_grid"][:1]
+    lines = (solve_out / "dp_field.csv").read_bytes().split(b"\r\n")
+    first = tmp_path / "first.csv"
+    first.write_bytes(b"\r\n".join(lines[:1 + 41] + [b""]))
+    first.with_suffix(".json").write_text(json.dumps(side), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = cli.main(["verify", bang_cfg, "--suite", "hjb",
+                     "--field", str(first), "--out", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = _read_json(out / "verify_report.json")
+    assert report["verdicts"]["hjb"] == "skipped"
+    reason = report["details"]["hjb"]["reason"]
+    assert "first.csv" in reason and "fewer than 2" in reason
+
+
+def test_verify_all_skips_a_one_step_field_with_reason(bang_cfg, tmp_path,
+                                                       capsys):
+    spec = problem.load_problem(bang_cfg)
+    # one step over the whole horizon reaches past the lattice
+    with pytest.warns(RuntimeWarning, match="widen"):
+        fld = dp.solve_dp_grid(spec, 1,
+                               transition.default_state_grid(spec, 41))
+    one_step = tmp_path / "one_step.csv"
+    cli.write_dp_field_csv(fld, spec, one_step, one_step.with_suffix(".json"))
+    out = tmp_path / "run"
+    code = cli.main(["verify", bang_cfg, "--suite", "all", "--steps", "16",
+                     "--nodes", "41", "--paths", "4000",
+                     "--field", str(one_step), "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == list(cli.SUITES)
+    report = _read_json(out / "verify_report.json")
+    assert report["verdicts"]["hjb"] == "skipped"
+    assert "at least 2 time steps" in report["details"]["hjb"]["reason"]
+
+
 def test_verify_martingale_reports_all_four_tilts(bang_cfg, tmp_path):
     out = tmp_path / "run"
     code = cli.main(["verify", bang_cfg, "--suite", "martingale",
@@ -924,6 +997,9 @@ def test_level_list_parses_and_rejects():
         cli._level_list("a,b")
     with pytest.raises(argparse.ArgumentTypeError):
         cli._level_list(",")
+    for text in ("4,2,1", "1,1", "0,1", "-1"):
+        with pytest.raises(argparse.ArgumentTypeError, match="increasing"):
+            cli._level_list(text)
 
 
 def test_no_arguments_exits_2():

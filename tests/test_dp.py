@@ -31,7 +31,7 @@ def bang_dp(bang_spec):
 @pytest.fixture(scope="module")
 def bang_ladder(bang_spec):
     return bsde.minimal_value(bang_spec, (1, 2, 4, 8, 16), 64,
-                              grid=transition.default_state_grid(bang_spec))
+                              transition.default_state_grid(bang_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_value_equality_uncontrolled_is_exact():
     spec = _spec("uncontrolled-decay")
     grid = transition.default_state_grid(spec)
     fld = dp.solve_dp_grid(spec, 32, grid)
-    ladder = bsde.minimal_value(spec, (1, 2), 32, grid=grid)
+    ladder = bsde.minimal_value(spec, (1, 2), 32, grid)
     out = dp.value_equality_check(fld, ladder, spec)
     assert out["ok"]
     assert abs(out["diff"]) < 1e-9

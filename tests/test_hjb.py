@@ -27,7 +27,7 @@ def bang_spec():
 def bang_limit_field(bang_spec):
     return bsde.minimal_value(
         bang_spec, (1, 2, 4, 8, 16), 64,
-        grid=transition.default_state_grid(bang_spec)).last_field
+        transition.default_state_grid(bang_spec)).last_field
 
 
 # ---------------------------------------------------------------------------

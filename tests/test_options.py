@@ -32,7 +32,7 @@ def _mode_agreement(spec):
 def _value_equality(spec):
     levels, grid = (4, 16, 64), transition.default_state_grid(spec)
     steps = bsde.default_time_steps(spec, max(levels))
-    ladder = bsde.minimal_value(spec, levels, steps, grid=grid)
+    ladder = bsde.minimal_value(spec, levels, steps, grid)
     fld = dp.solve_dp_grid(spec, steps, grid)
     return dp.value_equality_check(fld, ladder, spec)
 
@@ -64,11 +64,6 @@ def test_checks_read_their_tolerances_from_the_config(name):
 #: ``module.qualname(param=default)`` for every default-valued parameter of
 #: a function or method written in the package (dataclass fields excluded)
 OPTIONS = {
-    "bsde.constraint_gap(bundle=None)",
-    "bsde.minimal_value(grid=None)",
-    "bsde.minimal_value(n_paths=50000)",
-    "bsde.minimal_value(seed=0)",
-    "bsde.minimal_value(solver='grid')",
     "cli._add_common(with_nodes=True)",
     "cli._write_lattice_csv(per_node=1)",
     "cli.main(argv=None)",

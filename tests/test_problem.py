@@ -110,10 +110,10 @@ def test_invalid_step_counts_raise_value_error(n_steps):
     with pytest.raises(ValueError, match="step count"):
         sim.simulate_bundle(spec, 10, 1, n_steps=n_steps)
     grid = LatticeGrid(axes=(np.linspace(-1.0, 1.0, 9),))
-    for solver, lattice in (("grid", grid), ("lsmc", None)):
+    bundle = sim.simulate_bundle(spec, 10, 1, n_steps=8)
+    for on in (grid, bundle):
         with pytest.raises(ValueError, match="step count"):
-            bsde.minimal_value(spec, (1, 2), n_steps, solver=solver,
-                               grid=lattice, n_paths=10)
+            bsde.minimal_value(spec, (1, 2), n_steps, on)
 
 
 def test_time_grid_accepts_numpy_integers():

@@ -346,6 +346,28 @@ def test_event_steps_own_the_left_open_step():
                                   [0, 0, 1, 4, 7])
 
 
+def test_a_jump_on_a_node_moves_the_step_it_ends():
+    # a jump at exactly t_2 = 0.5 moves the state on (t_1, t_2], as one
+    # just before it does
+    spec = load("jump-reward")
+    ref = sim.simulate_bundle(spec, 600, seed=12, n_steps=4)
+    marks = spec.jump_measure.sample_marks(np.linspace(0.01, 0.99, 600))
+
+    def replay_with_jumps_at(t):
+        return sim._simulate_core(
+            spec, 600, seed=12, n_steps=4, control="fixed",
+            fixed_theta=ref.theta, start_regimes=ref.regimes[:, 0],
+            brownian=oracles.brownian_increments(ref),
+            pi_events=sim.CsrEvents(np.full(600, t), marks,
+                                    np.arange(601)))
+
+    on_node = replay_with_jumps_at(0.5)
+    before = replay_with_jumps_at(np.nextafter(0.5, 0.0))
+    assert on_node.time_grid[2] == 0.5
+    np.testing.assert_array_equal(on_node.states, before.states)
+    assert np.any(on_node.states[:, 2] != on_node.states[:, 1])
+
+
 def test_regime_frequencies_match_lambda0():
     """Switch marks follow the normalized intensity weights."""
     spec = load("bang-drift", lambda0_weights=[0.5, 0.3, 0.2])
