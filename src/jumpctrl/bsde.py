@@ -313,9 +313,12 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     The bundle is read in place: each step takes its rows from the
     bundle's step-major state and regime buffers, gathering the kept rows
     when paths were excluded.  Working memory is one (L, A, M) stack of
-    continuation values and a few (L, M) rows.
+    continuation values and a few (L, M) rows.  A bundle simulated under
+    another spec raises ``ValueError``.
     """
     levels = _checked_levels(levels)
+    if bundle.spec.fingerprint() != spec.fingerprint():
+        raise ValueError("spec mismatch between solver artifacts")
     keep = bundle.included()
     m_used = int(keep.sum())
     if m_used == 0:

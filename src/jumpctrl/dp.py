@@ -9,8 +9,10 @@ through the same backward loop as the penalized route
 stacks its levels), so discrepancies between the two values can only
 come from the control handling, never from the transition machinery.
 Ties in the maximum resolve to the lowest control index, and the rollout
-policy uses the same rule.  A tie is any control within ``TIE_TOL`` of
-the maximum, so summation-order rounding cannot flip the stored argmax.
+follows that stored argmax: its policy is ``DpField.policy_at``, the
+argmax at the nearest lattice node.  A tie is any control within
+``TIE_TOL`` of the maximum, so summation-order rounding cannot flip the
+stored argmax.
 """
 
 from __future__ import annotations
@@ -145,13 +147,8 @@ def policy_rollout(dp_field: DpField, spec: ProblemSpec, n_paths: int,
     both read from ``spec.tolerances``.
     """
     se_mult = spec.tolerances["se_multiplier"]
-
-    def policy(k: int, t_k: float, states: np.ndarray) -> np.ndarray:
-        return dp_field.policy_at(k, states)
-
-    bundle = sim._simulate_core(spec, n_paths, seed,
-                                n_steps=dp_field.n_steps,
-                                control="policy", policy=policy)
+    bundle = sim._simulate_core(spec, n_paths, seed, dp_field.n_steps,
+                                dp_field.policy_at)
     keep = bundle.included()
     gains = sim.total_gain(bundle)[keep]
     if gains.size == 0:

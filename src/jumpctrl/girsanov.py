@@ -240,8 +240,7 @@ def simulate_tilted_theta(nu: IntensityControl, spec: ProblemSpec, seed: int,
     uniforms use a dedicated substream, so path i remains a pure function of
     (seed, i).
     """
-    return sim._simulate_core(spec, n_paths, seed, n_steps=n_steps,
-                              control="tilted", tilt=nu)
+    return sim._simulate_core(spec, n_paths, seed, n_steps, nu)
 
 
 def randomized_gain(spec: ProblemSpec, nu: IntensityControl, n_paths: int,

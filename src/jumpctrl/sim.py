@@ -9,11 +9,15 @@ regime mid-step loses no order: the only frozen quantities are state and
 time.  State jumps are applied after the semigroup map of their step, in
 event order.
 
-Regime paths come from a marked Poisson stream on the control grid; the same
-sweep also supports thinning against a state-feedback intensity (used by the
-tilted estimators), per-step feedback policies (used by rollouts), and fixed
-regime schedules.  Everything is reproducible: path ``i`` of a bundle is a
-pure function of ``(master seed, i)``.
+The ``control`` argument of ``_simulate_core`` drives the regime path:
+``None`` draws the reference switch stream, a marked Poisson stream on the
+control grid from a0; an intensity control (an object with ``nu_max`` and
+``rate``, such as ``girsanov.IntensityControl``) thins a dominating stream
+(the tilted estimators); a callable ``policy(k, states)`` sets the regime
+at each step (the rollouts); and a ``(start_regimes, theta)`` pair replays
+given switch events.  The bundle's ``control_mode`` names which:
+"randomized", "tilted", "policy" or "fixed".  Everything is reproducible:
+path ``i`` of a bundle is a pure function of ``(master seed, i)``.
 
 Storage is step-major: the integrator writes an (N+1, M, D) state buffer
 and an (N+1, M) regime buffer one contiguous row per step.  A bundle
@@ -31,9 +35,8 @@ block draws its own rows of every stream (``stream.uniform_block``'s
 writes them into the bundle's buffers.  So what a simulation allocates
 besides the bundle is sized by the block, not by M, and since every
 path is a pure function of ``(seed, i)``, the bundle's bytes do not
-depend on the block size.  A policy ``policy(k, t, states)`` and a tilt's
-``rate`` are called with one block's rows and must return one value per
-row.
+depend on the block size.  A policy and a tilt's ``rate`` are called
+with one block's rows and must return one value per row.
 
 The Brownian increments are the block's own step buffer: an (N, B, m)
 transposed copy of its drawn (or replayed) rows, read one row per step
@@ -53,13 +56,13 @@ Every simulation is a ``PathBundle`` from ``_simulate_core``; one path is
 a 1-row bundle.  Every bundle starts at t = 0 from the spec's initial law
 and steps on ``spec.time_grid(N)``, the grid of the lattice solvers too.
 Its replay form is the one deterministic entry
-point: ``_simulate_core(spec, M, seed, control="fixed", fixed_theta=...,
-start_regimes=..., brownian=..., pi_events=...)`` replays given switch
-events, (M, N, m) Brownian increments and jump events instead of drawing
-them.  Event tables from outside must increase strictly inside
-``(0, horizon]`` on each path, and switch marks must be indices on the
-control grid; otherwise it raises ``ValueError``.  So do start regimes
-and policy outputs that are not integers in [0, A).
+point: ``_simulate_core(spec, M, seed, N, (start_regimes, theta),
+noise=(brownian, pi_events))`` integrates given switch events from given
+start regimes, with given (M, N, m) Brownian increments and jump events
+instead of drawn ones.  Event tables from outside must increase strictly
+inside ``(0, horizon]`` on each path, and switch marks must be indices on
+the control grid; otherwise it raises ``ValueError``.  So do start
+regimes and policy outputs that are not integers in [0, A).
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -143,7 +146,8 @@ class PathBundle:
     theta: CsrEvents                # regime-switch events (marks = indices)
     running_reward: np.ndarray      # (M,) integral of f along each path
     excluded: np.ndarray            # (M,) bool overflow flags
-    control_mode: str               # "randomized" | "tilted" | ...
+    control_mode: str               # "randomized" | "tilted" | "policy"
+                                    # | "fixed"
 
     @property
     def n_paths(self) -> int:
@@ -338,52 +342,37 @@ def _regime_indices(values, n_paths: int, n_controls: int,
 SIM_BLOCK_PATHS = 8192
 
 
-def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
-                   n_steps: Optional[int] = None,
-                   control: str = "randomized",
-                   tilt=None,
-                   policy: Optional[Callable] = None,
-                   fixed_theta: Optional[CsrEvents] = None,
-                   start_regimes: Optional[np.ndarray] = None,
-                   brownian: Optional[np.ndarray] = None,
-                   pi_events: Optional[CsrEvents] = None) -> PathBundle:
+def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int, n_steps: int,
+                   control, noise=None) -> PathBundle:
     """Shared engine behind every simulation; see the module docstring.
 
-    ``control`` picks the regime path: "randomized" (the reference switch
-    stream), "tilted" (thinned against ``tilt``), "policy" (``policy(k, t,
-    states)`` per step) or "fixed" (``fixed_theta`` from ``start_regimes``).
-    ``brownian`` and ``pi_events``, when given, replace the drawn Brownian
+    ``control`` drives the regime path: ``None`` (the reference switch
+    stream), an intensity control (thinned), a ``policy(k, states)``
+    callable or a ``(start_regimes, theta)`` pair.  ``noise``, when given,
+    is a ``(brownian, pi_events)`` pair that replaces the drawn Brownian
     increments and jump events.  The inputs are checked for the whole
     bundle; the paths are then integrated ``SIM_BLOCK_PATHS`` at a time
     (:func:`_simulate_block`) into the bundle's arrays.
     """
     horizon = spec.horizon
-    if n_steps is None:
-        n_steps = spec.default_steps()
     time_grid = spec.time_grid(n_steps)
     n_controls = spec.control.size
-    if brownian is not None:
+    brownian = pi_events = theta = None
+    if noise is not None:
+        brownian, pi_events = noise
         brownian = np.asarray(brownian, dtype=float).reshape(
             n_paths, n_steps, spec.brownian_dim)
-    if pi_events is not None:
         _check_events(pi_events, n_paths, horizon, "pi")
-    if control == "tilted" and tilt is None:
-        raise ValueError("tilted simulation needs an intensity control")
-    if control == "fixed":
-        if fixed_theta is None:
-            raise ValueError("fixed control needs a theta event table")
-        _check_events(fixed_theta, n_paths, horizon, "theta",
-                      n_marks=n_controls)
-    elif control == "policy":
-        if policy is None:
-            raise ValueError("policy control needs a policy callable")
-    elif control not in ("randomized", "tilted"):
-        raise ValueError(f"unknown control mode {control!r}")
-    if start_regimes is None:
-        start = np.full(n_paths, spec.randomization.a0_index, dtype=np.int64)
+    start = np.full(n_paths, spec.randomization.a0_index, dtype=np.int64)
+    if control is None:
+        mode = "randomized"
+    elif isinstance(control, tuple):
+        mode = "fixed"
+        start, theta = control
+        _check_events(theta, n_paths, horizon, "theta", n_marks=n_controls)
+        start = _regime_indices(start, n_paths, n_controls, "start regimes")
     else:
-        start = _regime_indices(start_regimes, n_paths, n_controls,
-                                "start regimes")
+        mode = "policy" if callable(control) else "tilted"
 
     # --- the bundle's arrays: step-major, each step one contiguous row ----
     state_buf = np.zeros((n_steps + 1, n_paths, spec.total_dim))
@@ -395,15 +384,15 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
     # a 0-path call runs one empty block
     for lo in range(0, max(n_paths, 1), SIM_BLOCK_PATHS):
         hi = min(lo + SIM_BLOCK_PATHS, n_paths)
-        pi, theta = _simulate_block(
-            spec, seed, time_grid, control, tilt, policy, lo, start[lo:hi],
+        pi, block_theta = _simulate_block(
+            spec, seed, time_grid, mode, control, lo, start[lo:hi],
             None if brownian is None else brownian[lo:hi],
             None if pi_events is None else pi_events.rows(lo, hi),
-            None if fixed_theta is None else fixed_theta.rows(lo, hi),
+            None if theta is None else theta.rows(lo, hi),
             state_buf[:, lo:hi], regime_buf[:, lo:hi],
             running_reward[lo:hi], excluded[lo:hi])
         pi_parts.append(pi)
-        theta_parts.append(theta)
+        theta_parts.append(block_theta)
 
     n_exc = int(excluded.sum())
     if n_exc:
@@ -414,25 +403,25 @@ def _simulate_core(spec: ProblemSpec, n_paths: int, seed: int,
         spec=spec, seed=seed, time_grid=time_grid,
         states=state_buf.transpose(1, 0, 2), regimes=regime_buf.T,
         pi=pi_events if pi_events is not None else CsrEvents.stack(pi_parts),
-        theta=(fixed_theta if control == "fixed"
-               else CsrEvents.stack(theta_parts)),
-        running_reward=running_reward, excluded=excluded,
-        control_mode=control)
+        theta=theta if theta is not None else CsrEvents.stack(theta_parts),
+        running_reward=running_reward, excluded=excluded, control_mode=mode)
 
 
 def _simulate_block(spec: ProblemSpec, seed: int, time_grid: np.ndarray,
-                    control: str, tilt, policy, first_row: int,
+                    mode: str, control, first_row: int,
                     cur_reg: np.ndarray, brownian, pi, theta,
                     state_buf: np.ndarray, regime_buf: np.ndarray,
                     running_reward: np.ndarray, excluded: np.ndarray):
     """Integrate the paths from ``first_row`` on into their bundle rows.
 
-    ``state_buf`` (N+1, M, D), ``regime_buf`` (N+1, M), ``running_reward``
-    and ``excluded`` (M,) are the block's views of the bundle's arrays, and
-    ``cur_reg`` its (M,) start regimes.  ``brownian``, ``pi`` and
-    ``theta`` are the block's rows of the replay inputs, or None; the
-    block draws its own rows of every other stream.  Returns the block's
-    (pi, theta) event tables, rows numbered from 0.
+    ``mode`` is the bundle's ``control_mode`` and ``control`` the
+    ``_simulate_core`` argument it was read from.  ``state_buf`` (N+1, M,
+    D), ``regime_buf`` (N+1, M), ``running_reward`` and ``excluded`` (M,)
+    are the block's views of the bundle's arrays, and ``cur_reg`` its (M,)
+    start regimes.  ``brownian``, ``pi`` and ``theta`` are the block's
+    rows of the replay inputs, or None; the block draws its own rows of
+    every other stream.  Returns the block's (pi, theta) event tables,
+    rows numbered from 0.
     """
     n_paths = cur_reg.size
     n_steps = time_grid.size - 1
@@ -476,25 +465,25 @@ def _simulate_block(spec: ProblemSpec, seed: int, time_grid: np.ndarray,
 
     theta_accept_u = None
     th_path = th_time = th_mark = None
-    if control in ("randomized", "tilted"):
+    if mode in ("randomized", "tilted"):
         rate = spec.randomization.total_mass
-        if control == "tilted":
-            rate *= float(tilt.nu_max)
+        if mode == "tilted":
+            rate *= float(control.nu_max)
         counts, th_time, t_mu = _poisson_block(
             rate, horizon, seed, stream.STREAM_THETA, n_paths, first_row)
         th_path = np.repeat(np.arange(n_paths), counts)
         th_mark = _categorical_from_uniform(
             t_mu, spec.randomization.lambda0_weights)
-        if control == "randomized":
+        if mode == "randomized":
             theta = CsrEvents(th_time, th_mark,
                               np.concatenate([[0], np.cumsum(counts)]))
-        if control == "tilted" and rate > 0.0:
+        if mode == "tilted" and rate > 0.0:
             # acceptance uniforms of the kept proposals, a prefix of each row
             budget = stream.event_budget(rate, horizon)
             theta_accept_u = stream.uniform_block(
                 seed, stream.STREAM_ACCEPT, n_paths, budget, first_row)[
                 np.arange(budget) < counts[:, None]]
-    elif control == "fixed":
+    elif mode == "fixed":
         th_path = theta.path_ids()
         th_time = theta.times
         th_mark = np.asarray(theta.marks, dtype=np.int64)
@@ -525,9 +514,9 @@ def _simulate_block(spec: ProblemSpec, seed: int, time_grid: np.ndarray,
         t_next = float(time_grid[k + 1])
         x_k = state_buf[k]
         x_left = x_k[:, :d]
-        if control == "policy":
-            cur_reg = _regime_indices(policy(k, t_k, x_k), n_paths,
-                                      n_controls, "policy outputs")
+        if mode == "policy":
+            cur_reg = _regime_indices(control(k, x_k), n_paths, n_controls,
+                                      "policy outputs")
         regime_buf[k] = cur_reg
 
         occ.fill(0.0)
@@ -541,9 +530,10 @@ def _simulate_block(spec: ProblemSpec, seed: int, time_grid: np.ndarray,
             p = ev_path[lo:hi]
             if run_kind[r]:
                 et, mk = ev_time[lo:hi], ev_mark[lo:hi]
-                if control == "tilted":
-                    nu_val = tilt.rate(t_k, x_k[p], cur_reg[p], mk)
-                    ok = np.flatnonzero(ev_u[lo:hi] * tilt.nu_max <= nu_val)
+                if mode == "tilted":
+                    nu_val = control.rate(t_k, x_k[p], cur_reg[p], mk)
+                    ok = np.flatnonzero(ev_u[lo:hi] * control.nu_max
+                                        <= nu_val)
                     p, et, mk = p[ok], et[ok], mk[ok]
                     acc_p.append(p)
                     acc_t.append(et)
@@ -601,7 +591,7 @@ def _simulate_block(spec: ProblemSpec, seed: int, time_grid: np.ndarray,
                 spec.augmentation, x_k[:, d], x_left[:, 0], x_next[:, 0], dt)
     regime_buf[n_steps] = cur_reg
 
-    if control in ("tilted", "policy"):
+    if mode in ("tilted", "policy"):
         theta = CsrEvents.from_flat(np.concatenate(acc_p),
                                     np.concatenate(acc_t),
                                     np.concatenate(acc_m), n_paths)
@@ -617,8 +607,9 @@ def simulate_bundle(spec: ProblemSpec, n_paths: int, seed: int,
     """Simulate paths under the reference randomized dynamics."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
-    return _simulate_core(spec, n_paths, seed, n_steps=n_steps,
-                          control="randomized")
+    if n_steps is None:
+        n_steps = spec.default_steps()
+    return _simulate_core(spec, n_paths, seed, n_steps, None)
 
 
 def terminal_rewards(bundle: PathBundle) -> np.ndarray:

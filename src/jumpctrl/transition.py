@@ -79,9 +79,6 @@ class LatticeGrid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def bounds(self) -> list:
-        return [(float(ax[0]), float(ax[-1])) for ax in self.axes]
-
 
 def default_node_count(spec: ProblemSpec) -> int:
     """Per-axis node count: dense in 1-d, moderate for product lattices."""

@@ -1,6 +1,7 @@
 """One-row path bundles from given noise, for deterministic tests.
 
-Everything here goes through ``sim._simulate_core(control="fixed", ...)``,
+Everything here goes through ``sim._simulate_core`` with a
+``(start_regimes, theta)`` control and a ``(brownian, pi_events)`` noise,
 the simulator's replay entry point, or ``sim._poisson_block``, the stream
 every bundle draws its events from.  A bundle keeps no Brownian
 increments, so ``replay`` regenerates them from its stream
@@ -46,10 +47,8 @@ def one_path(spec, n_steps, start=None, switches=((), ()), brownian=None,
         spec = dataclasses.replace(spec, initial_law=InitialLaw(
             kind="point", mean=np.asarray(x0, dtype=float)))
     return sim._simulate_core(
-        spec, 1, seed=0, n_steps=n_steps, control="fixed",
-        fixed_theta=events(*switches), start_regimes=np.array([start]),
-        brownian=np.asarray(brownian, dtype=float)[None],
-        pi_events=events(*jumps))
+        spec, 1, 0, n_steps, (np.array([start]), events(*switches)),
+        noise=(np.asarray(brownian, dtype=float)[None], events(*jumps)))
 
 
 def replay(bundle: sim.PathBundle, i: int, spec=None, n_steps=None):

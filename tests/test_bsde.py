@@ -445,6 +445,12 @@ def test_ladder_regression_route_needs_the_bundle_step_count(bang_spec,
         bsde.minimal_value(bang_spec, (1, 2), 32, bang_bundle)
 
 
+def test_ladder_regression_route_needs_the_bundle_spec(bang_spec):
+    other = sim.simulate_bundle(_spec("jump-reward"), 2000, 3, n_steps=64)
+    with pytest.raises(ValueError, match="spec mismatch"):
+        bsde.minimal_value(bang_spec, (1, 2), 64, other)
+
+
 def test_ladder_lsmc_solver_tracks_grid(bang_spec, bang_bundle, bang_ladder):
     rep = bsde.minimal_value(bang_spec, (1, 4, 16), 64, bang_bundle)
     assert rep.solver == "lsmc"

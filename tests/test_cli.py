@@ -411,8 +411,9 @@ def test_solve_dp_simulates_nothing(bang_cfg, tmp_path, monkeypatch):
     core = sim._simulate_core
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("control", "randomized"))
-        return core(*args, **kwargs)
+        bundle = core(*args, **kwargs)
+        calls.append(bundle.control_mode)
+        return bundle
 
     monkeypatch.setattr(sim, "_simulate_core", counted)
     out = tmp_path / "run"
@@ -480,10 +481,10 @@ def test_verify_simulates_each_bundle_once(decay_cfg, tmp_path,
     core = sim._simulate_core
 
     def counted(*args, **kwargs):
+        bundle = core(*args, **kwargs)
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} "
-                     f"{kwargs.get('control', 'randomized')}\n")
-        return core(*args, **kwargs)
+            fh.write(f"{os.getpid()} {bundle.control_mode}\n")
+        return bundle
 
     monkeypatch.setattr(sim, "_simulate_core", counted)
     code = cli.main(["verify", decay_cfg, "--suite", "all",

@@ -129,9 +129,7 @@ def test_feedback_weights_match_segment_oracle():
     # horizon, and a path that never switches
     theta = sim.CsrEvents([0.25, 0.5, 0.3, 0.31, 0.32, 0.33, 1.0],
                           [0, 1, 0, 2, 0, 2, 1], [0, 2, 7, 7])
-    fixed = sim._simulate_core(spec, 3, seed=1, n_steps=8, control="fixed",
-                               fixed_theta=theta,
-                               start_regimes=np.array([2, 1, 0]))
+    fixed = sim._simulate_core(spec, 3, 1, 8, (np.array([2, 1, 0]), theta))
     tilted = girsanov.simulate_tilted_theta(
         girsanov.IntensityControl.const(16.0), spec, 3, 200, n_steps=16)
     cases = [
@@ -153,8 +151,7 @@ def test_policy_bundle_has_no_tilt_weight():
     """A per-step policy changes regime without switch events."""
     spec = load("bang-drift")
     bundle = sim._simulate_core(
-        spec, 4, seed=1, n_steps=8, control="policy",
-        policy=lambda k, t, x: np.full(x.shape[0], k % 3))
+        spec, 4, 1, 8, lambda k, x: np.full(x.shape[0], k % 3))
     assert bundle.theta.total == 0 and np.ptp(bundle.regimes) > 0
     with pytest.raises(ValueError, match="policy"):
         girsanov.doleans_weights(bundle, girsanov.IntensityControl.const(2.0))

@@ -7,7 +7,9 @@ it, ``import jumpctrl.cli`` may add only the package's own modules and the
 standard library.  ``scipy.sparse`` stays lazy: only the lattice operator
 assembly (``transition.assemble_operator``) loads it.  The lattice layer
 stands on the problem layer alone: building the default state grid loads
-no simulator.
+no simulator.  The simulator stands on the problem layer and the random
+streams: it recognizes an intensity tilt by its shape, so it never loads
+``girsanov``.
 
 The command also pins BLAS to one thread before numpy loads, unless the
 caller chose a thread count; the library modules leave the environment as
@@ -45,6 +47,13 @@ import json, sys
 from jumpctrl import problem, transition
 spec = problem.load_problem({"schema_version": 1, "family": "jump-reward"})
 transition.default_state_grid(spec)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("jumpctrl"))))
+"""
+
+
+_SIM_PROBE = """
+import json, sys
+import jumpctrl.sim
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("jumpctrl"))))
 """
 
@@ -92,6 +101,11 @@ def test_cli_import_adds_only_the_package_and_the_standard_library():
 def test_the_default_state_grid_loads_no_simulator():
     assert _probe(_GRID_PROBE) == ["jumpctrl", "jumpctrl.problem",
                                    "jumpctrl.transition"]
+
+
+def test_the_simulator_loads_only_the_problem_and_stream_layers():
+    assert _probe(_SIM_PROBE) == ["jumpctrl", "jumpctrl.problem",
+                                  "jumpctrl.sim", "jumpctrl.stream"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux")

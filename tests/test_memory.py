@@ -108,8 +108,7 @@ def test_bundle_keeps_no_increments_and_replays_step_major(spec):
     increments = oracles.brownian_increments(bundle)
     assert increments.shape == (300, 16, 1)
     replayed = sim._simulate_core(
-        spec, 300, seed=5, n_steps=16, control="fixed",
-        fixed_theta=bundle.theta, start_regimes=bundle.regimes[:, 0],
-        brownian=increments, pi_events=bundle.pi)
+        spec, 300, 5, 16, (bundle.regimes[:, 0], bundle.theta),
+        noise=(increments, bundle.pi))
     assert replayed.states.transpose(1, 0, 2).flags.c_contiguous
     np.testing.assert_array_equal(replayed.states, bundle.states)

@@ -69,14 +69,7 @@ OPTIONS = {
     "cli.main(argv=None)",
     "dp.value_equality_check(tilt_estimate=None)",
     "sim._check_events(n_marks=None)",
-    "sim._simulate_core(brownian=None)",
-    "sim._simulate_core(control='randomized')",
-    "sim._simulate_core(fixed_theta=None)",
-    "sim._simulate_core(n_steps=None)",
-    "sim._simulate_core(pi_events=None)",
-    "sim._simulate_core(policy=None)",
-    "sim._simulate_core(start_regimes=None)",
-    "sim._simulate_core(tilt=None)",
+    "sim._simulate_core(noise=None)",
     "sim.simulate_bundle(n_steps=None)",
     "transition.default_state_grid(n_nodes=None)",
 }

@@ -133,13 +133,12 @@ def test_out_of_range_regimes_are_rejected(mode, bad):
     regimes = np.array([bad, 0, 1, 2])
     if mode == "fixed":
         run = lambda: sim._simulate_core(
-            spec, 4, 1, n_steps=8, control="fixed",
-            fixed_theta=sim.CsrEvents([], [], np.zeros(5, dtype=np.int64)),
-            start_regimes=regimes)
+            spec, 4, 1, 8,
+            (regimes, sim.CsrEvents([], [], np.zeros(5, dtype=np.int64))))
     else:
         run = lambda: sim._simulate_core(
-            spec, 4, 1, n_steps=8, control="policy",
-            policy=lambda k, t, x: regimes if k == 3 else np.zeros(4, int))
+            spec, 4, 1, 8,
+            lambda k, x: regimes if k == 3 else np.zeros(4, int))
     with pytest.raises(ValueError, match="control grid"):
         run()
 
@@ -152,9 +151,7 @@ def test_regime_width_follows_the_control_grid():
         spec = load("bang-drift",
                     control_points=np.linspace(-1.0, 1.0, n_controls).tolist())
         top = np.full(3, n_controls - 1)
-        bundle = sim._simulate_core(
-            spec, 3, 1, n_steps=2, control="policy",
-            policy=lambda k, t, x: top)
+        bundle = sim._simulate_core(spec, 3, 1, 2, lambda k, x: top)
         assert bundle.regimes.dtype == width
         assert np.all(bundle.regimes == n_controls - 1)
 
@@ -355,11 +352,9 @@ def test_a_jump_on_a_node_moves_the_step_it_ends():
 
     def replay_with_jumps_at(t):
         return sim._simulate_core(
-            spec, 600, seed=12, n_steps=4, control="fixed",
-            fixed_theta=ref.theta, start_regimes=ref.regimes[:, 0],
-            brownian=oracles.brownian_increments(ref),
-            pi_events=sim.CsrEvents(np.full(600, t), marks,
-                                    np.arange(601)))
+            spec, 600, 12, 4, (ref.regimes[:, 0], ref.theta),
+            noise=(oracles.brownian_increments(ref),
+                   sim.CsrEvents(np.full(600, t), marks, np.arange(601))))
 
     on_node = replay_with_jumps_at(0.5)
     before = replay_with_jumps_at(np.nextafter(0.5, 0.0))
@@ -494,7 +489,7 @@ def _golden_feedback_tilt(spec):
 
 
 def _golden_policy(n_controls):
-    def policy(k, t, states):
+    def policy(k, states):
         cell = np.floor(np.nan_to_num(states[:, 0], posinf=0.0, neginf=0.0)
                         * 4.0)
         return (np.abs(cell).astype(np.int64) + k) % n_controls
@@ -509,10 +504,9 @@ def _golden_bundle(spec, mode, n_paths):
                                   n_steps=GOLDEN_STEPS)
         increments = oracles.brownian_increments(ref)
         return sim._simulate_core(
-            *args, n_steps=GOLDEN_STEPS, control="fixed",
-            fixed_theta=ref.theta,
-            start_regimes=(np.arange(n_paths) % spec.control.size),
-            brownian=increments, pi_events=ref.pi), increments
+            *args, GOLDEN_STEPS,
+            (np.arange(n_paths) % spec.control.size, ref.theta),
+            noise=(increments, ref.pi)), increments
     if mode == "randomized":
         bundle = sim.simulate_bundle(*args, n_steps=GOLDEN_STEPS)
     elif mode.startswith("tilted"):
@@ -521,9 +515,8 @@ def _golden_bundle(spec, mode, n_paths):
         bundle = girsanov.simulate_tilted_theta(
             nu, spec, GOLDEN_SEED, n_paths, n_steps=GOLDEN_STEPS)
     else:
-        bundle = sim._simulate_core(*args, n_steps=GOLDEN_STEPS,
-                                    control="policy",
-                                    policy=_golden_policy(spec.control.size))
+        bundle = sim._simulate_core(*args, GOLDEN_STEPS,
+                                    _golden_policy(spec.control.size))
     return bundle, oracles.brownian_increments(bundle)
 
 
@@ -641,15 +634,11 @@ def test_regenerated_increments_replay_drawn_bundles_bitwise(family):
     for mode in ("randomized", "tilted-const", "tilted-feedback", "policy"):
         bundle, increments = _golden_bundle(spec, mode, GOLDEN_PATHS)
         if mode == "policy":
-            replayed = sim._simulate_core(
-                *args, n_steps=GOLDEN_STEPS, control="policy",
-                policy=_golden_policy(spec.control.size),
-                brownian=increments, pi_events=bundle.pi)
+            control = _golden_policy(spec.control.size)
         else:
-            replayed = sim._simulate_core(
-                *args, n_steps=GOLDEN_STEPS, control="fixed",
-                fixed_theta=bundle.theta, start_regimes=bundle.regimes[:, 0],
-                brownian=increments, pi_events=bundle.pi)
+            control = (bundle.regimes[:, 0], bundle.theta)
+        replayed = sim._simulate_core(*args, GOLDEN_STEPS, control,
+                                      noise=(increments, bundle.pi))
         for name in ("states", "regimes", "running_reward", "excluded"):
             got, want = getattr(replayed, name), getattr(bundle, name)
             assert got.dtype == want.dtype, (mode, name)

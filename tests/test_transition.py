@@ -228,7 +228,7 @@ def test_expect_next_counts_clamps_near_boundary():
 def test_default_state_grid_bounds_cover_dynamics():
     spec = _spec("bang-drift")
     grid = default_state_grid(spec, n_nodes=41)
-    (lo, hi), = grid.bounds()
+    lo, hi = grid.axes[0][[0, -1]]
     assert lo <= -0.5 and hi >= 1.5
     again = default_state_grid(spec, n_nodes=41)
     np.testing.assert_array_equal(grid.axes[0], again.axes[0])
@@ -251,14 +251,14 @@ def test_default_state_grid_is_the_moment_envelope(family, law):
     else:
         want = oracles.jump_reward_envelope(x0, v0, 1.0, controls, 2.0, 0.5,
                                             16)
-    got, = default_state_grid(spec, n_nodes=11).bounds()
+    got = default_state_grid(spec, n_nodes=11).axes[0][[0, -1]]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_jump_count_cut_barely_moves_the_default_lattice():
     # cutting the per-step jump count at MAX_JUMPS_PER_STEP moves the
     # bounds of jump-reward's x0 +/- 5 sqrt(M t) + 0.5 by about 1.6e-5
-    got, = default_state_grid(_spec("jump-reward"), n_nodes=11).bounds()
+    got = default_state_grid(_spec("jump-reward"), n_nodes=11).axes[0][[0, -1]]
     half = 5.0 * math.sqrt(oracles.JUMP_REWARD_SECOND_MOMENT) + 0.5
     np.testing.assert_allclose(got, (-half, half), rtol=0, atol=1e-4)
 
@@ -276,7 +276,7 @@ def test_default_state_grid_handles_augmented_state():
     spec = _spec("lookback-integral")
     grid = default_state_grid(spec, n_nodes=21)
     assert grid.ndim == 2
-    assert grid.bounds()[1][1] >= 0.4   # running integral reaches ~T*amax/2
+    assert grid.axes[1][-1] >= 0.4   # running integral reaches ~T*amax/2
 
 
 def test_kernel_checksum_format_and_stability():
