@@ -7,8 +7,9 @@ data (switch intensity weights and an initial regime) used by the
 intensity-randomization machinery in the other modules.
 
 Coefficient families live in a closed registry; a config JSON selects a
-family and may override its documented defaults.  All validation happens at
-load time so the numerical modules can assume a well-formed problem.
+family and may override its documented defaults, and any key the loader
+does not read is an error.  All validation happens at load time so the
+numerical modules can assume a well-formed problem.
 """
 
 from __future__ import annotations
@@ -32,15 +33,41 @@ DEFAULT_TOLERANCES = {
     "tol_value": 2e-2,        # value-equality band between solver routes
     "tol_monotone": 1e-6,     # nodewise slack for the penalization ladder
     "tol_hjb": 5e-2,          # interior residual band for field certificates
-    "tol_exact": 1e-10,       # band for analytically exact identities
     "se_multiplier": 3.0,     # Monte Carlo bands are +- se_multiplier * SE
-    "lipschitz_slack": 1.05,  # spot-check quotients may exceed L by 5%
-    "ks_alpha": 0.01,         # KS acceptance level for law-equality checks
+}
+
+#: The keys of each config block, by its dotted path.  The loader reads
+#: these and rejects any other; a family's ``parameters`` and a mark law's
+#: ``jump.mark_parameters`` are checked against ``FAMILIES`` and
+#: ``MARK_PARAMETERS``.
+CONFIG_KEYS = {
+    "": ("schema_version", "family", "parameters", "horizon",
+         "a_eigenvalues", "control_points", "a0_index", "a0",
+         "lambda0_weights", "jump", "initial_law", "x0", "augmentation",
+         "steps_per_unit_time", "tolerances"),
+    "jump": ("total_rate", "mark_sampler_id", "mark_parameters"),
+    "initial_law": ("kind", "mean", "cov_diag"),
+    "tolerances": tuple(DEFAULT_TOLERANCES),
 }
 
 
 class ConfigError(ValueError):
     """Raised when a problem config fails validation."""
+
+
+def _checked(block, where: str, allowed, required) -> dict:
+    """``block``, the config object at dotted path ``where``, once it holds
+    every ``required`` key and no key outside ``allowed``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"config key {where!r} must be a JSON object")
+    dotted = (lambda key: f"{where}.{key}") if where else str
+    for key in block:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {dotted(key)!r}")
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"missing config key {dotted(key)!r}")
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +99,12 @@ class ControlGrid:
         return int(hit[0])
 
 
-_MARK_SAMPLERS = ("two-point", "uniform-interval", "exponential")
+#: The parameters each mark law reads, all required
+MARK_PARAMETERS = {
+    "two-point": ("values", "probs"),
+    "uniform-interval": ("low", "high"),
+    "exponential": ("scale",),
+}
 
 
 @dataclass(frozen=True)
@@ -82,23 +114,27 @@ class JumpMeasureSpec:
     total_rate: float
     mark_sampler_id: str
     mark_parameters: dict
-    rho_envelope: float
-    second_moment: float        # total_rate * E[z^2], validated below
 
     def __post_init__(self):
         if self.total_rate < 0.0:
             raise ConfigError("jump total_rate must be nonnegative")
-        if self.mark_sampler_id not in _MARK_SAMPLERS:
+        names = MARK_PARAMETERS.get(self.mark_sampler_id)
+        if names is None:
             raise ConfigError(
                 f"unknown mark sampler {self.mark_sampler_id!r}")
-        if self.rho_envelope < 0.0:
-            raise ConfigError("rho_envelope must be nonnegative")
-        declared = self.second_moment
-        quadrature = self.total_rate * self._mark_second_moment()
-        if abs(declared - quadrature) > 1e-6 * max(1.0, abs(declared)):
-            raise ConfigError(
-                "declared second_moment %.6g disagrees with quadrature %.6g"
-                % (declared, quadrature))
+        object.__setattr__(self, "mark_parameters", dict(_checked(
+            self.mark_parameters, "jump.mark_parameters", names, names)))
+        try:
+            # the rule every route reads; it checks a two-point law's atoms
+            self.gauss_nodes(COMPENSATOR_NODES)
+        except TypeError as exc:
+            raise ConfigError(f"jump.mark_parameters: {exc}") from exc
+
+    @property
+    def second_moment(self) -> float:
+        """total_rate * E[z^2], by the 64-node rule of the mark law."""
+        z, w = self.gauss_nodes(64)
+        return self.total_rate * float(np.sum(w * z * z))
 
     # -- mark law access ----------------------------------------------------
 
@@ -142,10 +178,6 @@ class JumpMeasureSpec:
         scale = float(self.mark_parameters["scale"])
         return -scale * np.log1p(-np.clip(u, 0.0, 1.0 - 1e-16))
 
-    def _mark_second_moment(self) -> float:
-        z, w = self.gauss_nodes(64)
-        return float(np.sum(w * z * z))
-
 
 @dataclass(frozen=True)
 class RandomizationSpec:
@@ -167,19 +199,6 @@ class RandomizationSpec:
     @property
     def total_mass(self) -> float:
         return float(self.lambda0_weights.sum())
-
-
-@dataclass(frozen=True)
-class RegularityConstants:
-    """Declared Lipschitz/growth constants of the coefficients."""
-
-    lipschitz_l: float
-    growth_pbar: float
-    moment_cp: Optional[float] = None
-
-    def __post_init__(self):
-        if self.lipschitz_l < 0 or self.growth_pbar < 0:
-            raise ConfigError("regularity constants must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -241,7 +260,6 @@ class ProblemSpec:
     control: ControlGrid
     randomization: RandomizationSpec
     initial_law: InitialLaw
-    regularity: RegularityConstants
     augmentation: str = "none"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     steps_per_unit_time: int = 64
@@ -387,8 +405,7 @@ def _zero_scalar(t, x, a):
 def _no_jumps() -> JumpMeasureSpec:
     return JumpMeasureSpec(
         total_rate=0.0, mark_sampler_id="two-point",
-        mark_parameters={"values": [1.0, -1.0], "probs": [0.5, 0.5]},
-        rho_envelope=0.0, second_moment=0.0)
+        mark_parameters={"values": [1.0, -1.0], "probs": [0.5, 0.5]})
 
 
 def _family_uncontrolled_decay(p: dict) -> dict:
@@ -397,15 +414,11 @@ def _family_uncontrolled_decay(p: dict) -> dict:
     Closed form: v(t, x) = exp(-(T-t)) * x for horizon T, identical across
     the control grid and across penalization levels.
     """
-    horizon = float(p.get("horizon", 1.0))
-
     return {
         "dim": 1, "brownian_dim": 1, "a_eigenvalues": [-1.0],
-        "horizon": horizon,
         "control_points": [-1.0, 1.0], "a0_index": 0,
         "x0": [1.0],
         "jump": _no_jumps(),
-        "regularity": RegularityConstants(1.0, 1.0),
         "b": _zero_vec(1), "sigma": _const_sigma(0.0, 1, 1),
         "gamma": None, "f": _zero_scalar,
         "g": lambda x: x[:, 0].copy(),
@@ -417,20 +430,15 @@ def _family_bang_drift(p: dict) -> dict:
 
     Closed form: v(t, x) = x + (T - t), attained by the maximal drift.
     """
-    horizon = float(p.get("horizon", 1.0))
-    sig = float(p.get("sigma", 0.2))
-
     def b(t, x, a):
         return np.full((x.shape[0], 1), a)
 
     return {
         "dim": 1, "brownian_dim": 1, "a_eigenvalues": [0.0],
-        "horizon": horizon,
         "control_points": [-1.0, 0.0, 1.0], "a0_index": 2,
         "x0": [0.0],
         "jump": _no_jumps(),
-        "regularity": RegularityConstants(1.0, 1.0),
-        "b": b, "sigma": _const_sigma(sig, 1, 1),
+        "b": b, "sigma": _const_sigma(p["sigma"], 1, 1),
         "gamma": None, "f": _zero_scalar,
         "g": lambda x: x[:, 0].copy(),
     }
@@ -444,15 +452,6 @@ def _family_jump_reward(p: dict) -> dict:
     v(t, x) = -x^2 + max_a (a - a^2 M) (T - t); the argmax is unique for
     the default marks (M = 1/2, argmax a = 1, value rate 1/2).
     """
-    horizon = float(p.get("horizon", 1.0))
-    sig = float(p.get("sigma", 0.0))
-    rate = float(p.get("rate", 2.0))
-    z_hi = float(p.get("z_hi", 0.5))
-    z_lo = float(p.get("z_lo", -0.5))
-    p_hi = float(p.get("p_hi", 0.5))
-    m2 = rate * (p_hi * z_hi ** 2 + (1 - p_hi) * z_lo ** 2)
-    pts = [-1.0, 0.0, 1.0]
-
     def gamma(t, x, a, z):
         out = np.zeros((x.shape[0], 1))
         out[:, 0] = a * z
@@ -460,16 +459,13 @@ def _family_jump_reward(p: dict) -> dict:
 
     return {
         "dim": 1, "brownian_dim": 1, "a_eigenvalues": [0.0],
-        "horizon": horizon,
-        "control_points": pts, "a0_index": 2,
+        "control_points": [-1.0, 0.0, 1.0], "a0_index": 2,
         "x0": [0.0],
         "jump": JumpMeasureSpec(
-            total_rate=rate, mark_sampler_id="two-point",
-            mark_parameters={"values": [z_hi, z_lo], "probs": [p_hi, 1 - p_hi]},
-            rho_envelope=max(abs(z_hi), abs(z_lo)),
-            second_moment=m2),
-        "regularity": RegularityConstants(1.0, 2.0),
-        "b": _zero_vec(1), "sigma": _const_sigma(sig, 1, 1),
+            total_rate=p["rate"], mark_sampler_id="two-point",
+            mark_parameters={"values": [p["z_hi"], p["z_lo"]],
+                             "probs": [p["p_hi"], 1 - p["p_hi"]]}),
+        "b": _zero_vec(1), "sigma": _const_sigma(p["sigma"], 1, 1),
         "gamma": gamma,
         "f": lambda t, x, a: np.full(x.shape[0], a),
         "g": lambda x: -x[:, 0] ** 2,
@@ -480,9 +476,7 @@ def _family_ou_switch(p: dict) -> dict:
     """Mean reversion toward the active control: dX = r (a - X) dt + s dW,
     f = g = -x^2.  No closed form; checked by route cross-consistency.
     """
-    horizon = float(p.get("horizon", 1.0))
-    sig = float(p.get("sigma", 0.3))
-    rev = float(p.get("reversion", 1.0))
+    rev = p["reversion"]
 
     def b(t, x, a):
         return rev * (a - x)
@@ -492,12 +486,10 @@ def _family_ou_switch(p: dict) -> dict:
 
     return {
         "dim": 1, "brownian_dim": 1, "a_eigenvalues": [0.0],
-        "horizon": horizon,
         "control_points": [-1.0, 0.0, 1.0], "a0_index": 1,
         "x0": [0.5],
         "jump": _no_jumps(),
-        "regularity": RegularityConstants(max(1.0, abs(rev)), 2.0),
-        "b": b, "sigma": _const_sigma(sig, 1, 1),
+        "b": b, "sigma": _const_sigma(p["sigma"], 1, 1),
         "gamma": None, "f": neg_sq,
         "g": lambda x: -x[:, 0] ** 2,
     }
@@ -510,32 +502,34 @@ def _family_lookback_integral(p: dict) -> dict:
     closed form v(t, x, z) = z + x (T - t) + max_a a (T - t)^2 / 2.  The
     running-supremum variant is mechanical only (no closed form claimed).
     """
-    horizon = float(p.get("horizon", 1.0))
-    sig = float(p.get("sigma", 0.2))
-
     def b(t, x, a):
         return np.full((x.shape[0], 1), a)
 
     return {
         "dim": 1, "brownian_dim": 1, "a_eigenvalues": [0.0],
-        "horizon": horizon,
         "control_points": [-1.0, 1.0], "a0_index": 1,
         "x0": [0.0],
         "augmentation": "running-integral",
         "jump": _no_jumps(),
-        "regularity": RegularityConstants(1.0, 1.0),
-        "b": b, "sigma": _const_sigma(sig, 1, 1),
+        "b": b, "sigma": _const_sigma(p["sigma"], 1, 1),
         "gamma": None, "f": _zero_scalar,
         "g": lambda x: x[:, 1].copy(),
     }
 
 
+#: The family registry: each family's builder, and its parameters with their
+#: defaults.  A config's ``parameters`` block may set these and no other,
+#: and the builder reads them as floats.
 FAMILIES = {
-    "uncontrolled-decay": _family_uncontrolled_decay,
-    "bang-drift": _family_bang_drift,
-    "jump-reward": _family_jump_reward,
-    "ou-switch": _family_ou_switch,
-    "lookback-integral": _family_lookback_integral,
+    "uncontrolled-decay": (_family_uncontrolled_decay, {"horizon": 1.0}),
+    "bang-drift": (_family_bang_drift, {"horizon": 1.0, "sigma": 0.2}),
+    "jump-reward": (_family_jump_reward, {
+        "horizon": 1.0, "sigma": 0.0, "rate": 2.0,
+        "z_hi": 0.5, "z_lo": -0.5, "p_hi": 0.5}),
+    "ou-switch": (_family_ou_switch, {
+        "horizon": 1.0, "sigma": 0.3, "reversion": 1.0}),
+    "lookback-integral": (_family_lookback_integral,
+                          {"horizon": 1.0, "sigma": 0.2}),
 }
 
 
@@ -549,32 +543,38 @@ def load_problem(source) -> ProblemSpec:
     Only ``schema_version`` and ``family`` are required; everything else
     falls back to the family's documented defaults.  Raises ConfigError on
     malformed documents (unknown family, positive eigenvalue, nonpositive
-    lambda0 weight, inconsistent second moment, ...).
+    lambda0 weight, a key outside ``CONFIG_KEYS``, ...).
     """
-    if isinstance(source, (str,)):
+    if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    elif isinstance(source, dict):
-        cfg = dict(source)
     else:
-        raise ConfigError("config must be a dict or a JSON file path")
+        cfg = source
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object or a JSON file path")
 
-    if "schema_version" not in cfg:
-        raise ConfigError("config missing schema_version")
+    _checked(cfg, "", CONFIG_KEYS[""], ("schema_version", "family"))
     if cfg["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {cfg['schema_version']!r}")
-    family = cfg.get("family")
+    for one, other in (("a0_index", "a0"), ("initial_law", "x0")):
+        if one in cfg and other in cfg:
+            raise ConfigError(
+                f"config keys {one!r} and {other!r} exclude each other")
+    family = cfg["family"]
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
 
-    params = dict(cfg.get("parameters", {}))
+    build, defaults = FAMILIES[family]
+    params = dict(_checked(cfg.get("parameters", {}), "parameters",
+                           defaults, ()))
     if "horizon" in cfg:
         params["horizon"] = float(cfg["horizon"])
-    built = FAMILIES[family](params)
+    values = {k: float(params.get(k, v)) for k, v in defaults.items()}
+    built = build(values)
 
     points = cfg.get("control_points", built["control_points"])
     grid = ControlGrid(points=np.asarray(points, dtype=float))
@@ -596,25 +596,15 @@ def load_problem(source) -> ProblemSpec:
 
     jump = built["jump"]
     if "jump" in cfg:
-        j = cfg["jump"]
-        jump = JumpMeasureSpec(
-            total_rate=float(j["total_rate"]),
-            mark_sampler_id=j["mark_sampler_id"],
-            mark_parameters=dict(j["mark_parameters"]),
-            rho_envelope=float(j.get("rho_envelope", jump.rho_envelope)),
-            second_moment=float(j["second_moment"]))
+        j = _checked(cfg["jump"], "jump", CONFIG_KEYS["jump"],
+                     CONFIG_KEYS["jump"])
+        jump = JumpMeasureSpec(total_rate=float(j["total_rate"]),
+                               mark_sampler_id=j["mark_sampler_id"],
+                               mark_parameters=j["mark_parameters"])
 
-    reg = built["regularity"]
-    if "regularity" in cfg:
-        r = cfg["regularity"]
-        reg = RegularityConstants(
-            lipschitz_l=float(r.get("lipschitz_l", reg.lipschitz_l)),
-            growth_pbar=float(r.get("growth_pbar", reg.growth_pbar)),
-            moment_cp=r.get("moment_cp", reg.moment_cp))
-
-    dim = built["dim"]
     if "initial_law" in cfg:
-        il = cfg["initial_law"]
+        il = _checked(cfg["initial_law"], "initial_law",
+                      CONFIG_KEYS["initial_law"], ("kind", "mean"))
         law = InitialLaw(kind=il["kind"],
                          mean=np.asarray(il["mean"], dtype=float),
                          cov_diag=(np.asarray(il["cov_diag"], dtype=float)
@@ -626,24 +616,29 @@ def load_problem(source) -> ProblemSpec:
     coeffs = CoefficientSet(
         family=family, parameters=params,
         b=built["b"], sigma=built["sigma"],
-        gamma=built["gamma"] if built["gamma"] is not None else None,
-        f=built["f"], g=built["g"])
+        gamma=built["gamma"], f=built["f"], g=built["g"])
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(cfg.get("tolerances", {}))
+    given = _checked(cfg.get("tolerances", {}), "tolerances",
+                     CONFIG_KEYS["tolerances"], ())
+    for key, value in given.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or value < 0):
+            raise ConfigError(f"tolerance {key!r} must be a finite number "
+                              f">= 0, got {value!r}")
+        tolerances[key] = value
 
     return ProblemSpec(
-        dim=dim,
+        dim=built["dim"],
         brownian_dim=built["brownian_dim"],
         a_eigenvalues=np.asarray(
             cfg.get("a_eigenvalues", built["a_eigenvalues"]), dtype=float),
-        horizon=float(built["horizon"]),
+        horizon=values["horizon"],
         coefficients=coeffs,
         jump_measure=jump,
         control=grid,
         randomization=randomization,
         initial_law=law,
-        regularity=reg,
         augmentation=cfg.get("augmentation",
                              built.get("augmentation", "none")),
         tolerances=tolerances,
@@ -696,7 +691,8 @@ def closed_form(spec: ProblemSpec) -> Optional[dict]:
 
     if fam == "jump-reward" and spec.dim == 1 and abs(lam) < 1e-14:
         m2 = spec.jump_measure.second_moment
-        sig = float(spec.coefficients.parameters.get("sigma", 0.0))
+        sig = float(spec.coefficients.parameters.get(
+            "sigma", FAMILIES[fam][1]["sigma"]))
         run = max(float(a) - float(a) ** 2 * m2
                   for a in spec.control.points) - sig ** 2
         return {"value": lambda t, x: -x[0] ** 2 + run * (T - t)}

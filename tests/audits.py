@@ -1,9 +1,10 @@
 """Audits of the paper's standing hypotheses on the registry families.
 
-The package's coefficients declare constants (``regularity.lipschitz_l``,
-``regularity.moment_cp``) that the results rest on.  These helpers check
-them empirically, with randomized difference quotients and sample moments;
-no command runs them, so they live with the tests.
+The paper's results rest on Lipschitz and growth bounds on the
+coefficients and on a moment bound of the state.  No command takes those
+constants, so they live with the tests: ``oracles.HYPOTHESES`` declares
+them per family.  These helpers check them empirically, with randomized
+difference quotients and sample moments.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ import numpy as np
 from jumpctrl import sim
 from jumpctrl.problem import ProblemSpec
 
+#: spot-check quotients may exceed the declared Lipschitz constant by 5%
+LIPSCHITZ_SLACK = 1.05
 
-def spot_check_lipschitz(spec: ProblemSpec, n_samples: int = 10_000,
-                         seed: int = 0) -> dict:
+
+def spot_check_lipschitz(spec: ProblemSpec, declared: dict,
+                         n_samples: int = 10_000, seed: int = 0) -> dict:
     """Randomized difference-quotient audit of the declared constants.
 
     Samples (t, x, x', a, z) and reports the largest observed quotient for
-    b, sigma (Frobenius), and gamma (normalized by rho_envelope).  Passes
-    iff the maximum stays within lipschitz_slack * L.
+    b, sigma (Frobenius), and gamma (normalized by
+    ``declared["rho_envelope"]``).  Passes iff the maximum stays within
+    ``LIPSCHITZ_SLACK * declared["lipschitz_l"]``.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 913]))
     t = rng.random(n_samples) * spec.horizon
@@ -49,17 +54,17 @@ def spot_check_lipschitz(spec: ProblemSpec, n_samples: int = 10_000,
             g1 = c.gamma(0.0, x[sel], a, z)
             g2 = c.gamma(0.0, xp[sel], a, z)
             diff = np.linalg.norm(g1 - g2, axis=1)
-            rho = max(spec.jump_measure.rho_envelope, 1e-300)
+            rho = max(declared["rho_envelope"], 1e-300)
             worst["gamma"] = max(worst["gamma"],
                                  float(np.max(diff / (rho * gap[sel]))))
 
     max_q = max(worst.values())
-    slack = spec.tolerances["lipschitz_slack"]
+    bound = LIPSCHITZ_SLACK * declared["lipschitz_l"]
     return {
         "max_quotient": max_q,
         "per_coefficient": worst,
-        "bound": slack * spec.regularity.lipschitz_l,
-        "pass": bool(max_q <= slack * spec.regularity.lipschitz_l),
+        "bound": bound,
+        "pass": bool(max_q <= bound),
     }
 
 
@@ -67,9 +72,10 @@ def spot_check_lipschitz(spec: ProblemSpec, n_samples: int = 10_000,
 MOMENT_ORDER = 2.0
 
 
-def empirical_moment_check(bundle: sim.PathBundle) -> dict:
+def empirical_moment_check(bundle: sim.PathBundle,
+                           moment_cp: float | None = None) -> dict:
     """Compare the ``MOMENT_ORDER`` sup-over-grid moment against the
-    declared constant.
+    declared constant ``moment_cp``.
 
     Informational when no constant is declared: the report then carries the
     observed ratio and ``pass: None``.
@@ -82,13 +88,13 @@ def empirical_moment_check(bundle: sim.PathBundle) -> dict:
     observed = float(np.mean(sup ** MOMENT_ORDER))
     x0 = float(np.linalg.norm(bundle.spec.initial_law.mean))
     base = 1.0 + x0 ** MOMENT_ORDER
-    cp = bundle.spec.regularity.moment_cp
-    ratio = observed / (base * cp) if cp else observed / base
+    ratio = (observed / (base * moment_cp) if moment_cp
+             else observed / base)
     return {
         "p": MOMENT_ORDER,
         "observed": observed,
-        "bound": None if cp is None else cp * base,
+        "bound": None if moment_cp is None else moment_cp * base,
         "ratio": ratio,
-        "pass": None if cp is None else bool(ratio <= 1.0),
+        "pass": None if moment_cp is None else bool(ratio <= 1.0),
         "n_paths": int(keep.sum()),
     }

@@ -47,6 +47,31 @@ LOOKBACK_VALUE_T0 = 0.5
 KAPPA_CONST2_NO_EVENTS = math.exp(-1.0)
 KAPPA_CONST2_ONE_EVENT = 2.0 * math.exp(-1.0)
 
+# Band for identities that hold exactly up to rounding.
+TOL_EXACT = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Declared constants of the paper's standing hypotheses, per registry family
+# at its defaults (checked empirically by tests/audits.py): b, sigma and
+# gamma / rho_envelope are lipschitz_l-Lipschitz in x; |f| and |g| are at
+# most lipschitz_l * (1 + |x|^growth_pbar); E[sup_t |X_t|^2] is at most
+# moment_cp * (1 + |x0|^2), where a constant is declared.
+# ---------------------------------------------------------------------------
+
+HYPOTHESES = {
+    "uncontrolled-decay": {"lipschitz_l": 1.0, "growth_pbar": 1.0,
+                           "rho_envelope": 0.0, "moment_cp": None},
+    "bang-drift": {"lipschitz_l": 1.0, "growth_pbar": 1.0,
+                   "rho_envelope": 0.0, "moment_cp": 8.0},
+    "jump-reward": {"lipschitz_l": 1.0, "growth_pbar": 2.0,
+                    "rho_envelope": 0.5, "moment_cp": None},
+    "ou-switch": {"lipschitz_l": 1.0, "growth_pbar": 2.0,
+                  "rho_envelope": 0.0, "moment_cp": None},
+    "lookback-integral": {"lipschitz_l": 1.0, "growth_pbar": 1.0,
+                          "rho_envelope": 0.0, "moment_cp": None},
+}
+
 
 # ---------------------------------------------------------------------------
 # Recomputation routes (independent of src/jumpctrl).

@@ -196,7 +196,7 @@ def test_criterion_7_hjb_residual_exact_and_stencil_decay(announce):
                                      transition.default_state_grid(spec))
         exact_worst = max(exact_worst, res.interior_max())
         exact_ok = exact_ok and (res.interior_max()
-                                 <= spec.tolerances["tol_exact"])
+                                 <= oracles.TOL_EXACT)
     decay_ok = True
     sequences = {}
     for family in ("uncontrolled-decay", "bang-drift"):

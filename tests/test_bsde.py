@@ -420,7 +420,7 @@ def test_ladder_bang_monotone_with_analytic_limit(bang_spec, bang_ladder):
     # every level stays within the growth bound of the first
     x0 = bang_spec.initial_augmented(bang_spec.initial_law.mean[None, :])
     n_controls = bang_spec.control.size
-    pbar = bang_spec.regularity.growth_pbar
+    pbar = oracles.HYPOTHESES["bang-drift"]["growth_pbar"]
     spreads, ratios = [], []
     for fld in bang_ladder.per_level:
         at0 = [fld.value_at_node(0, x0, a)[0] for a in range(n_controls)]

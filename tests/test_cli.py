@@ -92,6 +92,79 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# config keys
+# ---------------------------------------------------------------------------
+
+_EXPONENTIAL_MARKS = {"total_rate": 2.0, "mark_sampler_id": "exponential",
+                      "mark_parameters": {"scale": 0.3}}
+
+#: config entries of jump-reward that each carry one key the loader does
+#: not read: the retired keys, then a misspelt key at each level
+UNREAD_KEYS = {
+    "regularity": {"regularity": {"lipschitz_l": 1.0}},
+    "jump.rho_envelope": {"jump": {**_EXPONENTIAL_MARKS,
+                                   "rho_envelope": 1.0}},
+    "jump.second_moment": {"jump": {**_EXPONENTIAL_MARKS,
+                                    "second_moment": 0.36}},
+    "tolerances.tol_exact": {"tolerances": {"tol_exact": 1e-10}},
+    "tolerances.lipschitz_slack": {"tolerances": {"lipschitz_slack": 1.05}},
+    "tolerances.ks_alpha": {"tolerances": {"ks_alpha": 0.01}},
+    "horizn": {"horizn": 2.0},
+    "parameters.sigm": {"parameters": {"sigm": 5.0}},
+    "jump.total_rat": {"jump": {**_EXPONENTIAL_MARKS, "total_rat": 2.0}},
+    "jump.mark_parameters.scal": {"jump": {
+        **_EXPONENTIAL_MARKS, "mark_parameters": {"scale": 0.3,
+                                                  "scal": 0.3}}},
+    "initial_law.cov": {"initial_law": {"kind": "point", "mean": [0.0],
+                                        "cov": [1.0]}},
+    "tolerances.tol_vlaue": {"tolerances": {"tol_vlaue": 0.02}},
+}
+
+
+def _exits_2_before_any_output(cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["solve", cfg, "--method", "dp", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("key", UNREAD_KEYS)
+def test_a_key_the_loader_does_not_read_exits_2(key, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "cfg.json", "jump-reward", **UNREAD_KEYS[key])
+    err = _exits_2_before_any_output(cfg, tmp_path, capsys)
+    assert f"unknown config key '{key}'" in err
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"jump": {"total_rate": 2.0, "mark_sampler_id": "uniform-interval",
+               "mark_parameters": {}}},
+     "missing config key 'jump.mark_parameters.low'"),
+    ({"jump": {"total_rate": 2.0, "mark_sampler_id": "exponential"}},
+     "missing config key 'jump.mark_parameters'"),
+    ({"tolerances": {"tol_value": "abc"}}, "tolerance 'tol_value'"),
+])
+def test_a_missing_key_or_bad_value_exits_2(extra, message, tmp_path,
+                                            capsys):
+    cfg = _write_cfg(tmp_path / "cfg.json", "jump-reward", **extra)
+    assert message in _exits_2_before_any_output(cfg, tmp_path, capsys)
+
+
+def test_exponential_marks_solve_without_a_declared_moment(tmp_path):
+    cfg = _write_cfg(tmp_path / "cfg.json", "jump-reward",
+                     jump=_EXPONENTIAL_MARKS)
+    out = tmp_path / "run"
+    assert cli.main(["solve", cfg, "--method", "dp", "--out", str(out)]) == 0
+    # closed form max_a (a - a^2 M) with M = rate * 2 scale^2 = 0.36
+    report = _read_json(out / "value_report.json")
+    assert abs(report["v0_dp"] - 0.64) <= problem.DEFAULT_TOLERANCES[
+        "tol_value"]
+
+
 def test_simulate_manifest_lists_every_output(decay_cfg, tmp_path):
     out = tmp_path / "run"
     cli.main(["simulate", decay_cfg, "--paths", "3", "--steps", "4",

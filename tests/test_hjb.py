@@ -73,8 +73,7 @@ def test_hamiltonian_nonlocal_quadratic_continuous_laws(sampler, params,
     # quadrature vs the closed quadratic expansion of the jump integral
     rate = 1.7
     jm = JumpMeasureSpec(total_rate=rate, mark_sampler_id=sampler,
-                         mark_parameters=params,
-                         rho_envelope=1.0, second_moment=rate * m2_marks)
+                         mark_parameters=params)
     spec = dataclasses.replace(_spec("jump-reward"), jump_measure=jm)
     acc = lambda pts: -pts[:, 0] ** 2
     h = ham_row(spec, 0.0, [-0.2], [0.4], [[-2.0]], acc)

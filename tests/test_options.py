@@ -4,7 +4,8 @@ Every check reads its tolerances from ``spec.tolerances``, so a config's
 ``tolerances`` block decides each verdict.  Every other setting is either
 a module constant or one of the keyword options listed in ``OPTIONS``:
 a new default-valued parameter anywhere in the package fails the
-inventory test until it is added to that list.
+inventory test until it is added to that list.  ``CONFIG_KEYS`` does the
+same for the keys a config may carry.
 """
 
 import importlib
@@ -15,6 +16,7 @@ import pytest
 
 import jumpctrl
 from jumpctrl import bsde, dp, girsanov, hjb, sim, transition
+from jumpctrl import problem
 from jumpctrl.problem import load_problem
 
 
@@ -101,3 +103,43 @@ def _options():
 
 def test_keyword_options_are_the_listed_ones():
     assert _options() == OPTIONS
+
+
+# ---------------------------------------------------------------------------
+# Config-key inventory
+# ---------------------------------------------------------------------------
+
+#: Every dotted key the loader accepts.  Eighteen are settable values: all
+#: but the blocks, ``schema_version``, ``family`` and the family and
+#: mark-law parameters (``parameters.*``, ``jump.mark_parameters.*``).
+CONFIG_KEYS = {
+    "schema_version", "family", "parameters", "horizon", "a_eigenvalues",
+    "control_points", "a0_index", "a0", "lambda0_weights", "x0",
+    "augmentation", "steps_per_unit_time",
+    "jump", "jump.total_rate", "jump.mark_sampler_id",
+    "jump.mark_parameters",
+    "initial_law", "initial_law.kind", "initial_law.mean",
+    "initial_law.cov_diag",
+    "tolerances", "tolerances.tol_value", "tolerances.tol_monotone",
+    "tolerances.tol_hjb", "tolerances.se_multiplier",
+    "parameters.horizon", "parameters.sigma", "parameters.rate",
+    "parameters.z_hi", "parameters.z_lo", "parameters.p_hi",
+    "parameters.reversion",
+    "jump.mark_parameters.values", "jump.mark_parameters.probs",
+    "jump.mark_parameters.low", "jump.mark_parameters.high",
+    "jump.mark_parameters.scale",
+}
+
+
+def _config_keys():
+    keys = {f"{block}.{key}" if block else key
+            for block, names in problem.CONFIG_KEYS.items() for key in names}
+    keys |= {f"parameters.{key}"
+             for _, defaults in problem.FAMILIES.values() for key in defaults}
+    keys |= {f"jump.mark_parameters.{key}"
+             for names in problem.MARK_PARAMETERS.values() for key in names}
+    return keys
+
+
+def test_config_keys_are_the_listed_ones():
+    assert _config_keys() == CONFIG_KEYS

@@ -66,14 +66,79 @@ def test_augmentation_restricted_to_supporting_family():
         problem.load_problem(cfg("bang-drift", augmentation="running-integral"))
 
 
-def test_second_moment_must_match_quadrature():
-    bad = {
-        "total_rate": 2.0, "mark_sampler_id": "two-point",
-        "mark_parameters": {"values": [0.5, -0.5], "probs": [0.5, 0.5]},
-        "second_moment": 0.9,
-    }
-    with pytest.raises(problem.ConfigError, match="second_moment"):
+def _jump(sampler, **params):
+    return {"total_rate": 2.0, "mark_sampler_id": sampler,
+            "mark_parameters": params}
+
+
+def test_second_moment_is_the_mark_law_quadrature():
+    laws = (
+        (_jump("two-point", values=[0.5, -0.25], probs=[0.3, 0.7]),
+         oracles.second_moment_two_point(0.5, -0.25, 0.3, 2.0)),
+        (_jump("uniform-interval", low=0.0, high=1.0),
+         oracles.second_moment_uniform(0.0, 1.0, 2.0)),
+        (_jump("exponential", scale=0.3),
+         oracles.second_moment_exponential(0.3, 2.0)),
+    )
+    for jump, m2 in laws:
+        spec = problem.load_problem(cfg("jump-reward", jump=jump))
+        assert abs(spec.jump_measure.second_moment - m2) <= 1e-12
+        # the closed form reads the computed moment
+        run = max(a - a * a * m2 for a in spec.control.points)
+        assert problem.closed_form(spec)["value"](0.0, [0.0]) == \
+            pytest.approx(run * spec.horizon, abs=1e-12)
+
+
+def test_two_point_probabilities_are_checked_at_load():
+    bad = _jump("two-point", values=[0.5, -0.5], probs=[0.5, 0.4])
+    with pytest.raises(problem.ConfigError, match="sum to 1"):
         problem.load_problem(cfg("jump-reward", jump=bad))
+
+
+@pytest.mark.parametrize("value", ["abc", -1.0, float("nan"), float("inf"),
+                                   True, None])
+def test_tolerances_must_be_finite_and_nonnegative(value):
+    with pytest.raises(problem.ConfigError, match="tol_value"):
+        problem.load_problem(cfg("bang-drift",
+                                 tolerances={"tol_value": value}))
+
+
+def test_tolerances_override_the_defaults_and_keep_their_order():
+    spec = problem.load_problem(cfg("bang-drift",
+                                    tolerances={"tol_hjb": 0, "tol_value": 1}))
+    assert spec.tolerances == {**problem.DEFAULT_TOLERANCES,
+                               "tol_hjb": 0, "tol_value": 1}
+    assert list(spec.tolerances) == list(problem.DEFAULT_TOLERANCES)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_family_parameters_are_checked_against_the_registry(family):
+    _, defaults = problem.FAMILIES[family]
+    spec = problem.load_problem(cfg(family, parameters=dict(defaults)))
+    assert spec.fingerprint() != problem.load_problem(cfg(family)).fingerprint()
+    with pytest.raises(problem.ConfigError,
+                       match="unknown config key 'parameters.sigm'"):
+        problem.load_problem(cfg(family, parameters={"sigm": 5.0}))
+
+
+def test_one_setting_per_key():
+    with pytest.raises(problem.ConfigError, match="exclude each other"):
+        problem.load_problem(cfg("bang-drift", a0=1.0, a0_index=2))
+    with pytest.raises(problem.ConfigError, match="exclude each other"):
+        problem.load_problem(cfg("bang-drift", x0=[0.0], initial_law={
+            "kind": "point", "mean": [1.0]}))
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"schema_version": 1}, "'family'"),
+    ({"schema_version": 1, "family": "bang-drift", "jump": {}},
+     "'jump.total_rate'"),
+    ({"schema_version": 1, "family": "bang-drift",
+      "initial_law": {"kind": "point"}}, "'initial_law.mean'"),
+])
+def test_missing_required_keys_raise_config_error(doc, key):
+    with pytest.raises(problem.ConfigError, match=f"missing config key {key}"):
+        problem.load_problem(doc)
 
 
 def test_gaussian_initial_law_needs_matching_cov():
@@ -187,15 +252,17 @@ def test_initial_augmented_layouts():
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_lipschitz_spot_check_passes(family):
     spec = problem.load_problem(cfg(family))
-    report = audits.spot_check_lipschitz(spec, n_samples=10_000, seed=7)
+    report = audits.spot_check_lipschitz(spec, oracles.HYPOTHESES[family],
+                                         n_samples=10_000, seed=7)
     assert report["pass"], report
     assert report["max_quotient"] <= report["bound"]
 
 
 def test_lipschitz_spot_check_fails_when_underdeclared():
-    spec = problem.load_problem(cfg(
-        "ou-switch", regularity={"lipschitz_l": 0.5}))
-    report = audits.spot_check_lipschitz(spec, n_samples=2_000, seed=7)
+    spec = problem.load_problem(cfg("ou-switch"))
+    underdeclared = dict(oracles.HYPOTHESES["ou-switch"], lipschitz_l=0.5)
+    report = audits.spot_check_lipschitz(spec, underdeclared,
+                                         n_samples=2_000, seed=7)
     assert not report["pass"]
     assert report["max_quotient"] == pytest.approx(1.0, rel=1e-9)
 
@@ -206,8 +273,8 @@ def test_lipschitz_spot_check_fails_when_underdeclared():
 def test_growth_bounds_hold(x, ai, t, fam):
     spec = problem.load_problem(cfg(fam))
     ai = min(ai, spec.control.size - 1)
-    L = spec.regularity.lipschitz_l
-    pbar = spec.regularity.growth_pbar
+    L = oracles.HYPOTHESES[fam]["lipschitz_l"]
+    pbar = oracles.HYPOTHESES[fam]["growth_pbar"]
     bound = L * (1.0 + abs(x) ** pbar)
     f = spec.coefficients.f(t, np.array([[x]]), spec.control.points[ai])
     assert abs(f[0]) <= bound + 1e-12
@@ -232,17 +299,13 @@ def test_mark_samplers_inverse_cdf():
 
     uni = problem.JumpMeasureSpec(
         total_rate=3.0, mark_sampler_id="uniform-interval",
-        mark_parameters={"low": 0.0, "high": 1.0},
-        rho_envelope=1.0,
-        second_moment=oracles.second_moment_uniform(0.0, 1.0, 3.0))
+        mark_parameters={"low": 0.0, "high": 1.0})
     zu = uni.sample_marks(u)
     assert zu.min() >= 0.0 and zu.max() <= 1.0
 
     expo = problem.JumpMeasureSpec(
         total_rate=2.0, mark_sampler_id="exponential",
-        mark_parameters={"scale": 0.5},
-        rho_envelope=1.0,
-        second_moment=oracles.second_moment_exponential(0.5, 2.0))
+        mark_parameters={"scale": 0.5})
     ze = expo.sample_marks(u)
     assert np.all(ze >= 0.0)
     z64, w64 = expo.gauss_nodes(64)

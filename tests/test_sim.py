@@ -272,11 +272,9 @@ def test_compensated_jumps_are_mean_zero():
 
 def test_uniform_marks_compensator():
     """Nonzero-mean marks force a real compensator; mean must still vanish."""
-    m2 = oracles.second_moment_uniform(0.0, 1.0, 2.0)
     spec = load("jump-reward", jump={
         "total_rate": 2.0, "mark_sampler_id": "uniform-interval",
-        "mark_parameters": {"low": 0.0, "high": 1.0},
-        "rho_envelope": 1.0, "second_moment": m2})
+        "mark_parameters": {"low": 0.0, "high": 1.0}})
     bundle = sim.simulate_bundle(spec, 40_000, seed=23)
     xt = bundle.terminal_states()[bundle.included(), 0]
     se = xt.std() / math.sqrt(xt.size)
@@ -297,7 +295,6 @@ def test_brownian_martingale_mean():
 def test_overflow_flag_and_exclude():
     spec = load("ou-switch",
                 parameters={"reversion": -30.0},
-                regularity={"lipschitz_l": 30.0},
                 x0=[1e9])
     with pytest.warns(RuntimeWarning, match="overflowed"):
         bundle = sim.simulate_bundle(spec, 8, seed=1, n_steps=64)
@@ -308,9 +305,10 @@ def test_overflow_flag_and_exclude():
 
 
 def test_empirical_moment_check_reports():
-    spec = load("bang-drift", regularity={"moment_cp": 8.0})
+    spec = load("bang-drift")
     bundle = sim.simulate_bundle(spec, 2_000, seed=2)
-    rep = audits.empirical_moment_check(bundle)
+    rep = audits.empirical_moment_check(
+        bundle, oracles.HYPOTHESES["bang-drift"]["moment_cp"])
     assert rep["pass"] is True
     assert rep["observed"] <= rep["bound"]
     spec2 = load("bang-drift")
@@ -469,7 +467,6 @@ GOLDEN_EXTRA = {
     "gaussian-init": ("jump-reward", {"initial_law": {
         "kind": "gaussian", "mean": [0.1], "cov_diag": [0.25]}}),
     "overflow": ("ou-switch", {"parameters": {"reversion": -60.0},
-                               "regularity": {"lipschitz_l": 60.0},
                                "initial_law": {"kind": "gaussian",
                                                "mean": [0.0],
                                                "cov_diag": [400.0]}}),
