@@ -49,6 +49,8 @@ from .transition import LatticeGrid
 LSMC_DEGREE = 2
 #: ridge added to a rank-deficient regression's normal equations
 LSMC_RIDGE = 1e-8
+#: most paths in one block of the regression pass's per-path half
+LSMC_BLOCK_PATHS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +314,17 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
 
     The bundle is read in place: each step takes its rows from the
     bundle's step-major state and regime buffers, gathering the kept rows
-    when paths were excluded.  Working memory is one (L, A, M) stack of
-    continuation values and a few (L, M) rows.  A bundle simulated under
-    another spec raises ``ValueError``.
+    when paths were excluded.  Besides the bundle, working memory is 2·L
+    rows per path (the regression targets and the constraint integrals),
+    the fits' regime-sorted copies of the state, its features and the
+    targets, and one (L, A, block) stack of continuation values.  The fits
+    take their features from the regime-sorted state, so no step builds
+    the features of every path in path order (only a pooled fit does).
+    The per-path half of each step (the predictions at every (level,
+    control), the penalty at the held regime and at the previous one, and
+    the constraint charge) runs over the blocks of :func:`_path_blocks`
+    and writes the step's values over the sorted targets the fits are done
+    with.  A bundle simulated under another spec raises ``ValueError``.
     """
     levels = _checked_levels(levels)
     if bundle.spec.fingerprint() != spec.fingerprint():
@@ -336,34 +346,27 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
     regime_dtype = np.min_scalar_type(n_controls - 1)  # small: radix sort
 
     # regression targets: target[l, i] = v^{n_l}(t_{k+1}, X_{i,k+1}, i_k)
-    g_terminal = spec.coefficients.g(at_step(states, n_time_steps))
-    target = np.tile(g_terminal, (n_levels, 1))
-    tilde = np.empty((n_levels, n_controls, m_used))
-    controls = tilde.transpose(1, 0, 2)     # control-major view
+    target = np.tile(spec.coefficients.g(at_step(states, n_time_steps)),
+                     (n_levels, 1))
     s_int = np.zeros((n_levels, m_used))
+    blocks = _path_blocks(m_used)
+    width = max(hi - lo for lo, hi in blocks)
+    # one block's continuation values at every (level, control)
+    stack = np.empty((n_levels, n_controls, width))
     ridge_events, carried, betas_prev = [], [], [None] * n_controls
-    rows = np.arange(m_used)
 
     def at_regime(regime, cols):
-        # tilde[l, regime[j], cols[j]] for every level l, as (L, len(cols));
+        # stack[l, regime[j], cols[j]] for every level l, as (L, len(cols));
         # the regime path may be one byte wide, so widen before the index
-        return np.take(tilde.reshape(n_levels, -1),
-                       regime.astype(np.intp) * m_used + cols, axis=1)
+        return np.take(stack.reshape(n_levels, -1),
+                       regime.astype(np.intp) * width + cols, axis=1)
 
-    def fit_step(k, i_k, counts, target, betas_prev):
-        # fills ``tilde`` at step k and returns each regime's coefficients;
-        # the sorted copies die before the fill, the features on return
-        t_k = float(time_grid[k])
-        x_k = at_step(states, k)
-        phi = _monomial_features(x_k, LSMC_DEGREE)
-        # rows grouped by regime, in path order within each regime, so
-        # every slice is the least-squares problem a boolean mask selects
-        order = np.argsort(i_k.astype(regime_dtype), kind="stable")
+    def fit_step(k, phi_sorted, target_sorted, counts, pooled, betas_prev):
+        # each regime's coefficients; the sorted rows are grouped by
+        # regime, in path order within each regime, so every slice is the
+        # least-squares problem a boolean mask selects
         bounds = np.cumsum(counts)
-        phi_sorted = np.take(phi, order, axis=0)
-        target_sorted = np.take(target, order, axis=1)
         betas = [None] * n_controls
-        pooled = None
         for a in range(n_controls):
             lo, hi = (bounds[a - 1] if a else 0), bounds[a]
             if hi > lo:
@@ -373,55 +376,75 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
                     ridge_events.append((k, a))
             else:
                 # no rows in this regime: fill the value column from the
-                # previous step's fit (or a pooled fit), but keep the cell
-                # out of the advantage estimate - no data, no advantage
-                if betas_prev[a] is None and pooled is None:
-                    pooled, _ = _fit_regime(phi, target)
+                # previous step's fit (or the pooled fit), but keep the
+                # cell out of the advantage estimate - no data, no advantage
                 betas[a] = pooled if betas_prev[a] is None else betas_prev[a]
                 carried.append((k, a))
-        del order, phi_sorted, target_sorted
+        return betas
+
+    def penalize_block(k, lo, hi, x_k, i_k, i_prev, betas, w_k, out):
+        # the continuation values of paths lo:hi at every (level, control)
+        # and the penalty at the regime each path holds: the step's values
+        # into ``out``, its constraint charge onto ``s_int``
+        x_b, i_b, cols = x_k[lo:hi], i_k[lo:hi], np.arange(hi - lo)
+        tilde = stack[:, :, :hi - lo]
+        phi = _monomial_features(x_b, LSMC_DEGREE)
+        t_k = float(time_grid[k])
         for a in range(n_controls):
-            f_dt = spec.coefficients.f(t_k, x_k[:, :spec.dim],
+            f_dt = spec.coefficients.f(t_k, x_b[:, :spec.dim],
                                        float(spec.control.points[a])) * dt
             for l in range(n_levels):
                 np.matmul(phi, betas[a][l], out=tilde[l, a])
                 tilde[l, a] += f_dt
-        return betas
+        own = at_regime(i_b, cols)
+        r_pos = _advantage(tilde.transpose(1, 0, 2), own, w_k)
+        s_int[:, lo:hi] += dt * r_pos
+        np.multiply(level_dt[:, None], r_pos, out=out)
+        out += own
+        if i_prev is not None:
+            # the next targets read the value at the regime of step k-1,
+            # which differs from i_k only on the paths that switch
+            moved = np.flatnonzero(i_prev[lo:hi] != i_b)
+            own = at_regime(i_prev[lo:hi][moved], moved)
+            # gathered from the contiguous stack: ``np.take`` would copy
+            # a strided view first
+            adv = _advantage(np.take(stack, moved, axis=2).transpose(1, 0, 2),
+                             own, w_k)
+            out[:, moved] = level_dt[:, None] * adv + own
 
     i_k = at_step(regimes, n_time_steps - 1)
     for k in range(n_time_steps - 1, -1, -1):
+        x_k = at_step(states, k)
         counts = np.bincount(i_k, minlength=n_controls)
-        betas = fit_step(k, i_k, counts, target, betas_prev)
-
+        if k == 0:
+            # the scatter of the step-0 targets, in path order
+            y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
+        pooled = None
+        if any(betas_prev[a] is None for a in np.flatnonzero(counts == 0)):
+            # a regime with neither rows nor an earlier fit: fit all rows
+            pooled, _ = _fit_regime(_monomial_features(x_k, LSMC_DEGREE),
+                                    target)
+        # the fits read the targets and features sorted by regime (the
+        # features of the sorted state are the sorted features, row for
+        # row); the sorted targets then take the step's values in path
+        # order, so one (L, M) buffer of targets is alive during the fits
+        order = np.argsort(i_k.astype(regime_dtype), kind="stable")
+        target = np.take(target, order, axis=1)
+        phi = _monomial_features(np.take(x_k, order, axis=0), LSMC_DEGREE)
+        del order
+        betas = fit_step(k, phi, target, counts, pooled, betas_prev)
+        del phi
         # the penalty at the regime each path holds; a cell with no rows
         # has no advantage estimate
         w_k = weights * (counts > 0)
-        own = at_regime(i_k, rows)
-        r_pos = _advantage(controls, own, w_k)
-        v_own = level_dt[:, None] * r_pos
-        v_own += own
-        del own
-        s_int += dt * r_pos
-        del r_pos
-        betas_prev = betas
-        if k:
-            # the next targets read the value at the regime of step k-1,
-            # which differs from i_k only on the paths that switch
-            i_prev = at_step(regimes, k - 1)
-            moved = np.flatnonzero(i_prev != i_k)
-            own = at_regime(i_prev[moved], moved)
-            # gathered from the contiguous stack: ``np.take`` would copy
-            # the whole control-major view first
-            adv = _advantage(np.take(tilde, moved, axis=2).transpose(1, 0, 2),
-                             own, w_k)
-            v_own[:, moved] = level_dt[:, None] * adv + own
-            del own, adv
-            target, i_k = v_own, i_prev
+        i_prev = at_step(regimes, k - 1) if k else None
+        for lo, hi in blocks:
+            penalize_block(k, lo, hi, x_k, i_k, i_prev, betas, w_k,
+                           target[:, lo:hi])
+        betas_prev, i_k = betas, i_prev
 
-    # the loop ends at step 0, so ``v_own`` holds the step-0 values and
-    # ``target`` the step-0 targets
-    y0 = v_own.mean(axis=1)
-    y0_se = target.std(axis=1, ddof=1) / math.sqrt(m_used)
+    # the loop ends at step 0, so ``target`` holds the step-0 values
+    y0 = target.mean(axis=1)
     return tuple(BsdeQuintuple(
         level_n=n, time_grid=time_grid, y0=float(y0[l]),
         y0_se=float(y0_se[l]), n_paths=m_used,
@@ -433,6 +456,21 @@ def solve_penalized_lsmc_ladder(spec: ProblemSpec, levels,
                   "fingerprint": spec.fingerprint(), "seed": bundle.seed,
                   "n_time_steps": n_time_steps})
         for l, n in enumerate(levels))
+
+
+def _path_blocks(m: int) -> list:
+    """(lo, hi) of the fewest near-equal blocks of at most
+    ``LSMC_BLOCK_PATHS`` paths that cover ``m`` paths.
+
+    Every block's products are then bitwise the rows of the whole array's:
+    a matrix-vector product gives each row the same bits on any row slice
+    of two or more rows, but numpy evaluates a one-row product as a dot,
+    which may round apart.  Near-equal blocks of a constant of at least 4
+    hold one row only when ``m`` is 1.
+    """
+    n_blocks = -(-m // LSMC_BLOCK_PATHS)
+    bounds = (np.arange(n_blocks + 1) * m // n_blocks).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _kept_rows_reader(keep: np.ndarray):

@@ -70,6 +70,46 @@ def _checked(block, where: str, allowed, required) -> dict:
     return block
 
 
+def _number(value, key: str) -> float:
+    """``value``, read at config key ``key``, as a float; ConfigError unless
+    it is a finite JSON number (not a boolean)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(
+            f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """``value``, read at config key ``key``, as a float array; ConfigError
+    unless it is a JSON list of finite numbers."""
+    if not isinstance(value, (list, tuple)) or not all(
+            not isinstance(v, bool) and isinstance(v, (int, float))
+            and math.isfinite(v) for v in value):
+        raise ConfigError(f"config key {key!r} must be a list of finite "
+                          f"numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def _integer(value, key: str) -> int:
+    """``value``, read at config key ``key``; ConfigError unless it is a
+    JSON integer (not a boolean, not a number with a fraction part)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(
+            f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _name(value, key: str) -> str:
+    """``value``, read at config key ``key``; ConfigError unless it is a
+    JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(
+            f"config key {key!r} must be a name (a JSON string), "
+            f"got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Component types
 # ---------------------------------------------------------------------------
@@ -124,11 +164,12 @@ class JumpMeasureSpec:
                 f"unknown mark sampler {self.mark_sampler_id!r}")
         object.__setattr__(self, "mark_parameters", dict(_checked(
             self.mark_parameters, "jump.mark_parameters", names, names)))
-        try:
-            # the rule every route reads; it checks a two-point law's atoms
-            self.gauss_nodes(COMPENSATOR_NODES)
-        except TypeError as exc:
-            raise ConfigError(f"jump.mark_parameters: {exc}") from exc
+        # a two-point law's parameters are lists, the others' numbers
+        read = _numbers if self.mark_sampler_id == "two-point" else _number
+        for name in names:
+            read(self.mark_parameters[name], f"jump.mark_parameters.{name}")
+        # the rule every route reads; it checks a two-point law's atoms
+        self.gauss_nodes(COMPENSATOR_NODES)
 
     @property
     def second_moment(self) -> float:
@@ -214,6 +255,9 @@ class InitialLaw:
             raise ConfigError(f"unknown initial law kind {self.kind!r}")
         mean = np.asarray(self.mean, dtype=float)
         object.__setattr__(self, "mean", mean)
+        if self.kind == "point" and self.cov_diag is not None:
+            raise ConfigError("config key 'initial_law.cov_diag' belongs to "
+                              "a gaussian initial law only")
         if self.kind == "gaussian":
             if self.cov_diag is None:
                 raise ConfigError("gaussian initial law needs cov_diag")
@@ -557,66 +601,78 @@ def load_problem(source) -> ProblemSpec:
         raise ConfigError("config must be a JSON object or a JSON file path")
 
     _checked(cfg, "", CONFIG_KEYS[""], ("schema_version", "family"))
-    if cfg["schema_version"] != CONFIG_SCHEMA_VERSION:
+    if _integer(cfg["schema_version"],
+                "schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {cfg['schema_version']!r}")
     for one, other in (("a0_index", "a0"), ("initial_law", "x0")):
         if one in cfg and other in cfg:
             raise ConfigError(
                 f"config keys {one!r} and {other!r} exclude each other")
-    family = cfg["family"]
+    family = _name(cfg["family"], "family")
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
+
+    def read(key, parse, default):
+        # the top-level ``key`` parsed, or ``default`` when it is absent
+        return parse(cfg[key], key) if key in cfg else default
 
     build, defaults = FAMILIES[family]
     params = dict(_checked(cfg.get("parameters", {}), "parameters",
                            defaults, ()))
     if "horizon" in cfg:
-        params["horizon"] = float(cfg["horizon"])
-    values = {k: float(params.get(k, v)) for k, v in defaults.items()}
+        params["horizon"] = _number(cfg["horizon"], "horizon")
+    values = {k: _number(params[k], f"parameters.{k}") if k in params
+              else float(v) for k, v in defaults.items()}
     built = build(values)
 
-    points = cfg.get("control_points", built["control_points"])
+    points = read("control_points", _numbers, built["control_points"])
     grid = ControlGrid(points=np.asarray(points, dtype=float))
 
     if "a0_index" in cfg:
-        a0 = int(cfg["a0_index"])
+        a0 = _integer(cfg["a0_index"], "a0_index")
     elif "a0" in cfg:
-        a0 = grid.index_of(float(cfg["a0"]))
+        a0 = grid.index_of(_number(cfg["a0"], "a0"))
     elif "control_points" in cfg:
         a0 = 0  # family default index may not exist on a custom grid
     else:
         a0 = built["a0_index"]
 
-    weights = cfg.get("lambda0_weights")
-    if weights is None:
-        weights = np.full(grid.size, 1.0 / grid.size)
-    randomization = RandomizationSpec(
-        lambda0_weights=np.asarray(weights, dtype=float), a0_index=a0)
+    weights = read("lambda0_weights", _numbers,
+                   np.full(grid.size, 1.0 / grid.size))
+    randomization = RandomizationSpec(lambda0_weights=weights, a0_index=a0)
 
     jump = built["jump"]
     if "jump" in cfg:
         j = _checked(cfg["jump"], "jump", CONFIG_KEYS["jump"],
                      CONFIG_KEYS["jump"])
-        jump = JumpMeasureSpec(total_rate=float(j["total_rate"]),
-                               mark_sampler_id=j["mark_sampler_id"],
-                               mark_parameters=j["mark_parameters"])
+        jump = JumpMeasureSpec(
+            total_rate=_number(j["total_rate"], "jump.total_rate"),
+            mark_sampler_id=_name(j["mark_sampler_id"],
+                                  "jump.mark_sampler_id"),
+            mark_parameters=j["mark_parameters"])
 
     if "initial_law" in cfg:
         il = _checked(cfg["initial_law"], "initial_law",
                       CONFIG_KEYS["initial_law"], ("kind", "mean"))
-        law = InitialLaw(kind=il["kind"],
-                         mean=np.asarray(il["mean"], dtype=float),
-                         cov_diag=(np.asarray(il["cov_diag"], dtype=float)
+        law = InitialLaw(kind=_name(il["kind"], "initial_law.kind"),
+                         mean=_numbers(il["mean"], "initial_law.mean"),
+                         cov_diag=(_numbers(il["cov_diag"],
+                                            "initial_law.cov_diag")
                                    if "cov_diag" in il else None))
     else:
-        x0 = cfg.get("x0", built["x0"])
+        x0 = read("x0", _numbers, built["x0"])
         law = InitialLaw(kind="point", mean=np.asarray(x0, dtype=float))
 
     coeffs = CoefficientSet(
         family=family, parameters=params,
         b=built["b"], sigma=built["sigma"],
         gamma=built["gamma"], f=built["f"], g=built["g"])
+
+    steps = read("steps_per_unit_time", _integer, 64)
+    if steps < 1:
+        raise ConfigError(f"config key 'steps_per_unit_time' must be >= 1, "
+                          f"got {steps!r}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     given = _checked(cfg.get("tolerances", {}), "tolerances",
@@ -631,18 +687,18 @@ def load_problem(source) -> ProblemSpec:
     return ProblemSpec(
         dim=built["dim"],
         brownian_dim=built["brownian_dim"],
-        a_eigenvalues=np.asarray(
-            cfg.get("a_eigenvalues", built["a_eigenvalues"]), dtype=float),
+        a_eigenvalues=read("a_eigenvalues", _numbers,
+                           built["a_eigenvalues"]),
         horizon=values["horizon"],
         coefficients=coeffs,
         jump_measure=jump,
         control=grid,
         randomization=randomization,
         initial_law=law,
-        augmentation=cfg.get("augmentation",
-                             built.get("augmentation", "none")),
+        augmentation=read("augmentation", _name,
+                          built.get("augmentation", "none")),
         tolerances=tolerances,
-        steps_per_unit_time=int(cfg.get("steps_per_unit_time", 64)),
+        steps_per_unit_time=steps,
     )
 
 

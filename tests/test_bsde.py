@@ -263,7 +263,28 @@ def test_lsmc_ladder_reads_kept_rows_like_a_bundle_of_only_them():
     assert got[0].n_excluded == bundle.n_excluded > 0
 
 
+#: the block size of the regression pass in the multi-block oracle cases
+SMALL_BLOCK = 64
+#: kept-path counts of the multi-block cases: a fixed split would leave a
+#: one-row block after one block, and a 7-row block after two
+BLOCK_CASES = {"one-block-plus-1": SMALL_BLOCK + 1,
+               "two-blocks-plus-7": 2 * SMALL_BLOCK + 7}
+
+
 def _oracle_case(case, bang_spec, bang_bundle):
+    # bang-drift: its Brownian states make the products round, which
+    # jump-reward's half-integer states do not
+    if case in BLOCK_CASES:
+        return bang_spec, sim.simulate_bundle(bang_spec, BLOCK_CASES[case],
+                                              seed=4, n_steps=32)
+    if case == "excluded-across-a-block-edge":
+        # 3 blocks' worth of paths less 8 excluded ones around the first
+        # block's edge, so the kept rows split at gathered indices
+        bundle = sim.simulate_bundle(bang_spec, 3 * SMALL_BLOCK, seed=4,
+                                     n_steps=32)
+        excluded = np.zeros(bundle.n_paths, dtype=bool)
+        excluded[SMALL_BLOCK - 4:SMALL_BLOCK + 4] = True
+        return bang_spec, dataclasses.replace(bundle, excluded=excluded)
     if case == "bang-drift":
         return bang_spec, bang_bundle
     if case == "excluded-paths":
@@ -283,11 +304,20 @@ def _oracle_case(case, bang_spec, bang_bundle):
 
 @pytest.mark.parametrize("case", ["bang-drift", "jump-reward",
                                   "excluded-paths", "carried-cells",
-                                  "tilted-const16"])
+                                  "tilted-const16", *BLOCK_CASES,
+                                  "excluded-across-a-block-edge"])
 def test_lsmc_ladder_is_bitwise_the_full_stack_recursion(case, bang_spec,
-                                                         bang_bundle):
+                                                         bang_bundle,
+                                                         monkeypatch):
     spec, bundle = _oracle_case(case, bang_spec, bang_bundle)
     levels = (1, 2, 4, 8, 16)
+    if case in BLOCK_CASES or case == "excluded-across-a-block-edge":
+        monkeypatch.setattr(bsde, "LSMC_BLOCK_PATHS", SMALL_BLOCK)
+    # the 20000-path bundle runs 3 blocks at the module's block size
+    n_blocks = {"bang-drift": 3, "excluded-paths": 3, "one-block-plus-1": 2,
+                "two-blocks-plus-7": 3, "excluded-across-a-block-edge": 3}
+    assert len(bsde._path_blocks(int(bundle.included().sum()))) == \
+        n_blocks.get(case, 1)
     got = bsde.solve_penalized_lsmc_ladder(spec, levels, bundle)
     want = oracles.lsmc_ladder_full_stack(spec, levels, bundle)
     for q, ref in zip(got, want, strict=True):

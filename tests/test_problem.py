@@ -1,5 +1,6 @@
 """Validation, evaluation purity, and declared-constant audits."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import audits
 import oracles
-from jumpctrl import bsde, problem, sim
+from jumpctrl import bsde, cli, problem, sim
 from jumpctrl.transition import LatticeGrid
 
 
@@ -139,6 +140,70 @@ def test_one_setting_per_key():
 def test_missing_required_keys_raise_config_error(doc, key):
     with pytest.raises(problem.ConfigError, match=f"missing config key {key}"):
         problem.load_problem(doc)
+
+
+_EXPONENTIAL = {"total_rate": 2.0, "mark_sampler_id": "exponential",
+                "mark_parameters": {"scale": 0.3}}
+
+
+#: (key, config entry) whose value at the key has the wrong JSON type:
+#: null, boolean, list or object where the loader reads a number or a
+#: name, a fraction or boolean where it reads an integer; then a step
+#: count below 1 and a covariance on a point law, which reads none
+WRONG_TYPES = [
+    ("horizon", {"horizon": None}),
+    ("family", {"family": ["bang-drift"]}),
+    ("parameters.sigma", {"parameters": {"sigma": None}}),
+    ("jump.total_rate", {"jump": {**_EXPONENTIAL, "total_rate": None}}),
+    ("jump.mark_sampler_id", {"jump": {**_EXPONENTIAL,
+                                       "mark_sampler_id": {"id": 1}}}),
+    ("jump.mark_parameters.scale", {"jump": {
+        **_EXPONENTIAL, "mark_parameters": {"scale": True}}}),
+    ("jump.mark_parameters.values", {"jump": {
+        "total_rate": 2.0, "mark_sampler_id": "two-point",
+        "mark_parameters": {"values": [0.5, None], "probs": [0.5, 0.5]}}}),
+    ("a0", {"a0": [1.0]}),
+    ("a0_index", {"a0_index": 1.9}),
+    ("a0_index", {"a0_index": True}),
+    ("steps_per_unit_time", {"steps_per_unit_time": 1.7}),
+    ("control_points", {"control_points": [-1.0, True]}),
+    ("lambda0_weights", {"lambda0_weights": None}),
+    ("x0", {"x0": 0.0}),
+    ("initial_law.mean", {"initial_law": {"kind": "point", "mean": None}}),
+    ("augmentation", {"augmentation": False}),
+    ("schema_version", {"schema_version": True}),
+    ("steps_per_unit_time", {"steps_per_unit_time": 0}),
+    ("initial_law.cov_diag", {"initial_law": {
+        "kind": "point", "mean": [0.0], "cov_diag": [4.0]}}),
+]
+
+
+@pytest.mark.parametrize("key,entry", WRONG_TYPES,
+                         ids=[key for key, _ in WRONG_TYPES])
+def test_a_value_of_the_wrong_type_exits_2_naming_its_key(key, entry,
+                                                          tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg("bang-drift"), **entry}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["solve", str(path), "--method", "dp", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config key '{key}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_registry_default_fingerprints_are_pinned():
+    # the fingerprint is every report's problem id: a loader change must
+    # leave the defaults' ids as they are
+    assert {family: problem.load_problem(cfg(family)).fingerprint()
+            for family in ALL_FAMILIES} == {
+        "bang-drift": "79ade65b60f6f0e2",
+        "jump-reward": "d4506b279d93ed74",
+        "lookback-integral": "9c49b4881292f7bc",
+        "ou-switch": "e2a418676bc4eeaf",
+        "uncontrolled-decay": "0ca50a2475df8b3c"}
 
 
 def test_gaussian_initial_law_needs_matching_cov():
