@@ -79,10 +79,6 @@ class PenalizedField:
                                          np.atleast_2d(points))
         return vals
 
-    def value_at_origin(self, spec: ProblemSpec) -> float:
-        x0 = spec.initial_augmented(spec.initial_law.mean[None, :])
-        return float(self.value_at_node(0, x0, spec.randomization.a0_index)[0])
-
     def snap_time(self, t: float) -> tuple[int, float]:
         """Nearest time node (index, node time)."""
         k = int(np.argmin(np.abs(self.time_grid - t)))
@@ -572,8 +568,10 @@ def minimal_value(spec: ProblemSpec, levels, n_time_steps: int,
         solver = "grid"
         per_level = solve_penalized_grid_ladder(spec, levels, n_time_steps,
                                                 on)
+        a0 = spec.randomization.a0_index
         for fld in per_level:
-            values.append(fld.value_at_origin(spec))
+            values.append(transition.initial_value(spec, fld.grid,
+                                                   fld.values[0][..., a0]))
             ses.append(0.0)
         for lo, hi in zip(per_level, per_level[1:]):
             monotone_violation = max(monotone_violation,
@@ -652,7 +650,8 @@ def check_randomized_dpp(fld: PenalizedField, spec: ProblemSpec,
             "n_paths": int(total.size)})
 
     best = max(estimates, key=lambda e: e["mean"])
-    v0 = fld.value_at_origin(spec)
+    v0 = transition.initial_value(
+        spec, fld.grid, fld.values[0][..., spec.randomization.a0_index])
     diff = best["mean"] - v0
     band = (spec.tolerances["se_multiplier"] * best["se"]
             + spec.tolerances["tol_value"])

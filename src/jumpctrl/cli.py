@@ -660,7 +660,7 @@ def cmd_solve(args) -> int:
         problem_id=_problem_id(spec),
         family=spec.coefficients.family,
         fingerprint=spec.fingerprint(),
-        v0_dp=fld.value_at_origin(spec),
+        v0_dp=transition.initial_value(spec, fld.grid, fld.values[0]),
         levels=list(ladder.levels) if ladder else [],
         level_values=list(ladder.values) if ladder else [],
         level_ses=list(ladder.ses) if ladder else [],

@@ -43,15 +43,6 @@ class DpField:
     def n_steps(self) -> int:
         return self.time_grid.size - 1
 
-    def value_at_node(self, k: int, points: np.ndarray) -> np.ndarray:
-        vals, _ = transition.multilinear(self.grid.axes, self.values[k],
-                                         np.atleast_2d(points))
-        return vals
-
-    def value_at_origin(self, spec: ProblemSpec) -> float:
-        x0 = spec.initial_augmented(spec.initial_law.mean[None, :])
-        return float(self.value_at_node(0, x0)[0])
-
     def policy_at(self, k: int, points: np.ndarray) -> np.ndarray:
         """Argmax control index at the nearest lattice node."""
         points = np.atleast_2d(points)
@@ -119,7 +110,7 @@ def value_equality_check(dp_field: DpField, ladder, spec: ProblemSpec,
                              "(code, dt, nodes or lattice axes)")
 
     tol = spec.tolerances["tol_value"]
-    v_dp = dp_field.value_at_origin(spec)
+    v_dp = transition.initial_value(spec, dp_field.grid, dp_field.values[0])
     diff = abs(v_dp - ladder.value_limit)
     band = tol + se_mult * (ladder.ses[-1] if ladder.ses else 0.0)
     out = {
@@ -155,7 +146,7 @@ def policy_rollout(dp_field: DpField, spec: ProblemSpec, n_paths: int,
         raise ValueError("no paths")
     j_mean = float(gains.mean())
     j_se = float(gains.std(ddof=1) / math.sqrt(gains.size))
-    v0 = dp_field.value_at_origin(spec)
+    v0 = transition.initial_value(spec, dp_field.grid, dp_field.values[0])
     tol = spec.tolerances["tol_value"]
     # float-level slack keeps zero-variance (deterministic) rollouts honest
     slack = 1e-12 * (1.0 + abs(v0))

@@ -23,6 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 CONFIG_SCHEMA_VERSION = 1
+#: Steps per unit of horizon of the default time grid (``default_steps``);
+#: a command's ``--steps`` sets a run's count
+STEPS_PER_UNIT_TIME = 64
 #: Gauss nodes of the mark law in the jump compensator (``mean_jump``)
 COMPENSATOR_NODES = 32
 
@@ -41,10 +44,9 @@ DEFAULT_TOLERANCES = {
 #: ``jump.mark_parameters`` are checked against ``FAMILIES`` and
 #: ``MARK_PARAMETERS``.
 CONFIG_KEYS = {
-    "": ("schema_version", "family", "parameters", "horizon",
-         "a_eigenvalues", "control_points", "a0_index", "a0",
-         "lambda0_weights", "jump", "initial_law", "x0", "augmentation",
-         "steps_per_unit_time", "tolerances"),
+    "": ("schema_version", "family", "parameters", "a_eigenvalues",
+         "control_points", "a0_index", "lambda0_weights", "jump",
+         "initial_law", "augmentation", "tolerances"),
     "jump": ("total_rate", "mark_sampler_id", "mark_parameters"),
     "initial_law": ("kind", "mean", "cov_diag"),
     "tolerances": tuple(DEFAULT_TOLERANCES),
@@ -132,12 +134,6 @@ class ControlGrid:
     def size(self) -> int:
         return int(self.points.size)
 
-    def index_of(self, value: float) -> int:
-        hit = np.where(np.isclose(self.points, value, rtol=0.0, atol=1e-12))[0]
-        if hit.size != 1:
-            raise ConfigError(f"control value {value!r} is not a grid point")
-        return int(hit[0])
-
 
 #: The parameters each mark law reads, all required
 MARK_PARAMETERS = {
@@ -168,8 +164,12 @@ class JumpMeasureSpec:
         read = _numbers if self.mark_sampler_id == "two-point" else _number
         for name in names:
             read(self.mark_parameters[name], f"jump.mark_parameters.{name}")
-        # the rule every route reads; it checks a two-point law's atoms
-        self.gauss_nodes(COMPENSATOR_NODES)
+        if self.mark_sampler_id == "two-point":
+            values, probs = self.atoms()
+            if values.size != 2 or probs.size != 2:
+                raise ConfigError("two-point law needs exactly two atoms")
+            if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
+                raise ConfigError("two-point probabilities must sum to 1")
 
     @property
     def second_moment(self) -> float:
@@ -183,13 +183,8 @@ class JumpMeasureSpec:
         """(values, probabilities) for purely atomic mark laws, else None."""
         if self.mark_sampler_id == "two-point":
             p = self.mark_parameters
-            values = np.asarray(p["values"], dtype=float)
-            probs = np.asarray(p["probs"], dtype=float)
-            if values.size != 2 or probs.size != 2:
-                raise ConfigError("two-point law needs exactly two atoms")
-            if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
-                raise ConfigError("two-point probabilities must sum to 1")
-            return values, probs
+            return (np.asarray(p["values"], dtype=float),
+                    np.asarray(p["probs"], dtype=float))
         return None
 
     def gauss_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +301,6 @@ class ProblemSpec:
     initial_law: InitialLaw
     augmentation: str = "none"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    steps_per_unit_time: int = 64
 
     def __post_init__(self):
         eigs = np.asarray(self.a_eigenvalues, dtype=float)
@@ -350,7 +344,7 @@ class ProblemSpec:
                 and self.coefficients.gamma is not None)
 
     def default_steps(self) -> int:
-        return max(1, int(math.ceil(self.steps_per_unit_time * self.horizon)))
+        return max(1, int(math.ceil(STEPS_PER_UNIT_TIME * self.horizon)))
 
     def time_grid(self, n_steps: int) -> np.ndarray:
         """The one time grid of paths, lattice sweeps and residuals:
@@ -605,10 +599,6 @@ def load_problem(source) -> ProblemSpec:
                 "schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {cfg['schema_version']!r}")
-    for one, other in (("a0_index", "a0"), ("initial_law", "x0")):
-        if one in cfg and other in cfg:
-            raise ConfigError(
-                f"config keys {one!r} and {other!r} exclude each other")
     family = _name(cfg["family"], "family")
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
@@ -620,8 +610,6 @@ def load_problem(source) -> ProblemSpec:
     build, defaults = FAMILIES[family]
     params = dict(_checked(cfg.get("parameters", {}), "parameters",
                            defaults, ()))
-    if "horizon" in cfg:
-        params["horizon"] = _number(cfg["horizon"], "horizon")
     values = {k: _number(params[k], f"parameters.{k}") if k in params
               else float(v) for k, v in defaults.items()}
     built = build(values)
@@ -631,8 +619,6 @@ def load_problem(source) -> ProblemSpec:
 
     if "a0_index" in cfg:
         a0 = _integer(cfg["a0_index"], "a0_index")
-    elif "a0" in cfg:
-        a0 = grid.index_of(_number(cfg["a0"], "a0"))
     elif "control_points" in cfg:
         a0 = 0  # family default index may not exist on a custom grid
     else:
@@ -661,18 +647,12 @@ def load_problem(source) -> ProblemSpec:
                                             "initial_law.cov_diag")
                                    if "cov_diag" in il else None))
     else:
-        x0 = read("x0", _numbers, built["x0"])
-        law = InitialLaw(kind="point", mean=np.asarray(x0, dtype=float))
+        law = InitialLaw(kind="point", mean=built["x0"])
 
     coeffs = CoefficientSet(
         family=family, parameters=params,
         b=built["b"], sigma=built["sigma"],
         gamma=built["gamma"], f=built["f"], g=built["g"])
-
-    steps = read("steps_per_unit_time", _integer, 64)
-    if steps < 1:
-        raise ConfigError(f"config key 'steps_per_unit_time' must be >= 1, "
-                          f"got {steps!r}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     given = _checked(cfg.get("tolerances", {}), "tolerances",
@@ -698,7 +678,6 @@ def load_problem(source) -> ProblemSpec:
         augmentation=read("augmentation", _name,
                           built.get("augmentation", "none")),
         tolerances=tolerances,
-        steps_per_unit_time=steps,
     )
 
 

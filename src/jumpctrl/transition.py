@@ -215,6 +215,29 @@ def multilinear(axes: tuple, values: np.ndarray,
     return out, int(np.count_nonzero(outside))
 
 
+def initial_value(spec: ProblemSpec, grid: LatticeGrid,
+                  values: np.ndarray) -> float:
+    """The t = 0 lattice ``values`` averaged over the initial law.
+
+    Every pathwise estimate averages over X_0, and so does this read of a
+    solved field.  A point law is its point with weight 1; a Gaussian law
+    is the product of ``HERMITE_NODES``-node Gauss-Hermite rules over the
+    core coordinates.
+    """
+    law = spec.initial_law
+    if law.kind == "point":
+        points, weights = law.mean[None, :], np.ones(1)
+    else:
+        h_nodes, h_weights = _hermite_nodes(HERMITE_NODES)
+        sd = np.sqrt(law.cov_diag)
+        combos = list(itertools.product(range(HERMITE_NODES),
+                                        repeat=spec.dim))
+        points = np.array([law.mean + sd * h_nodes[list(c)] for c in combos])
+        weights = np.array([np.prod(h_weights[list(c)]) for c in combos])
+    vals, _ = multilinear(grid.axes, values, spec.initial_augmented(points))
+    return float(weights @ vals)
+
+
 # ---------------------------------------------------------------------------
 # One-step outcome enumeration
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def announce(capsys):
 def test_criterion_1_value_equality_on_bang(bang_spec, bang_dp,
                                             bang_ladder, announce):
     tol = bang_spec.tolerances["tol_value"]
-    v_dp = bang_dp.value_at_origin(bang_spec)
+    v_dp = transition.initial_value(bang_spec, bang_dp.grid,
+                                    bang_dp.values[0])
     diff = abs(v_dp - bang_ladder.value_limit)
     announce(1, "classical value equals the randomized-ladder limit",
              diff <= tol, f"|{v_dp:.6f} - {bang_ladder.value_limit:.6f}| "
@@ -229,9 +230,9 @@ def test_criterion_8_jump_reward_matches_the_moment_ode(jump_spec,
     target = oracles.jump_reward_value(
         0.0, jump_spec.horizon, jump_spec.control.points,
         rate=jump_spec.jump_measure.total_rate)
-    v_dp = dp.solve_dp_grid(
-        jump_spec, jump_ladder.n_time_steps, jump_ladder.last_field.grid
-    ).value_at_origin(jump_spec)
+    fld = dp.solve_dp_grid(jump_spec, jump_ladder.n_time_steps,
+                           jump_ladder.last_field.grid)
+    v_dp = transition.initial_value(jump_spec, fld.grid, fld.values[0])
     gap_dp = abs(v_dp - target)
     gap_pen = abs(jump_ladder.value_limit - target)
     announce(8, "controlled-jump value matches the moment-ODE oracle",

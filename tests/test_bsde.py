@@ -25,6 +25,12 @@ def _solve(spec, level_n, n_time_steps):
                                      transition.default_state_grid(spec))
 
 
+def _v0(fld, spec):
+    """A lattice level's initial value, read at the start regime."""
+    return transition.initial_value(
+        spec, fld.grid, fld.values[0][..., spec.randomization.a0_index])
+
+
 @pytest.fixture(scope="module")
 def bang_spec():
     return _spec("bang-drift")
@@ -62,12 +68,12 @@ def test_grid_uncontrolled_value_is_regime_and_level_free():
     np.testing.assert_allclose(f1.values, f5.values, atol=1e-12)
     np.testing.assert_allclose(f1.values[..., 0], f1.values[..., 1],
                                atol=1e-12)
-    assert abs(f1.value_at_origin(spec) - oracles.DECAY_VALUE_T0) < 1e-9
+    assert abs(_v0(f1, spec) - oracles.DECAY_VALUE_T0) < 1e-9
 
 
 def test_grid_bang_value_reaches_analytic_level(bang_spec):
     fld = _solve(bang_spec, 16, 64)
-    assert abs(fld.value_at_origin(bang_spec) - oracles.BANG_VALUE_T0) < 2e-2
+    assert abs(_v0(fld, bang_spec) - oracles.BANG_VALUE_T0) < 2e-2
     assert fld.metadata["monotone_safe"]
     assert fld.metadata["stability"] == pytest.approx(16 / 64)
 
@@ -105,7 +111,7 @@ def test_grid_jump_reward_matches_moment_ode_oracle():
     spec = _spec("jump-reward")
     fld = _solve(spec, 16, 64)
     want = oracles.JUMP_REWARD_VALUE_T0
-    assert abs(fld.value_at_origin(spec) - want) < 2e-2
+    assert abs(_v0(fld, spec) - want) < 2e-2
 
 
 def test_grid_snap_time_picks_nearest_node():
@@ -158,7 +164,7 @@ def test_lsmc_matches_grid_per_level(bang_spec, bang_bundle):
     for n in (1, 4, 16):
         q = bsde.solve_penalized_lsmc(bang_spec, n, bang_bundle)
         fld = _solve(bang_spec, n, 64)
-        gap = abs(q.y0 - fld.value_at_origin(bang_spec))
+        gap = abs(q.y0 - _v0(fld, bang_spec))
         assert gap <= 3 * q.y0_se + 2e-2
 
 

@@ -503,13 +503,28 @@ def test_solve_dp_from_a0_zero_reaches_the_grid_closed_form(seed, tmp_path):
     controls = np.linspace(-1.0, 1.0, 17).tolist()
     cfg = _write_cfg(tmp_path / "jump.json", "jump-reward",
                      parameters={"rate": 3}, control_points=controls,
-                     a0=0.0)
+                     a0_index=controls.index(0.0))
     out = tmp_path / "run"
     cli.main(["solve", cfg, "--method", "dp", "--seed", seed,
               "--out", str(out)])
     got = _read_json(out / "value_report.json")["v0_dp"]
     want = oracles.jump_reward_value(0.0, 1.0, controls, rate=3.0)
     assert abs(got - want) <= problem.DEFAULT_TOLERANCES["tol_value"] / 4
+
+
+def test_a_gaussian_start_is_valued_as_an_average_over_its_law(tmp_path):
+    # v(0, x) = 1/2 - x^2 averaged over X_0 ~ N(0, 0.04) is 0.46; the field
+    # read at the law's mean gives 0.5, which the pathwise gains refute
+    cfg = _write_cfg(tmp_path / "gauss.json", "jump-reward", initial_law={
+        "kind": "gaussian", "mean": [0.0], "cov_diag": [0.04]})
+    out = tmp_path / "run"
+    code = cli.main(["verify", cfg, "--suite", "all", "--seed", "7",
+                     "--out", str(out)])
+    report = _read_json(out / "verify_report.json")
+    assert report["verdicts"]["dpp"] == "pass"
+    assert code == 0
+    got = report["details"]["value-equality"]["v_dp"]
+    assert abs(got - 0.46) <= problem.DEFAULT_TOLERANCES["tol_value"] / 4
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ def test_dp_argmax_ties_tolerate_rounding():
 
 
 def test_dp_bang_value_and_policy(bang_spec, bang_dp):
-    assert abs(bang_dp.value_at_origin(bang_spec)
+    assert abs(transition.initial_value(bang_spec, bang_dp.grid,
+                                        bang_dp.values[0])
                - oracles.BANG_VALUE_T0) < 1e-2
     # reward is increasing in the state, so the maximal drift wins at
     # every node the boundary clamp cannot reach
@@ -75,7 +76,7 @@ def test_dp_bang_value_and_policy(bang_spec, bang_dp):
 def test_dp_jump_reward_matches_moment_ode():
     spec = _spec("jump-reward")
     fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
-    assert abs(fld.value_at_origin(spec)
+    assert abs(transition.initial_value(spec, fld.grid, fld.values[0])
                - oracles.JUMP_REWARD_VALUE_T0) < 2e-2
     k_mid = fld.n_steps // 2
     origin = np.argmin(np.abs(fld.grid.axes[0]))
@@ -85,7 +86,7 @@ def test_dp_jump_reward_matches_moment_ode():
 def test_dp_lookback_running_integral():
     spec = _spec("lookback-integral")
     fld = dp.solve_dp_grid(spec, 64, transition.default_state_grid(spec))
-    assert abs(fld.value_at_origin(spec)
+    assert abs(transition.initial_value(spec, fld.grid, fld.values[0])
                - oracles.LOOKBACK_VALUE_T0) < 2e-2
 
 
@@ -238,7 +239,7 @@ def test_rollout_rejects_empty_path_set(bang_spec, bang_dp):
 def test_paths_and_lattice_fields_step_on_one_time_grid(horizon):
     # one float per node, so tables built on a field's grid are read at the
     # bundle's step without a tolerance
-    spec = _spec("uncontrolled-decay", horizon=horizon)
+    spec = _spec("uncontrolled-decay", parameters={"horizon": horizon})
     grid = LatticeGrid(axes=(np.array([0.0, 2.0]),))
     for n in range(1, 201):
         want = sim.simulate_bundle(spec, 1, seed=0, n_steps=n).time_grid

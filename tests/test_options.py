@@ -109,13 +109,12 @@ def test_keyword_options_are_the_listed_ones():
 # Config-key inventory
 # ---------------------------------------------------------------------------
 
-#: Every dotted key the loader accepts.  Eighteen are settable values: all
+#: Every dotted key the loader accepts.  Fourteen are settable values: all
 #: but the blocks, ``schema_version``, ``family`` and the family and
 #: mark-law parameters (``parameters.*``, ``jump.mark_parameters.*``).
 CONFIG_KEYS = {
-    "schema_version", "family", "parameters", "horizon", "a_eigenvalues",
-    "control_points", "a0_index", "a0", "lambda0_weights", "x0",
-    "augmentation", "steps_per_unit_time",
+    "schema_version", "family", "parameters", "a_eigenvalues",
+    "control_points", "a0_index", "lambda0_weights", "augmentation",
     "jump", "jump.total_rate", "jump.mark_sampler_id",
     "jump.mark_parameters",
     "initial_law", "initial_law.kind", "initial_law.mean",

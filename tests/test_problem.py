@@ -122,14 +122,6 @@ def test_family_parameters_are_checked_against_the_registry(family):
         problem.load_problem(cfg(family, parameters={"sigm": 5.0}))
 
 
-def test_one_setting_per_key():
-    with pytest.raises(problem.ConfigError, match="exclude each other"):
-        problem.load_problem(cfg("bang-drift", a0=1.0, a0_index=2))
-    with pytest.raises(problem.ConfigError, match="exclude each other"):
-        problem.load_problem(cfg("bang-drift", x0=[0.0], initial_law={
-            "kind": "point", "mean": [1.0]}))
-
-
 @pytest.mark.parametrize("doc,key", [
     ({"schema_version": 1}, "'family'"),
     ({"schema_version": 1, "family": "bang-drift", "jump": {}},
@@ -148,10 +140,10 @@ _EXPONENTIAL = {"total_rate": 2.0, "mark_sampler_id": "exponential",
 
 #: (key, config entry) whose value at the key has the wrong JSON type:
 #: null, boolean, list or object where the loader reads a number or a
-#: name, a fraction or boolean where it reads an integer; then a step
-#: count below 1 and a covariance on a point law, which reads none
+#: name, a fraction or boolean where it reads an integer; then a
+#: covariance on a point law, which reads none
 WRONG_TYPES = [
-    ("horizon", {"horizon": None}),
+    ("parameters.horizon", {"parameters": {"horizon": None}}),
     ("family", {"family": ["bang-drift"]}),
     ("parameters.sigma", {"parameters": {"sigma": None}}),
     ("jump.total_rate", {"jump": {**_EXPONENTIAL, "total_rate": None}}),
@@ -162,17 +154,13 @@ WRONG_TYPES = [
     ("jump.mark_parameters.values", {"jump": {
         "total_rate": 2.0, "mark_sampler_id": "two-point",
         "mark_parameters": {"values": [0.5, None], "probs": [0.5, 0.5]}}}),
-    ("a0", {"a0": [1.0]}),
     ("a0_index", {"a0_index": 1.9}),
     ("a0_index", {"a0_index": True}),
-    ("steps_per_unit_time", {"steps_per_unit_time": 1.7}),
     ("control_points", {"control_points": [-1.0, True]}),
     ("lambda0_weights", {"lambda0_weights": None}),
-    ("x0", {"x0": 0.0}),
     ("initial_law.mean", {"initial_law": {"kind": "point", "mean": None}}),
     ("augmentation", {"augmentation": False}),
     ("schema_version", {"schema_version": True}),
-    ("steps_per_unit_time", {"steps_per_unit_time": 0}),
     ("initial_law.cov_diag", {"initial_law": {
         "kind": "point", "mean": [0.0], "cov_diag": [4.0]}}),
 ]
@@ -192,6 +180,43 @@ def test_a_value_of_the_wrong_type_exits_2_naming_its_key(key, entry,
     assert f"config key '{key}'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+#: Second spellings of a problem value, which the loader does not read:
+#: each value has one key (``parameters.horizon``, ``initial_law``,
+#: ``a0_index``), and a run's step count is ``--steps``
+DROPPED_KEYS = [
+    ("horizon", {"horizon": 3.0}),
+    ("x0", {"x0": [0.5]}),
+    ("a0", {"a0": -1.0}),
+    ("steps_per_unit_time", {"steps_per_unit_time": 32}),
+]
+
+
+@pytest.mark.parametrize("key,entry", DROPPED_KEYS,
+                         ids=[key for key, _ in DROPPED_KEYS])
+def test_a_dropped_key_exits_2_naming_it(key, entry, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg("bang-drift"), **entry}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["solve", str(path), "--method", "dp", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"unknown config key '{key}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry,fingerprint", [
+    ({"parameters": {"horizon": 3.0}}, "0607d6eb6e3a54dd"),
+    ({"initial_law": {"kind": "point", "mean": [0.5]}}, "adb79c8c849867b6"),
+    ({"a0_index": 0}, "8e8729c52f56b114"),
+], ids=["horizon", "x0", "a0"])
+def test_the_kept_key_loads_the_dropped_keys_problem_id(entry, fingerprint):
+    # the ids that {"horizon": 3.0}, {"x0": [0.5]} and {"a0": -1.0} gave
+    assert problem.load_problem(
+        cfg("bang-drift", **entry)).fingerprint() == fingerprint
 
 
 def test_registry_default_fingerprints_are_pinned():
@@ -217,17 +242,11 @@ def test_gaussian_initial_law_needs_matching_cov():
     assert spec.initial_law.cov_diag[0] == 0.04
 
 
-def test_a0_value_lookup_and_bad_value():
-    spec = problem.load_problem(cfg("bang-drift", a0=-1.0))
-    assert spec.randomization.a0_index == 0
-    with pytest.raises(problem.ConfigError, match="not a grid point"):
-        problem.load_problem(cfg("bang-drift", a0=0.25))
-
-
 def test_fingerprint_stable_and_discriminating():
     a = problem.load_problem(cfg("bang-drift")).fingerprint()
     b = problem.load_problem(cfg("bang-drift")).fingerprint()
-    c = problem.load_problem(cfg("bang-drift", horizon=2.0)).fingerprint()
+    c = problem.load_problem(
+        cfg("bang-drift", parameters={"horizon": 2.0})).fingerprint()
     assert a == b
     assert a != c
 

@@ -253,7 +253,8 @@ def test_adaptedness_truncated_drivers_reproduce_prefix():
     spec = load("jump-reward")
     bundle = sim.simulate_bundle(spec, 6, seed=21, n_steps=32)
     k = 20
-    spec_k = load("jump-reward", horizon=float(bundle.time_grid[k]))
+    spec_k = load("jump-reward",
+                  parameters={"horizon": float(bundle.time_grid[k])})
     for i in range(bundle.n_paths):
         prefix = replay(bundle, i, spec=spec_k, n_steps=k)
         assert np.allclose(prefix.states[0, :, 0], bundle.states[i, :k + 1, 0],
@@ -295,7 +296,7 @@ def test_brownian_martingale_mean():
 def test_overflow_flag_and_exclude():
     spec = load("ou-switch",
                 parameters={"reversion": -30.0},
-                x0=[1e9])
+                initial_law={"kind": "point", "mean": [1e9]})
     with pytest.warns(RuntimeWarning, match="overflowed"):
         bundle = sim.simulate_bundle(spec, 8, seed=1, n_steps=64)
     assert bundle.n_excluded == 8

@@ -151,7 +151,7 @@ def test_brownian_quadrature_matches_gaussian_moments():
     spec = _spec("bang-drift")
     dt = 1 / 32
     x0 = 0.4
-    a_idx = spec.control.index_of(1.0)
+    a_idx = list(spec.control.points).index(1.0)
     outs = transition.one_step_points(spec, 0.0, dt, a_idx,
                                       np.array([[x0]]))
     mean = math.fsum(w * p[0, 0] for w, p in outs)
@@ -167,7 +167,7 @@ def test_jump_outcomes_match_compensated_moments():
     # jump-reward: symmetric +-1/2 marks, rate 2, gamma = a z, sigma = 0
     spec = _spec("jump-reward")
     dt = 1 / 64
-    a_idx = spec.control.index_of(1.0)
+    a_idx = list(spec.control.points).index(1.0)
     outs = transition.one_step_points(spec, 0.0, dt, a_idx,
                                       np.array([[0.0]]))
     mean = math.fsum(w * p[0, 0] for w, p in outs)
@@ -188,7 +188,7 @@ def test_truncated_poisson_is_a_probability_vector():
 def test_lookback_outcomes_update_running_integral_by_trapezoid():
     spec = _spec("lookback-integral")
     dt = 1 / 16
-    a_idx = spec.control.index_of(1.0)
+    a_idx = list(spec.control.points).index(1.0)
     x = np.array([[0.5, 2.0]])
     outs = transition.one_step_points(spec, 0.0, dt, a_idx, x)
     for _, pts in outs:
@@ -205,7 +205,7 @@ def test_expect_next_exact_for_linear_value():
     grid = LatticeGrid(axes=(np.linspace(-4.0, 4.0, 81),))
     vals = 2.0 * grid.axes[0] - 1.0
     dt = 1 / 64
-    a_idx = spec.control.index_of(-1.0)
+    a_idx = list(spec.control.points).index(-1.0)
     inner = grid.axes[0][20:-20]
     got, _ = transition.expect_next(spec, 0.0, dt, a_idx, grid, vals)
     got = got[20:-20]
@@ -264,8 +264,8 @@ def test_jump_count_cut_barely_moves_the_default_lattice():
 
 
 def test_default_state_grid_ignores_the_start_regime():
-    one = _spec("jump-reward", parameters={"rate": 3}, a0=0.0)
-    other = _spec("jump-reward", parameters={"rate": 3}, a0=1.0)
+    one = _spec("jump-reward", parameters={"rate": 3}, a0_index=1)
+    other = _spec("jump-reward", parameters={"rate": 3}, a0_index=2)
     assert one.randomization.a0_index != other.randomization.a0_index
     for ax_one, ax_other in zip(default_state_grid(one).axes,
                                 default_state_grid(other).axes):
